@@ -18,9 +18,9 @@ from .comm import run_ranks
 from .dense import small_svd
 from .distmat import gather, generate_random, read_distributed
 from .matrices import conditioned_instance, low_rank_noise_instance
-from .svd import RsvdParams, svd_normal_equations, svd_randomized, svd_tsqr
+from .svd import ROUTES, ParameterError, RsvdParams, route
 
-ALGOS = ("cpsvd", "tssvd", "rsvd")
+ALGOS = tuple(ROUTES)
 PRECISIONS = {"f32": np.float32, "f64": np.float64}
 
 CSV_HEADER = "algo,precision,m,n,p,k,q,rep,seconds,sigma_sum"
@@ -75,12 +75,18 @@ class BenchConfig:
             if not m > n >= 1:
                 raise ConfigError(f"need rows > cols >= 1, got {m}x{n}")
         if self.algo == "rsvd":
-            if self.k < 1:
-                raise ConfigError(f"rsvd needs k >= 1, got {self.k}")
-            if 2 * self.k > self.cols:
-                raise ConfigError(f"rsvd needs 2k <= cols, got k={self.k}, cols={self.cols}")
-            if self.q < 0:
-                raise ConfigError(f"rsvd needs q >= 0, got {self.q}")
+            try:
+                self.rsvd_params().validate(self.cols)
+            except ParameterError as exc:
+                raise ConfigError(str(exc)) from exc
+
+    def rsvd_params(self):
+        """The rsvd route's parameters.
+
+        Benchmarks draw the projection from uniform(0, 1); it works as well
+        as the normal draw and the experiment convention fixes it.
+        """
+        return RsvdParams(k=self.k, q=self.q, projection="uniform01", seed=self.seed + 1)
 
 
 def _load_matrix(comm, cfg):
@@ -102,14 +108,7 @@ def _load_matrix(comm, cfg):
 
 
 def _compute_sigma(a, cfg):
-    if cfg.algo == "cpsvd":
-        return svd_normal_equations(a).sigma
-    if cfg.algo == "tssvd":
-        return svd_tsqr(a).sigma
-    # Benchmarks draw the projection from uniform(0, 1); it works as well
-    # as the normal draw and the experiment convention fixes it.
-    params = RsvdParams(k=cfg.k, q=cfg.q, projection="uniform01", seed=cfg.seed + 1)
-    return svd_randomized(a, params).sigma
+    return route(cfg.algo, cfg.rsvd_params())(a).sigma
 
 
 def _bench_worker(comm, cfg):

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .bench import ALGOS, BenchConfig, ConfigError, run_bench, run_verify
+from .bench import ALGOS, PRECISIONS, BenchConfig, ConfigError, run_bench, run_verify
 from .comm import RankFailures
 
 ENV_SEED = "SVDBENCH_SEED"
@@ -31,18 +31,22 @@ def build_parser():
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--algo", required=True, choices=ALGOS)
-        p.add_argument("--rows", type=int, default=1_000_000,
-                       help="global row count m (default 10^6)")
-        p.add_argument("--cols", type=int, default=250,
-                       help="column count n (default 250)")
-        p.add_argument("--precision", choices=("f32", "f64"), default="f64")
-        p.add_argument("--ranks", type=int, default=1,
+        p.add_argument("--rows", type=int, default=BenchConfig.rows,
+                       help="global row count m (default %(default)s)")
+        p.add_argument("--cols", type=int, default=BenchConfig.cols,
+                       help="column count n (default %(default)s)")
+        p.add_argument("--precision", choices=tuple(PRECISIONS),
+                       default=BenchConfig.precision)
+        p.add_argument("--ranks", type=int, default=BenchConfig.ranks,
                        help="in-process rank count p")
-        p.add_argument("--k", type=int, default=2, help="rsvd truncation rank")
-        p.add_argument("--q", type=int, default=2, help="rsvd power iterations")
-        p.add_argument("--seed", type=int, default=42,
+        p.add_argument("--k", type=int, default=BenchConfig.k,
+                       help="rsvd truncation rank")
+        p.add_argument("--q", type=int, default=BenchConfig.q,
+                       help="rsvd power iterations")
+        p.add_argument("--seed", type=int, default=BenchConfig.seed,
                        help=f"data seed (env {ENV_SEED} overrides)")
-        p.add_argument("--reps", type=int, default=5, help="repetitions per run")
+        p.add_argument("--reps", type=int, default=BenchConfig.reps,
+                       help="repetitions per run")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
         p.add_argument("--input", default=None, metavar="FILE",
                        help="read the matrix from a TSKM binary file")

@@ -2,23 +2,15 @@
 
 Everything here is a pure function on 2-d numpy arrays (row-major, float32
 or float64; the dtype selects the working precision). Matrix products go
-through BLAS via numpy. The factorizations are written out explicitly:
-Householder QR with a nonnegative-diagonal convention, a cyclic Jacobi
-eigensolver for symmetric matrices, and a one-sided Jacobi SVD. None of
-these operations communicate; they are the building blocks the distributed
-layer calls on local blocks.
+through BLAS and factorizations through LAPACK, both via numpy. This module
+adds the conventions the distributed layer relies on: a QR factor with a
+nonnegative diagonal and exact zeros below it, eigenvalues and singular
+values in descending order, and a deterministic sign for every vector.
+None of these operations communicate; they are the building blocks the
+distributed layer calls on local blocks.
 """
 
-from functools import lru_cache
-
 import numpy as np
-
-MAX_EIGEN_SWEEPS = 30
-MAX_SVD_SWEEPS = 60
-
-# Panel width for the blocked Householder update; fixed so results are
-# reproducible across machines.
-QR_BLOCK = 32
 
 
 class ShapeError(ValueError):
@@ -30,11 +22,15 @@ class UnsupportedShape(ShapeError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver hit its sweep cap; carries the residual."""
+    """LAPACK could not factor the input (for example, it holds NaN or Inf)."""
 
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
+
+def _lapack(routine, *args, **kwargs):
+    """Call a numpy.linalg routine, raising its failure as ConvergenceError."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"{routine.__name__}: {exc}") from exc
 
 
 def as_matrix(a, name="a"):
@@ -47,8 +43,8 @@ def as_matrix(a, name="a"):
     return a
 
 
-def gemm(transpose_a, alpha, a, b):
-    """Compute alpha * op(a) @ b, where op is transpose when requested."""
+def gemm(transpose_a, a, b):
+    """Compute op(a) @ b, where op is transpose when requested."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     if a.dtype != b.dtype:
@@ -61,86 +57,17 @@ def gemm(transpose_a, alpha, a, b):
             f"gemm inner dimensions do not conform: op(a) is {op_a.shape}, "
             f"b is {b.shape}"
         )
-    out = op_a @ b
-    if alpha != 1:
-        out *= out.dtype.type(alpha)
-    return out
+    return op_a @ b
 
 
-def _householder_vector(x):
-    """Reflector (v, beta, mu) with v[0] = 1 and (I - beta v v^T) x = mu e1.
-
-    mu = ||x||_2 >= 0 in every branch, which is what pins the QR diagonal
-    to be nonnegative.
-    """
-    x0 = float(x[0])
-    sigma = float(np.dot(x[1:], x[1:]))
-    v = np.array(x, copy=True)
-    v[0] = 1
-    if sigma == 0.0:
-        if x0 >= 0.0:
-            return v, 0.0, x0
-        return v, 2.0, -x0
-    mu = np.sqrt(x0 * x0 + sigma)
-    if x0 <= 0.0:
-        v0 = x0 - mu
-    else:
-        v0 = -sigma / (x0 + mu)
-    beta = 2.0 * v0 * v0 / (sigma + v0 * v0)
-    v[1:] /= v.dtype.type(v0)
-    return v, beta, mu
-
-
-def _qr_factor(a, build_q):
-    """Blocked Householder QR of a tall matrix; returns (Q or None, R).
-
-    Panels of QR_BLOCK columns are factored with level-2 updates, then the
-    trailing matrix is updated through the compact representation
-    H_1 ... H_b = I - V T V^T, which turns nearly all the work into matrix
-    products. The already-factored columns are never touched again, so the
-    exact diagonal (nonnegative) and the exact subdiagonal zeros survive.
-    """
+def _tall(a):
+    a = as_matrix(a)
     m, n = a.shape
     if m < n:
         raise UnsupportedShape(
             f"qr expects rows >= cols (tall/skinny only), got {m}x{n}"
         )
-    r = np.array(a, copy=True)
-    panels = [] if build_q else None
-    for j0 in range(0, n, QR_BLOCK):
-        b = min(QR_BLOCK, n - j0)
-        panel = np.ascontiguousarray(r[j0:, j0 : j0 + b])
-        vees = np.zeros_like(panel)
-        betas = [0.0] * b
-        for k in range(b):
-            v, beta, mu = _householder_vector(panel[k:, k])
-            if beta != 0.0:
-                w = beta * (panel[k:, k + 1 :].T @ v)
-                panel[k:, k + 1 :] -= np.outer(v, w)
-            panel[k, k] = mu
-            panel[k + 1 :, k] = 0
-            vees[k:, k] = v
-            betas[k] = beta
-        tee = np.zeros((b, b), dtype=r.dtype)
-        for k in range(b):
-            if k and betas[k] != 0.0:
-                tee[:k, k] = -betas[k] * (tee[:k, :k] @ (vees[:, :k].T @ vees[:, k]))
-            tee[k, k] = betas[k]
-        r[j0:, j0 : j0 + b] = panel
-        if j0 + b < n:
-            trailing = r[j0:, j0 + b :]
-            w = vees.T @ trailing
-            trailing -= vees @ (tee.T @ w)
-        if build_q:
-            panels.append((j0, vees, tee))
-    q = None
-    if build_q:
-        q = np.eye(m, n, dtype=a.dtype)
-        for j0, vees, tee in reversed(panels):
-            block = q[j0:, :]
-            w = vees.T @ block
-            block -= vees @ (tee @ w)
-    return q, np.ascontiguousarray(r[:n, :n])
+    return a
 
 
 def qr_R(a):
@@ -149,15 +76,15 @@ def qr_R(a):
     Entries strictly below the diagonal are exactly zero, and the diagonal
     is exactly >= 0; the distributed QR reduction relies on both.
     """
-    a = as_matrix(a)
-    _, r = _qr_factor(a, build_q=False)
-    return r
+    r = _lapack(np.linalg.qr, _tall(a), mode="r")
+    r[np.diag(r) < 0] *= -1
+    return np.triu(r)
 
 
 def qr_Q(a):
     """Thin orthonormal factor Q (m x n) matching qr_R's sign convention."""
-    a = as_matrix(a)
-    q, _ = _qr_factor(a, build_q=True)
+    q, r = _lapack(np.linalg.qr, _tall(a))
+    q[:, np.diag(r) < 0] *= -1
     return q
 
 
@@ -181,44 +108,6 @@ def solve_triangular_right(y, r):
     return x
 
 
-@lru_cache(maxsize=32)
-def _tournament_rounds(n):
-    """Round-robin pairings of 0..n-1: n-1 rounds of disjoint (i, j) pairs.
-
-    Within a round no index repeats, so applying every pair's rotation is
-    an exact reordering of a sequential cyclic sweep; the rotations for one
-    round can then be computed and applied as single vectorized updates.
-    """
-    if n < 2:
-        return ()
-    seats = list(range(n)) + ([None] if n % 2 else [])
-    p = len(seats)
-    rounds = []
-    for _ in range(p - 1):
-        lo, hi = [], []
-        for k in range(p // 2):
-            a, b = seats[k], seats[p - 1 - k]
-            if a is None or b is None:
-                continue
-            lo.append(min(a, b))
-            hi.append(max(a, b))
-        order = np.argsort(lo)
-        rounds.append((np.asarray(lo)[order], np.asarray(hi)[order]))
-        seats = [seats[0], seats[-1]] + seats[1:-1]
-    return tuple(rounds)
-
-
-def _rotation_angles(app, aqq, apq):
-    """Vectorized Jacobi cosines/sines; angle math always in float64."""
-    app = app.astype(np.float64)
-    aqq = aqq.astype(np.float64)
-    apq = apq.astype(np.float64)
-    tau = (aqq - app) / (2.0 * apq)
-    t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    return c, t * c
-
-
 def _fix_column_signs(v, *, follow=None):
     """Flip columns so each column's largest-magnitude entry is positive."""
     if v.size == 0:
@@ -231,12 +120,13 @@ def _fix_column_signs(v, *, follow=None):
 
 
 def sym_eigen(n_mat, want_vectors=False):
-    """Eigenvalues (descending) of a symmetric matrix via cyclic Jacobi.
+    """Eigenvalues (descending) of a symmetric matrix via LAPACK's eigh.
 
     The input is symmetrized by averaging before solving; inputs that are
-    asymmetric beyond 1e-8 * max|entry| are rejected. Eigenvector columns,
-    when requested, are ordered to match and sign-fixed so each column's
-    largest-magnitude component is positive.
+    asymmetric beyond 1e-8 * max|entry| are rejected. Equal eigenvalues keep
+    LAPACK's order. Eigenvector columns, when requested, are ordered to
+    match and sign-fixed so each column's largest-magnitude component is
+    positive.
     """
     a = as_matrix(n_mat, "n_mat")
     n = a.shape[0]
@@ -246,159 +136,30 @@ def sym_eigen(n_mat, want_vectors=False):
     if scale > 0 and float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
         raise ShapeError("sym_eigen input is not symmetric within 1e-8 * max|entry|")
     mat = (a + a.T) * a.dtype.type(0.5)
-    eps = float(np.finfo(mat.dtype).eps)
-    off_tol = 1e-14 if mat.dtype == np.float64 else 1e-6
-    threshold = off_tol * float(np.linalg.norm(mat))
-    vec = np.eye(n, dtype=mat.dtype) if want_vectors else None
-
-    off = _off_diagonal_norm(mat)
-    converged = off <= threshold
-    for _ in range(MAX_EIGEN_SWEEPS):
-        if converged:
-            break
-        rotations = 0
-        for ii, jj in _tournament_rounds(n):
-            app = mat[ii, ii]
-            aqq = mat[jj, jj]
-            apq = mat[ii, jj]
-            live = np.abs(apq) > eps * np.sqrt(np.abs(app) * np.abs(aqq))
-            if not live.any():
-                continue
-            rotations += int(np.count_nonzero(live))
-            i = ii[live]
-            j = jj[live]
-            c, s = _rotation_angles(app[live], aqq[live], apq[live])
-            c = c.astype(mat.dtype)
-            s = s.astype(mat.dtype)
-            row_i = mat[i, :]
-            row_j = mat[j, :]
-            mat[i, :] = c[:, None] * row_i - s[:, None] * row_j
-            mat[j, :] = s[:, None] * row_i + c[:, None] * row_j
-            col_i = mat[:, i]
-            col_j = mat[:, j]
-            mat[:, i] = c * col_i - s * col_j
-            mat[:, j] = s * col_i + c * col_j
-            if vec is not None:
-                vec_i = vec[:, i]
-                vec_j = vec[:, j]
-                vec[:, i] = c * vec_i - s * vec_j
-                vec[:, j] = s * vec_i + c * vec_j
-        off = _off_diagonal_norm(mat)
-        if off <= threshold or rotations == 0:
-            converged = True
-    if not converged:
-        raise ConvergenceError(
-            f"jacobi eigensolver: off-diagonal norm {off:.3e} still above "
-            f"{threshold:.3e} after {MAX_EIGEN_SWEEPS} sweeps",
-            residual=off,
-        )
-
-    values = np.diag(mat).copy()
+    if not want_vectors:
+        values = _lapack(np.linalg.eigvalsh, mat)
+        return values[np.argsort(-values, kind="stable")], None
+    values, vectors = _lapack(np.linalg.eigh, mat)
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    if vec is None:
-        return values, None
-    vec = vec[:, order]
-    _fix_column_signs(vec)
-    return values, vec
-
-
-def _off_diagonal_norm(mat):
-    off = mat.copy()
-    np.fill_diagonal(off, 0)
-    return float(np.linalg.norm(off))
+    vectors = vectors[:, order]
+    _fix_column_signs(vectors)
+    return values[order], vectors
 
 
 def small_svd(b, want_u=False, want_vt=False):
-    """Compact SVD of a small dense matrix via one-sided Jacobi.
+    """Compact SVD of a small dense matrix via LAPACK's gesdd.
 
     Returns (sigma, u, vt) with sigma descending, length min(rows, cols).
-    Wide inputs are handled by factoring the transpose and swapping factors.
-    One-sided Jacobi rotates actual columns (never the explicit Gram
-    matrix), which preserves high relative accuracy for small singular
-    values; that property is what the conditioning tests lean on.
+    Each right singular vector is sign-fixed so its largest-magnitude
+    component is positive, and the matching column of u follows; columns
+    of u whose sigma is exactly 0 are zero. The factors are always
+    computed, even when neither is requested, so sigma does not depend on
+    which factors the caller asks for.
     """
     b = as_matrix(b, "b")
     if min(b.shape) < 1:
         raise ShapeError(f"small_svd needs min(rows, cols) >= 1, got {b.shape}")
-    if b.shape[0] < b.shape[1]:
-        sigma, u_t, vt_t = small_svd(b.T, want_u=want_vt, want_vt=want_u)
-        u = vt_t.T if want_u else None
-        vt = u_t.T if want_vt else None
-        return sigma, u, vt
-
-    m, n = b.shape
-    work = np.asfortranarray(b)
-    if work is b:
-        work = work.copy(order="F")
-    vee = np.eye(n, dtype=b.dtype, order="F") if want_vt else None
-    eps = float(np.finfo(b.dtype).eps)
-    tol = 8.0 * eps
-
-    converged = False
-    for _ in range(MAX_SVD_SWEEPS):
-        # Columns at the rank floor are numerically zero; rotating them
-        # against what is left of their former selves never converges.
-        col_sq = np.einsum("ij,ij->j", work, work)
-        dead_sq = (m * eps) ** 2 * float(col_sq.max())
-        rotations = 0
-        for ii, jj in _tournament_rounds(n):
-            a_i = work[:, ii]
-            a_j = work[:, jj]
-            aii = np.einsum("ij,ij->j", a_i, a_i)
-            ajj = np.einsum("ij,ij->j", a_j, a_j)
-            aij = np.einsum("ij,ij->j", a_i, a_j)
-            live = (
-                (aii > dead_sq)
-                & (ajj > dead_sq)
-                & (np.abs(aij) > tol * np.sqrt(aii) * np.sqrt(ajj))
-            )
-            if not live.any():
-                continue
-            rotations += int(np.count_nonzero(live))
-            i = ii[live]
-            j = jj[live]
-            c, s = _rotation_angles(aii[live], ajj[live], aij[live])
-            c = c.astype(work.dtype)
-            s = s.astype(work.dtype)
-            a_i = a_i[:, live]
-            a_j = a_j[:, live]
-            work[:, i] = c * a_i - s * a_j
-            work[:, j] = s * a_i + c * a_j
-            if vee is not None:
-                v_i = vee[:, i]
-                v_j = vee[:, j]
-                vee[:, i] = c * v_i - s * v_j
-                vee[:, j] = s * v_i + c * v_j
-        if rotations == 0:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"one-sided jacobi svd did not converge in {MAX_SVD_SWEEPS} sweeps",
-            residual=_worst_column_coupling(work),
-        )
-
-    sigma = np.linalg.norm(work, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u = None
-    if want_u:
-        u = np.ascontiguousarray(work[:, order])
-        nonzero = sigma > 0
-        u[:, nonzero] /= sigma[nonzero]
-        u[:, ~nonzero] = 0
-    vt = None
-    if vee is not None:
-        v = np.ascontiguousarray(vee[:, order])
-        _fix_column_signs(v, follow=u)
-        vt = v.T
-    return sigma, u, vt
-
-
-def _worst_column_coupling(work):
-    gram = work.T @ work
-    norms = np.sqrt(np.maximum(np.diag(gram), np.finfo(work.dtype).tiny))
-    coupled = np.abs(gram) / np.outer(norms, norms)
-    np.fill_diagonal(coupled, 0)
-    return float(np.max(coupled)) if coupled.size else 0.0
+    u, sigma, vt = _lapack(np.linalg.svd, b, full_matrices=False)
+    _fix_column_signs(vt.T, follow=u)
+    u[:, sigma == 0] = 0
+    return sigma, u if want_u else None, vt if want_vt else None

@@ -112,7 +112,7 @@ def read_distributed(comm, path):
 
 def crossprod(a):
     """Replicated N = A^T A, symmetrized by averaging with its transpose."""
-    n_local = gemm(True, 1, a.local, a.local)
+    n_local = gemm(True, a.local, a.local)
     n_full = a.comm.allreduce_sum(n_local)
     return (n_full + n_full.T) * n_full.dtype.type(0.5)
 
@@ -136,7 +136,7 @@ def mult_transpose(a, y):
             f"local={a.local.shape[0]}; y has m={y.global_rows}, "
             f"offset={y.row_offset}, local={y.local.shape[0]}"
         )
-    return a.comm.allreduce_sum(gemm(True, 1, a.local, y.local))
+    return a.comm.allreduce_sum(gemm(True, a.local, y.local))
 
 
 def mean_center_columns(a):

@@ -6,7 +6,7 @@ from typing import Optional
 import numpy as np
 
 from .distmat import DistMatrix, mean_center_columns, mult_local
-from .svd import ParameterError, RsvdParams, svd_normal_equations, svd_randomized, svd_tsqr
+from .svd import ParameterError, route
 
 
 @dataclass
@@ -29,26 +29,18 @@ def pca(a, method="tssvd", ncomp=None, want_scores=False, params=None):
     """
     if a.global_rows < 2:
         raise ParameterError(f"pca needs at least 2 rows, got {a.global_rows}")
+    solve = route(method, params)
     if ncomp is None:
-        ncomp = params.k if isinstance(params, RsvdParams) and method == "rsvd" else a.cols
+        ncomp = params.k if method == "rsvd" else a.cols
     if not 1 <= ncomp <= a.cols:
         raise ParameterError(f"ncomp must be in 1..{a.cols}, got {ncomp}")
+    if method == "rsvd" and ncomp > params.k:
+        raise ParameterError(
+            f"rsvd computes only k={params.k} components, ncomp={ncomp} requested"
+        )
 
     centered, means = mean_center_columns(a)
-    if method == "cpsvd":
-        result = svd_normal_equations(centered, want_v=True)
-    elif method == "tssvd":
-        result = svd_tsqr(centered, want_v=True)
-    elif method == "rsvd":
-        if not isinstance(params, RsvdParams):
-            raise ParameterError("method 'rsvd' requires RsvdParams via params=")
-        if ncomp > params.k:
-            raise ParameterError(
-                f"rsvd computes only k={params.k} components, ncomp={ncomp} requested"
-            )
-        result = svd_randomized(centered, params, want_v=True)
-    else:
-        raise ParameterError(f"unknown pca method {method!r}")
+    result = solve(centered, want_v=True)
 
     scale = np.sqrt(a.global_rows - 1)
     sdev = result.sigma[:ncomp] / result.sigma.dtype.type(scale)

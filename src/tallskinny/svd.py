@@ -13,9 +13,13 @@ iterations; distributed Q factors come from the same QR reduction.
 
 All three recover a distributed U from A V inv(Sigma) when asked (the
 randomized variant uses U = Q_Y U_B instead).
+
+ROUTES names them cpsvd, tssvd and rsvd; route() is the one dispatch from
+a name to a function, shared by pca and the svdbench harness.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -236,3 +240,27 @@ def svd_randomized(a, params, want_u=False, want_v=False):
     if want_v:
         result.v = vt[:k].T
     return result
+
+
+ROUTES = {
+    "cpsvd": svd_normal_equations,
+    "tssvd": svd_tsqr,
+    "rsvd": svd_randomized,
+}
+
+
+def route(method, params=None):
+    """The SVD route named `method`, as a function of (a, want_u, want_v).
+
+    method is one of ROUTES; rsvd comes bound to `params`, which must be
+    its RsvdParams. The other routes ignore `params`.
+    """
+    if method not in ROUTES:
+        raise ParameterError(
+            f"unknown method {method!r}; expected one of {tuple(ROUTES)}"
+        )
+    if method != "rsvd":
+        return ROUTES[method]
+    if not isinstance(params, RsvdParams):
+        raise ParameterError("method 'rsvd' requires RsvdParams via params=")
+    return partial(ROUTES[method], params=params)

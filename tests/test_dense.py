@@ -14,7 +14,7 @@ from tallskinny.dense import (
 )
 
 
-def gemm_oracle(transpose_a, alpha, a, b):
+def gemm_oracle(transpose_a, a, b):
     """Brute-force triple loop; deliberately ignorant of numpy matmul."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -28,21 +28,21 @@ def gemm_oracle(transpose_a, alpha, a, b):
             acc = 0.0
             for l in range(kk):
                 acc += a[i, l] * b[l, j]
-            out[i, j] = alpha * acc
+            out[i, j] = acc
     return out
 
 
 class TestGemm:
     def test_identity_passthrough(self):
         b = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(gemm(False, 1, np.eye(3), b), b)
+        assert np.array_equal(gemm(False, np.eye(3), b), b)
 
     def test_transpose_column(self):
         a = np.array([[3.0], [4.0]])
-        assert np.array_equal(gemm(True, 1, a, a), [[25.0]])
+        assert np.array_equal(gemm(True, a, a), [[25.0]])
 
     def test_two_by_two(self):
-        out = gemm(False, 1, [[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]])
+        out = gemm(False, [[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]])
         assert np.array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -51,24 +51,20 @@ class TestGemm:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((6, 4) if not transpose_a else (4, 6))
         b = rng.standard_normal((4, 3))
-        want = gemm_oracle(transpose_a, 2.5, a, b)
-        got = gemm(transpose_a, 2.5, a, b)
+        want = gemm_oracle(transpose_a, a, b)
+        got = gemm(transpose_a, a, b)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_dimension_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            gemm(False, 1, np.ones((2, 3)), np.ones((2, 2)))
+            gemm(False, np.ones((2, 3)), np.ones((2, 2)))
 
     def test_mixed_precision_rejected(self):
         with pytest.raises(ShapeError, match="precision"):
-            gemm(False, 1, np.ones((2, 2), np.float32), np.ones((2, 2), np.float64))
-
-    def test_alpha_scales(self):
-        out = gemm(False, -2, np.eye(2), np.eye(2))
-        assert np.array_equal(out, -2 * np.eye(2))
+            gemm(False, np.ones((2, 2), np.float32), np.ones((2, 2), np.float64))
 
     def test_float32_stays_float32(self):
-        out = gemm(False, 1, np.ones((2, 2), np.float32), np.ones((2, 2), np.float32))
+        out = gemm(False, np.ones((2, 2), np.float32), np.ones((2, 2), np.float32))
         assert out.dtype == np.float32
 
 
@@ -294,5 +290,15 @@ class TestSmallSvd:
         with pytest.raises(ShapeError):
             small_svd(np.zeros((0, 3)))
 
-    def test_convergence_error_carries_residual(self):
+    def test_lapack_failure_raises_convergence_error(self):
+        rng = np.random.default_rng(12)
+        b = rng.standard_normal((30, 20))
+        b[4, 7] = np.nan
+        with pytest.raises(ConvergenceError):
+            small_svd(b)
+        gram = rng.standard_normal((20, 20))
+        gram = gram @ gram.T
+        gram[7, :] = gram[:, 7] = np.nan
+        with pytest.raises(ConvergenceError):
+            sym_eigen(gram)
         assert issubclass(ConvergenceError, RuntimeError)

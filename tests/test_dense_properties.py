@@ -1,0 +1,104 @@
+"""Property tests for the contracts the distributed layer relies on.
+
+QR: exact zeros below the diagonal, a nonnegative diagonal, and Q whose
+column signs match R. Eigen and SVD: descending values, the sign rule
+(each vector's largest-magnitude entry is positive) and zero u columns at
+sigma = 0. Inputs cover float32 and float64, m >= n with m == n and n == 1,
+negative leading entries, and zero or repeated columns.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tallskinny.dense import qr_Q, qr_R, small_svd, sym_eigen
+
+ENTRIES = st.floats(-100, 100, width=32, allow_subnormal=False)
+
+
+@st.composite
+def tall_matrices(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 3 * n + 2))
+    a = draw(arrays(dtype, (m, n), elements=ENTRIES))
+    if draw(st.booleans()):
+        a[0] = -np.abs(a[0])
+    column = draw(st.integers(0, n - 1))
+    edit = draw(st.sampled_from(["none", "zero", "repeat", "all-zero"]))
+    if edit == "zero":
+        a[:, column] = 0
+    elif edit == "repeat":
+        a[:, column] = a[:, 0]
+    elif edit == "all-zero":
+        a[:] = 0
+    return a
+
+
+@st.composite
+def symmetric_matrices(draw):
+    a = draw(tall_matrices())
+    n = a.shape[1]
+    return (a[:n] + a[:n].T) * a.dtype.type(0.5)
+
+
+def tol(a, factor=1.0):
+    """Backward-error bound: a small multiple of size * eps * ||a||."""
+    return 30 * sum(a.shape) * np.finfo(a.dtype).eps * factor
+
+
+def sign_rule_holds(v):
+    idx = np.argmax(np.abs(v), axis=0)
+    return bool(np.all(v[idx, np.arange(v.shape[1])] >= 0))
+
+
+def f64(x):
+    return x.astype(np.float64)
+
+
+@given(tall_matrices())
+def test_qr_contracts(a):
+    r = qr_R(a)
+    q = qr_Q(a)
+    n = a.shape[1]
+    assert r.shape == (n, n) and q.shape == a.shape
+    assert r.dtype == q.dtype == a.dtype
+    assert np.count_nonzero(np.tril(r, -1)) == 0
+    assert np.all(np.diag(r) >= 0)
+    norm = np.linalg.norm(f64(a))
+    assert np.linalg.norm(f64(q) @ f64(r) - a) <= tol(a, norm)
+    assert np.max(np.abs(f64(q).T @ f64(q) - np.eye(n))) <= tol(a)
+    # Q^T A = R holds only if each column of Q carries its row of R's sign.
+    assert np.linalg.norm(f64(q).T @ f64(a) - r) <= tol(a, norm)
+
+
+@given(symmetric_matrices(), st.booleans())
+def test_sym_eigen_contracts(s, want_vectors):
+    values, vectors = sym_eigen(s, want_vectors=want_vectors)
+    assert values.dtype == s.dtype
+    assert np.all(np.diff(values) <= 0)
+    if not want_vectors:
+        assert vectors is None
+        return
+    assert sign_rule_holds(vectors)
+    resid = f64(s) @ f64(vectors) - f64(vectors) * f64(values)
+    assert np.linalg.norm(resid) <= tol(s, np.linalg.norm(f64(s)))
+    n = s.shape[0]
+    assert np.max(np.abs(f64(vectors).T @ f64(vectors) - np.eye(n))) <= tol(s)
+
+
+@given(tall_matrices(), st.booleans())
+def test_small_svd_contracts(a, wide):
+    b = np.ascontiguousarray(a.T) if wide else a
+    sigma, u, vt = small_svd(b, want_u=True, want_vt=True)
+    assert sigma.dtype == u.dtype == vt.dtype == b.dtype
+    assert np.all(np.diff(sigma) <= 0) and np.all(sigma >= 0)
+    assert sign_rule_holds(vt.T)
+    assert np.all(u[:, sigma == 0] == 0)
+    # u follows v's signs, so the factors still reconstruct b.
+    recon = (f64(u) * f64(sigma)) @ f64(vt)
+    assert np.linalg.norm(recon - b) <= tol(b, np.linalg.norm(f64(b)))
+    alone, no_u, no_vt = small_svd(b)
+    assert no_u is None and no_vt is None
+    assert np.array_equal(alone, sigma)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from tallskinny.comm import run_ranks, solo_communicator
-from tallskinny.dense import ShapeError, UnsupportedShape, qr_R, small_svd
+from tallskinny.comm import RankFailures, run_ranks, solo_communicator
+from tallskinny.dense import (
+    ConvergenceError,
+    ShapeError,
+    UnsupportedShape,
+    qr_R,
+    small_svd,
+)
 from tallskinny.distmat import distribute, gather, generate_random
 from tallskinny.matrices import conditioned_instance, low_rank_noise_instance
 from tallskinny.svd import (
@@ -11,6 +17,7 @@ from tallskinny.svd import (
     RsvdParams,
     qr_allreduce,
     recover_U,
+    route,
     svd_normal_equations,
     svd_randomized,
     svd_tsqr,
@@ -348,3 +355,25 @@ class TestDeterminism:
         second = run_ranks(size, worker)[0]
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+class TestNonFiniteInput:
+    """One NaN or Inf entry must fail every rank, never yield a sigma."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_raises_on_every_rank(self, method, size, bad):
+        full = np.random.default_rng(27).standard_normal((1000, 20))
+        full[123, 7] = bad
+        solve = route(method, RsvdParams(k=2, seed=28))
+
+        def worker(comm):
+            return solve(distribute(comm, full)).sigma
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(size, worker)
+        assert sorted(info.value.failures) == list(range(size))
+        for exc in info.value.failures.values():
+            assert isinstance(exc, ConvergenceError)
