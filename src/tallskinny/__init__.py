@@ -11,14 +11,13 @@ from .comm import (
     Communicator,
     RankFailures,
     ReduceOperator,
-    SoloComm,
-    ThreadComm,
     run_ranks,
     solo_communicator,
     sum_operator,
 )
 from .dense import (
     ConvergenceError,
+    NonFiniteInput,
     ShapeError,
     UnsupportedShape,
     gemm,
@@ -64,15 +63,14 @@ __all__ = [
     "ConvergenceError",
     "DegenerateProjection",
     "DistMatrix",
+    "NonFiniteInput",
     "ParameterError",
     "PcaResult",
     "RankFailures",
     "ReduceOperator",
     "RsvdParams",
     "ShapeError",
-    "SoloComm",
     "SvdResult",
-    "ThreadComm",
     "UnsupportedShape",
     "block_range",
     "block_rows",

@@ -1,8 +1,8 @@
 """Benchmark and verification harness behind the svdbench CLI.
 
 Each bench run spawns the requested in-process ranks, generates (or reads)
-the matrix on every rank, and times only the singular-value computation,
-per rep. That is the only portion requiring communication; factor recovery
+the matrix once on every rank, and times only the singular-value
+computation, per rep. That is the only portion requiring communication; factor recovery
 and data generation stay outside the clock. Records come back from rank 0
 as CSV rows plus a human-readable summary with the median.
 """
@@ -112,18 +112,17 @@ def _compute_sigma(a, cfg):
 
 
 def _bench_worker(comm, cfg):
-    shape = None
+    # One load serves every rep: no route writes to a.local.
+    a = _load_matrix(comm, cfg)
     records = []
     for rep in range(cfg.reps):
-        a = _load_matrix(comm, cfg)
-        shape = (a.global_rows, a.cols)
         comm.barrier()
         start = time.perf_counter()
         sigma = _compute_sigma(a, cfg)
         seconds = time.perf_counter() - start
         if comm.rank == 0:
             records.append((rep, seconds, float(np.sum(sigma))))
-    return (shape, records) if comm.rank == 0 else None
+    return ((a.global_rows, a.cols), records) if comm.rank == 0 else None
 
 
 def _csv_row(cfg, shape, rep, seconds, sigma_sum):

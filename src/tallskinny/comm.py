@@ -1,16 +1,19 @@
 """Rank/size communicator with deterministic tree collectives.
 
-Two backends share one interface: `solo` (size 1, collectives are copies)
-and `in-process-ranks` (one thread per rank, queue-based point-to-point
-channels). Reductions run over a fixed binary tree in rank order followed
-by a broadcast of the root result, so repeated runs with the same size are
-bitwise identical. The custom reduce operator is treated as non-commutative
-everywhere: combine(lower-rank subtree, higher-rank subtree), always.
+One `Communicator` class serves every group size. The ranks of a group
+share a `_World` of queue mailboxes, one thread per rank under `run_ranks`;
+`solo_communicator()` is a group of size 1. Reductions run over a fixed
+binary tree in rank order, and the root then sends the result to every
+rank, so repeated runs with the same size are bitwise identical. The
+custom reduce operator is treated as non-commutative everywhere:
+combine(lower-rank subtree, higher-rank subtree), always.
 
-Every collective starts with a header-agreement phase: all ranks report
-(kind, shapes, operator) for the call to rank 0, which aborts the whole
-group on any disagreement. A failing rank posts a poison message to every
-peer before raising, so errors surface on all ranks instead of deadlocking.
+Each message up the tree carries the sender's call header (kind, shapes,
+operator) next to its subtree result. The parent compares that header
+with its own before combining and aborts the whole group on any
+disagreement. Every rank waits for the root's result, and a failing rank
+posts a poison message to every peer before raising, so errors surface on
+all ranks instead of deadlocking.
 """
 
 import queue
@@ -67,82 +70,6 @@ def sum_operator(rows, cols, dtype):
     return ReduceOperator("sum", rows, cols, np.dtype(dtype), lambda lo, hi: lo + hi)
 
 
-class Communicator:
-    """Rank identity plus collectives; one handle per rank context."""
-
-    rank = 0
-    size = 1
-    backend = "solo"
-
-    def __init__(self):
-        self._seq = 0
-
-    @property
-    def collective_count(self):
-        """Number of collectives entered on this handle (sequence counter)."""
-        return self._seq
-
-    def allreduce_sum(self, local):
-        """Elementwise sum of identically shaped matrices over all ranks."""
-        local = as_matrix(local, "local")
-        op = sum_operator(local.shape[0], local.shape[1], local.dtype)
-        return self._allreduce(local, op, header=("allreduce_sum",) + self._payload_sig(local))
-
-    def allreduce_custom(self, local, op):
-        """Tree fold of op.combine in rank order; every rank gets the result."""
-        local = as_matrix(local, "local")
-        if local.shape != op.shape or local.dtype != np.dtype(op.dtype):
-            raise ShapeError(
-                f"allreduce_custom payload {local.shape}/{local.dtype} does not "
-                f"match operator {op.shape}/{np.dtype(op.dtype)}"
-            )
-        return self._allreduce(
-            local, op, header=("allreduce_custom", op.name) + self._payload_sig(local)
-        )
-
-    def broadcast(self, payload, root=0):
-        """Copy root's payload to every rank. Non-roots may pass None."""
-        if not 0 <= root < self.size:
-            raise CollectiveContractError(
-                f"broadcast root {root} out of range for size {self.size}"
-            )
-        if self.rank == root:
-            payload = as_matrix(payload, "payload")
-        return self._broadcast(payload, root, header=("broadcast", root))
-
-    def barrier(self):
-        """Block until every rank arrives (plumbing; a 1x1 allreduce)."""
-        self.allreduce_sum(np.zeros((1, 1)))
-
-    @staticmethod
-    def _payload_sig(local):
-        return (local.shape, str(local.dtype))
-
-    def _allreduce(self, local, op, header):
-        raise NotImplementedError
-
-    def _broadcast(self, payload, root, header):
-        raise NotImplementedError
-
-
-class SoloComm(Communicator):
-    """Single-rank backend; collectives validate and return copies."""
-
-    backend = "solo"
-
-    def _allreduce(self, local, op, header):
-        self._seq += 1
-        return local.copy()
-
-    def _broadcast(self, payload, root, header):
-        self._seq += 1
-        return payload.copy()
-
-
-def solo_communicator():
-    return SoloComm()
-
-
 class _Poison:
     """Posted to every peer by a failing rank so nobody blocks forever."""
 
@@ -160,32 +87,57 @@ class _World:
         self.inboxes = [queue.SimpleQueue() for _ in range(size)]
 
 
-class ThreadComm(Communicator):
-    """One rank of an in-process group; owned by exactly one thread."""
+class Communicator:
+    """One rank of a group: rank identity plus collectives.
 
-    backend = "in-process-ranks"
+    Owned by exactly one thread; its peers share the same `_World`.
+    """
 
     def __init__(self, world, rank):
-        super().__init__()
         if not 0 <= rank < world.size:
             raise ValueError(f"rank {rank} out of range for size {world.size}")
         self._world = world
         self.rank = rank
         self.size = world.size
+        self._seq = 0
         self._pending = []
+
+    @property
+    def collective_count(self):
+        """Number of collectives entered on this handle (sequence counter)."""
+        return self._seq
+
+    def allreduce_sum(self, local):
+        """Elementwise sum of identically shaped matrices over all ranks."""
+        local = as_matrix(local, "local")
+        op = sum_operator(local.shape[0], local.shape[1], local.dtype)
+        return self._allreduce(local, op, ("allreduce_sum", local.shape, str(local.dtype)))
+
+    def allreduce_custom(self, local, op):
+        """Tree fold of op.combine in rank order; every rank gets the result."""
+        local = as_matrix(local, "local")
+        if local.shape != op.shape or local.dtype != np.dtype(op.dtype):
+            raise ShapeError(
+                f"allreduce_custom payload {local.shape}/{local.dtype} does not "
+                f"match operator {op.shape}/{np.dtype(op.dtype)}"
+            )
+        return self._allreduce(
+            local, op, ("allreduce_custom", op.name, local.shape, str(local.dtype))
+        )
+
+    def barrier(self):
+        """Block until every rank arrives (plumbing; a 1x1 allreduce)."""
+        self.allreduce_sum(np.zeros((1, 1)))
 
     # -- point-to-point plumbing ------------------------------------------
 
     def _send(self, dst, seq, kind, payload):
         self._world.inboxes[dst].put((seq, kind, self.rank, payload))
 
-    def _poison_peers(self, text):
+    def _fail(self, exc):
         for dst in range(self.size):
             if dst != self.rank:
-                self._world.inboxes[dst].put(_Poison(self.rank, text))
-
-    def _fail(self, exc):
-        self._poison_peers(str(exc))
+                self._world.inboxes[dst].put(_Poison(self.rank, str(exc)))
         raise exc
 
     def _recv(self, seq, kind, src):
@@ -212,48 +164,36 @@ class ThreadComm(Communicator):
                     f"collective aborted by rank {msg.src}: {msg.text}"
                 )
             if msg[:3] == (seq, kind, src):
-                payload = msg[3]
-                return payload
+                return msg[3]
             self._pending.append(msg)
 
-    # -- header agreement --------------------------------------------------
-
-    def _agree(self, seq, header):
-        # Two-way: rank 0 collects every header, then acks. Each rank blocks
-        # on the ack, so a disagreement (or an absent rank) surfaces inside
-        # the collective on every rank instead of only at the detector.
-        if self.rank == 0:
-            seen = {0: header}
-            for src in range(1, self.size):
-                seen[src] = self._recv(seq, "hdr", src)
-            if any(h != header for h in seen.values()):
-                detail = "; ".join(f"rank {r}: {seen[r]!r}" for r in sorted(seen))
-                self._fail(
-                    CollectiveContractError(
-                        f"collective sequence mismatch at seq {seq}: {detail}"
-                    )
-                )
-            for dst in range(1, self.size):
-                self._send(dst, seq, "ok", None)
-        else:
-            self._send(0, seq, "hdr", header)
-            self._recv(seq, "ok", 0)
-
-    # -- collectives --------------------------------------------------------
+    # -- the one collective -------------------------------------------------
 
     def _allreduce(self, local, op, header):
+        # Up the tree: each child sends (header, subtree result) once and
+        # never touches that result again, so the parent combines it as is
+        # after checking the header. Down: the root sends the result to
+        # every rank, and every rank blocks on it, so a failure at any depth
+        # reaches every rank as poison or timeout.
         seq = self._seq
         self._seq += 1
-        self._agree(seq, header)
         acc = local.copy()
         stride = 1
         while stride < self.size:
             group = stride * 2
             if self.rank % group == stride:
-                self._send(self.rank - stride, seq, "red", acc)
+                self._send(self.rank - stride, seq, "red", (header, acc))
                 break
             if self.rank % group == 0 and self.rank + stride < self.size:
-                other = np.array(self._recv(seq, "red", self.rank + stride), copy=True)
+                src = self.rank + stride
+                their_header, other = self._recv(seq, "red", src)
+                if their_header != header:
+                    self._fail(
+                        CollectiveContractError(
+                            f"collective sequence mismatch at seq {seq}: rank "
+                            f"{self.rank}: {header!r}; rank {src}: {their_header!r}"
+                        )
+                    )
                 try:
                     acc = op.combine(acc, other)
                 except Exception as exc:
@@ -277,16 +217,10 @@ class ThreadComm(Communicator):
             return acc
         return np.array(self._recv(seq, "bc", 0), copy=True)
 
-    def _broadcast(self, payload, root, header):
-        seq = self._seq
-        self._seq += 1
-        self._agree(seq, header)
-        if self.rank == root:
-            for dst in range(self.size):
-                if dst != root:
-                    self._send(dst, seq, "bc", payload)
-            return payload.copy()
-        return np.array(self._recv(seq, "bc", root), copy=True)
+
+def solo_communicator():
+    """A size-1 group: collectives validate their input and return a copy."""
+    return Communicator(_World(1), 0)
 
 
 def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
@@ -303,7 +237,7 @@ def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
     failures = {}
 
     def body(rank):
-        comm = ThreadComm(world, rank)
+        comm = Communicator(world, rank)
         try:
             results[rank] = target(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported via RankFailures

@@ -25,6 +25,17 @@ class ConvergenceError(RuntimeError):
     """LAPACK could not factor the input (for example, it holds NaN or Inf)."""
 
 
+class NonFiniteInput(ConvergenceError):
+    """NaN or Inf in a computed value: from the input, or from an overflow."""
+
+
+def require_finite(x, what):
+    """Return x, or raise NonFiniteInput if any entry is NaN or Inf."""
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteInput(f"{what} holds NaN or Inf: non-finite input or overflow")
+    return x
+
+
 def _lapack(routine, *args, **kwargs):
     """Call a numpy.linalg routine, raising its failure as ConvergenceError."""
     try:
@@ -126,7 +137,9 @@ def sym_eigen(n_mat, want_vectors=False):
     asymmetric beyond 1e-8 * max|entry| are rejected. Equal eigenvalues keep
     LAPACK's order. Eigenvector columns, when requested, are ordered to
     match and sign-fixed so each column's largest-magnitude component is
-    positive.
+    positive. The eigenvectors are always computed, even when not
+    requested, so the values do not depend on `want_vectors`: eigvalsh and
+    eigh can differ in the last bits.
     """
     a = as_matrix(n_mat, "n_mat")
     n = a.shape[0]
@@ -136,11 +149,10 @@ def sym_eigen(n_mat, want_vectors=False):
     if scale > 0 and float(np.max(np.abs(a - a.T))) > 1e-8 * scale:
         raise ShapeError("sym_eigen input is not symmetric within 1e-8 * max|entry|")
     mat = (a + a.T) * a.dtype.type(0.5)
-    if not want_vectors:
-        values = _lapack(np.linalg.eigvalsh, mat)
-        return values[np.argsort(-values, kind="stable")], None
     values, vectors = _lapack(np.linalg.eigh, mat)
     order = np.argsort(-values, kind="stable")
+    if not want_vectors:
+        return values[order], None
     vectors = vectors[:, order]
     _fix_column_signs(vectors)
     return values[order], vectors

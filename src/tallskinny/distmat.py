@@ -150,17 +150,24 @@ def mean_center_columns(a):
 
 
 def gather(a):
-    """Assemble the full matrix on every rank (desk-scale oracles and I/O)."""
-    comm = a.comm
-    if comm.size == 1:
-        return a.local.copy()
-    blocks = []
-    for root in range(comm.size):
-        payload = a.local if comm.rank == root else None
-        blocks.append(comm.broadcast(payload, root=root))
-    full = np.vstack(blocks)
-    if full.shape[0] != a.global_rows:
+    """Assemble the full matrix on every rank (desk-scale oracles and I/O).
+
+    One sum-allreduce of row-placed blocks. Each rank pads the rows it
+    does not own with -0.0, because x + (-0.0) is bitwise x for every x,
+    signed zeros, Inf and NaN included; a +0.0 pad would turn -0.0 into
+    +0.0. An extra ownership column counts how often each row is placed,
+    and a block that does not fit `global_rows` places nothing, so every
+    rank raises unless the blocks tile the rows exactly once.
+    """
+    m, n = a.global_rows, a.cols
+    start, stop = a.row_offset, a.row_offset + a.local.shape[0]
+    placed = np.full((m, n + 1), -0.0, dtype=a.dtype)
+    if 0 <= start and stop <= m:
+        placed[start:stop, :n] = a.local
+        placed[start:stop, n] = 1
+    full = a.comm.allreduce_sum(placed)
+    if np.any(full[:, n] != 1):
         raise ShapeError(
-            f"gather assembled {full.shape[0]} rows, expected {a.global_rows}"
+            f"gather: the row blocks do not tile the {m} global rows exactly once"
         )
-    return full
+    return np.ascontiguousarray(full[:, :n])

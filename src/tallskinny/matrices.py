@@ -1,14 +1,14 @@
 """Constructed test matrices with controlled spectra.
 
 Both builders assemble the full matrix identically on every rank from the
-seeded row streams and then slice the local block, so the distributed
-matrix is bitwise independent of the rank count.
+seeded row streams and then `distribute` it, so the distributed matrix is
+bitwise independent of the rank count.
 """
 
 import numpy as np
 
 from .dense import qr_Q
-from .distmat import DistMatrix, block_range, random_rows
+from .distmat import distribute, random_rows
 
 
 def _orthonormal_columns(m, n, seed, dtype):
@@ -29,9 +29,7 @@ def conditioned_instance(comm, m=2000, n=50, cond=1e6, seed=1234, dtype=np.float
     values = np.logspace(0, -np.log10(cond), n).astype(dtype)
     q_left = _orthonormal_columns(m, n, seed, dtype)
     q_right = _orthonormal_columns(n, n, seed + 1, dtype)
-    full = (q_left * values) @ q_right.T
-    offset, count = block_range(m, comm.size, comm.rank)
-    return DistMatrix(full[offset : offset + count].copy(), m, offset, comm)
+    return distribute(comm, (q_left * values) @ q_right.T)
 
 
 def low_rank_noise_instance(comm, m, n, leading, noise_scale, seed, dtype=np.float64):
@@ -50,5 +48,4 @@ def low_rank_noise_instance(comm, m, n, leading, noise_scale, seed, dtype=np.flo
     if noise_scale:
         noise = random_rows(seed + 2, 0, m, n, "standard-normal", dtype)
         full += dtype.type(noise_scale) * noise
-    offset, count = block_range(m, comm.size, comm.rank)
-    return DistMatrix(full[offset : offset + count].copy(), m, offset, comm), leading
+    return distribute(comm, full), leading

@@ -14,6 +14,11 @@ iterations; distributed Q factors come from the same QR reduction.
 All three recover a distributed U from A V inv(Sigma) when asked (the
 randomized variant uses U = Q_Y U_B instead).
 
+The first reduced value of each route (the crossproduct, or the R factor
+qr_allreduce returns) and the returned sigma are checked for NaN and Inf.
+A reduced value is bitwise the same on every rank, so every rank raises
+NonFiniteInput together, with no extra message.
+
 ROUTES names them cpsvd, tssvd and rsvd; route() is the one dispatch from
 a name to a function, shared by pca and the svdbench harness.
 """
@@ -31,6 +36,7 @@ from .dense import (
     as_matrix,
     qr_Q,
     qr_R,
+    require_finite,
     small_svd,
     solve_triangular_right,
     sym_eigen,
@@ -131,10 +137,9 @@ def _truncate_to_kept(a, result, want_u, want_v, v_full):
 def svd_normal_equations(a, want_u=False, want_v=False):
     """Sigma (and factors) from the eigendecomposition of A^T A."""
     _require_tall(a, "svd_normal_equations")
-    n_mat = crossprod(a)
+    n_mat = require_finite(crossprod(a), "crossproduct A^T A")
     values, vectors = sym_eigen(n_mat, want_vectors=want_u or want_v)
-    sigma = np.sqrt(np.maximum(values, 0))
-    result = SvdResult(sigma=sigma)
+    result = SvdResult(sigma=require_finite(np.sqrt(np.maximum(values, 0)), "sigma"))
     return _truncate_to_kept(a, result, want_u, want_v, vectors)
 
 
@@ -151,7 +156,8 @@ def qr_allreduce(comm, r_local):
     """R factor of the implicitly stacked blocks: R^T R = sum R_i^T R_i.
 
     Every rank contributes an n x n upper triangle with nonnegative
-    diagonal and receives the reduced triangle with the same normalization.
+    diagonal and receives the reduced triangle with the same normalization,
+    or NonFiniteInput on every rank if it holds NaN or Inf.
     """
     r_local = as_matrix(r_local, "r_local")
     n = r_local.shape[1]
@@ -161,7 +167,8 @@ def qr_allreduce(comm, r_local):
         raise ShapeError("qr_allreduce input has nonzeros below the diagonal")
     if np.any(np.diag(r_local) < 0):
         raise ShapeError("qr_allreduce input has a negative diagonal entry")
-    return comm.allreduce_custom(r_local, qr_reduce_operator(n, r_local.dtype))
+    r_full = comm.allreduce_custom(r_local, qr_reduce_operator(n, r_local.dtype))
+    return require_finite(r_full, "reduced R factor")
 
 
 def _local_r_padded(block, n):
@@ -180,7 +187,7 @@ def svd_tsqr(a, want_u=False, want_v=False):
     r_full = qr_allreduce(a.comm, r_local)
     need_v = want_u or want_v
     sigma, _, vt = small_svd(r_full, want_u=False, want_vt=need_v)
-    result = SvdResult(sigma=sigma)
+    result = SvdResult(sigma=require_finite(sigma, "sigma"))
     return _truncate_to_kept(a, result, want_u, want_v, vt.T if need_v else None)
 
 
@@ -234,7 +241,7 @@ def svd_randomized(a, params, want_u=False, want_v=False):
     b = mult_transpose(q_y, a)
     sigma, u_b, vt = small_svd(b, want_u=want_u, want_vt=want_v)
     k = params.k
-    result = SvdResult(sigma=sigma[:k])
+    result = SvdResult(sigma=require_finite(sigma[:k], "sigma"))
     if want_u:
         result.u = mult_local(q_y, u_b[:, :k])
     if want_v:

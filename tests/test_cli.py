@@ -1,11 +1,15 @@
 import csv
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tallskinny
+from tallskinny import bench
 from tallskinny.bench import CSV_HEADER, BenchConfig, run_bench, run_verify
 from tallskinny.cli import main
 from tallskinny.matfile import write_matrix
@@ -173,10 +177,15 @@ class TestVerify:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
+        # The child imports the same tallskinny as this process, installed
+        # or not.
+        src = str(Path(tallskinny.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tallskinny", "run", "--algo", "cpsvd",
              "--rows", "120", "--cols", "6", "--ranks", "2", "--reps", "1"],
             capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == CSV_HEADER
@@ -189,6 +198,21 @@ class TestBenchApi:
         assert run_bench(cfg, csv_out, human_out) == 0
         assert csv_out.getvalue().startswith(CSV_HEADER)
         assert "median" in human_out.getvalue()
+
+    def test_matrix_generated_once_per_run(self, monkeypatch):
+        calls = []
+        generate = bench.generate_random
+
+        def counting(comm, *args):
+            calls.append(comm.rank)
+            return generate(comm, *args)
+
+        monkeypatch.setattr(bench, "generate_random", counting)
+        cfg = BenchConfig(algo="cpsvd", rows=200, cols=8, ranks=2, reps=3)
+        csv_out = io.StringIO()
+        assert run_bench(cfg, csv_out, io.StringIO()) == 0
+        assert sorted(calls) == [0, 1]
+        assert len(parse_csv(csv_out.getvalue())) == 3
 
     def test_run_verify_stream(self):
         cfg = BenchConfig(algo="tssvd", rows=300, cols=10, ranks=2, reps=1)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,34 @@ class TestAllreduceSum:
             run_ranks(3, worker, timeout=10)
         assert set(info.value.failures) == {0, 1, 2}
 
+    @pytest.mark.parametrize("odd_rank", [1, 2, 3, 4])
+    def test_shape_disagreement_on_one_rank_of_five_fails_all(self, odd_rank):
+        # Rank 1 is a leaf under the root, 2 an inner node, 3 a leaf under
+        # an inner node and 4 the root's last child: every tree depth.
+        def worker(comm):
+            shape = (3, 2) if comm.rank == odd_rank else (2, 2)
+            return comm.allreduce_sum(np.ones(shape))
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(5, worker, timeout=10)
+        failures = info.value.failures
+        assert set(failures) == {0, 1, 2, 3, 4}
+        assert all(isinstance(exc, CollectiveError) for exc in failures.values())
+        detected = [e for e in failures.values() if isinstance(e, CollectiveContractError)]
+        assert len(detected) == 1
+        assert "seq 0" in str(detected[0]) and "(3, 2)" in str(detected[0])
+
+    def test_received_copy_is_private(self):
+        def worker(comm):
+            got = comm.allreduce_sum(np.zeros((2, 2)))
+            got += comm.rank
+            comm.barrier()
+            return got
+
+        out = run_ranks(3, worker)
+        assert np.array_equal(out[0], np.zeros((2, 2)))
+        assert np.array_equal(out[2], 2 * np.ones((2, 2)))
+
 
 class TestAllreduceCustom:
     def test_elementwise_max(self):
@@ -103,52 +133,12 @@ class TestAllreduceCustom:
             assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(left))
 
 
-class TestBroadcast:
-    def test_solo_identity(self):
-        comm = solo_communicator()
-        got = comm.broadcast(np.array([[7.0]]), root=0)
-        assert np.array_equal(got, [[7.0]])
-
-    def test_root_zero(self):
-        def worker(comm):
-            payload = np.array([[7.0]]) if comm.rank == 0 else None
-            return comm.broadcast(payload, root=0)
-
-        for got in run_ranks(4, worker):
-            assert np.array_equal(got, [[7.0]])
-
-    def test_nonzero_root(self):
-        def worker(comm):
-            payload = np.array([[comm.rank + 10.0]]) if comm.rank == 1 else None
-            return comm.broadcast(payload, root=1)
-
-        for got in run_ranks(2, worker):
-            assert np.array_equal(got, [[11.0]])
-
-    def test_invalid_root(self):
-        comm = solo_communicator()
-        with pytest.raises(CollectiveContractError, match="root"):
-            comm.broadcast(np.eye(1), root=3)
-
-    def test_received_copy_is_private(self):
-        def worker(comm):
-            payload = np.zeros((2, 2)) if comm.rank == 0 else None
-            got = comm.broadcast(payload, root=0)
-            got += comm.rank
-            comm.barrier()
-            return got
-
-        out = run_ranks(3, worker)
-        assert np.array_equal(out[0], np.zeros((2, 2)))
-        assert np.array_equal(out[2], 2 * np.ones((2, 2)))
-
-
 class TestErrorPropagation:
     def test_mismatched_collectives_detected_not_deadlocked(self):
         def worker(comm):
             if comm.rank == 0:
                 return comm.allreduce_sum(np.ones((1, 1)))
-            return comm.broadcast(np.ones((1, 1)), root=1)
+            return comm.allreduce_custom(np.ones((1, 1)), max_operator(1, 1))
 
         with pytest.raises(RankFailures) as info:
             run_ranks(2, worker, timeout=10)
@@ -185,11 +175,10 @@ class TestSequencing:
     def test_collective_count_increments(self):
         def worker(comm):
             comm.allreduce_sum(np.ones((1, 1)))
-            comm.broadcast(np.ones((1, 1)) if comm.rank == 0 else None, root=0)
             comm.barrier()
             return comm.collective_count
 
-        assert run_ranks(3, worker) == [3, 3, 3]
+        assert run_ranks(3, worker) == [2, 2, 2]
 
     def test_solo_counts_too(self):
         comm = solo_communicator()
@@ -207,6 +196,37 @@ class TestSequencing:
         want = sum(float(0 + 1 + 2 + 3 + 4 * i) for i in range(20))
         for got in out:
             assert got[0, 0] == want
+
+    def test_mixed_collectives_under_fast_thread_switching(self):
+        # More ranks than cores and a tiny switch interval shuffle the
+        # arrival order of tree messages across consecutive collectives.
+        fold = ReduceOperator("fold", 1, 1, np.dtype(np.float64), lambda lo, hi: 2 * lo + hi)
+
+        def worker(comm):
+            out = []
+            for i in range(100):
+                x = np.array([[float(comm.rank + i)]])
+                out.append(comm.allreduce_sum(x)[0, 0])
+                out.append(comm.allreduce_custom(x, fold)[0, 0])
+            return out
+
+        def fold_tree(values):
+            if len(values) == 1:
+                return values[0]
+            half = 1 << (len(values) - 1).bit_length() - 1
+            return 2 * fold_tree(values[:half]) + fold_tree(values[half:])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_ranks(5, worker, timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        want = []
+        for i in range(100):
+            values = [float(r + i) for r in range(5)]
+            want += [sum(values), fold_tree(values)]
+        assert all(got == want for got in results)
 
     def test_operator_name_mismatch_detected(self):
         def worker(comm):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tallskinny.comm import run_ranks, solo_communicator
+from tallskinny.comm import RankFailures, run_ranks, solo_communicator
 from tallskinny.dense import ShapeError, UnsupportedShape, sym_eigen
 from tallskinny.distmat import (
+    DistMatrix,
     block_range,
     block_rows,
     crossprod,
@@ -232,6 +233,36 @@ class TestGatherDistribute:
             return np.array_equal(again.local, a.local) and again.row_offset == a.row_offset
 
         assert all(run_ranks(4, worker))
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float64, np.uint64), (np.float32, np.uint32)])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_bitwise_exact_for_special_values(self, size, dtype, bits):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = [-0.0, 0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1.0]
+        full = np.array(special * 3, dtype=dtype).reshape(8, 3)
+
+        def worker(comm):
+            return gather(distribute(comm, full))
+
+        for got in run_ranks(size, worker):
+            assert got.dtype == full.dtype
+            assert np.array_equal(got.view(bits), full.view(bits))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_blocks_that_do_not_tile_fail_every_rank(self, rank, delta):
+        def worker(comm):
+            a = distribute(comm, np.ones((10, 2)))
+            if comm.rank == rank:
+                rows = a.local.shape[0] + delta
+                a = DistMatrix(np.ones((rows, 2)), a.global_rows, a.row_offset, comm)
+            return gather(a)
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(2, worker, timeout=10)
+        assert set(info.value.failures) == {0, 1}
+        for exc in info.value.failures.values():
+            assert isinstance(exc, ShapeError)
 
 
 class TestPartitionInvariance:

@@ -3,7 +3,7 @@ import pytest
 
 from tallskinny.comm import RankFailures, run_ranks, solo_communicator
 from tallskinny.dense import (
-    ConvergenceError,
+    NonFiniteInput,
     ShapeError,
     UnsupportedShape,
     qr_R,
@@ -357,6 +357,42 @@ class TestDeterminism:
             assert np.array_equal(a, b)
 
 
+class TestFactorFlags:
+    """The flags pick which factors come back; they change nothing else."""
+
+    FLAGS = [(False, True), (True, False), (True, True)]
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_sigma_bitwise_independent_of_flags(self, method, size):
+        solve = route(method, RsvdParams(k=3, seed=41))
+
+        def worker(comm):
+            a = generate_random(comm, 2000, 60, seed=40)
+            bare = solve(a).sigma
+            return [
+                np.array_equal(solve(a, want_u=u, want_v=v).sigma, bare)
+                for u, v in self.FLAGS
+            ]
+
+        for same in run_ranks(size, worker):
+            assert all(same)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_routes_leave_input_untouched(self, method, size):
+        solve = route(method, RsvdParams(k=3, seed=43))
+
+        def worker(comm):
+            a = generate_random(comm, 500, 12, seed=42)
+            before = a.local.copy()
+            for u, v in [(False, False)] + self.FLAGS:
+                solve(a, want_u=u, want_v=v)
+            return np.array_equal(a.local.view(np.uint64), before.view(np.uint64))
+
+        assert all(run_ranks(size, worker))
+
+
 class TestNonFiniteInput:
     """One NaN or Inf entry must fail every rank, never yield a sigma."""
 
@@ -376,4 +412,25 @@ class TestNonFiniteInput:
             run_ranks(size, worker)
         assert sorted(info.value.failures) == list(range(size))
         for exc in info.value.failures.values():
-            assert isinstance(exc, ConvergenceError)
+            assert isinstance(exc, NonFiniteInput)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_float32_gram_overflow(self, size):
+        # (1e20)^2 overflows float32, so only the crossproduct route fails;
+        # TSQR never squares an entry and keeps a finite sigma.
+        full = np.random.default_rng(29).standard_normal((500, 10)).astype(np.float32)
+        full[:, 3] *= np.float32(1e20)
+
+        def worker(comm, method):
+            return route(method)(distribute(comm, full)).sigma
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(size, worker, "cpsvd")
+        assert sorted(info.value.failures) == list(range(size))
+        for exc in info.value.failures.values():
+            assert isinstance(exc, NonFiniteInput)
+        sigma = run_ranks(size, worker, "tssvd")[0]
+        want = np.linalg.svd(full.astype(np.float64), compute_uv=False)
+        assert np.all(np.isfinite(sigma))
+        assert abs(sigma[0] - want[0]) <= 1e-5 * want[0]
