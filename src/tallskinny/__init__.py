@@ -32,7 +32,6 @@ from .distmat import (
     block_rows,
     crossprod,
     distribute,
-    gather,
     generate_random,
     mean_center_columns,
     mult_local,
@@ -76,7 +75,6 @@ __all__ = [
     "block_rows",
     "crossprod",
     "distribute",
-    "gather",
     "gemm",
     "generate_random",
     "mean_center_columns",

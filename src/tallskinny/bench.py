@@ -15,9 +15,9 @@ from typing import Optional
 import numpy as np
 
 from .comm import run_ranks
-from .dense import small_svd
-from .distmat import gather, generate_random, read_distributed
-from .matrices import conditioned_instance, low_rank_noise_instance
+from .distmat import distribute, generate_random, random_rows, read_distributed
+from .matfile import read_matrix
+from .matrices import conditioned_matrix, low_rank_noise_matrix
 from .svd import ROUTES, ParameterError, RsvdParams, route
 
 ALGOS = tuple(ROUTES)
@@ -89,17 +89,18 @@ class BenchConfig:
         return RsvdParams(k=self.k, q=self.q, projection="uniform01", seed=self.seed + 1)
 
 
+def _check_input(shape, dtype, cfg):
+    """Reject an --input matrix that is not tall or not in cfg's precision."""
+    if not shape[0] > shape[1]:
+        raise ConfigError(f"input file is {shape[0]}x{shape[1]}; need rows > cols")
+    if dtype != PRECISIONS[cfg.precision]:
+        raise ConfigError(f"input file holds {dtype}; pass the matching --precision")
+
+
 def _load_matrix(comm, cfg):
     if cfg.input_path is not None:
         a = read_distributed(comm, cfg.input_path)
-        if not a.global_rows > a.cols:
-            raise ConfigError(
-                f"input file is {a.global_rows}x{a.cols}; need rows > cols"
-            )
-        if a.dtype != PRECISIONS[cfg.precision]:
-            raise ConfigError(
-                f"input file holds {a.dtype} data; pass the matching --precision"
-            )
+        _check_input((a.global_rows, a.cols), a.dtype, cfg)
         return a
     return generate_random(
         comm, cfg.effective_rows(), cfg.cols, "standard-normal", cfg.seed,
@@ -156,49 +157,46 @@ def run_bench(cfg, csv_out, human_out):
     return 0
 
 
-def _verify_worker(comm, cfg, matrix_kind):
+def _verify_input(cfg, matrix_kind):
+    """The full verification matrix, built once in the calling thread."""
+    m, n, dtype = cfg.effective_rows(), cfg.cols, PRECISIONS[cfg.precision]
     if matrix_kind == "cond1e6":
-        a = conditioned_instance(
-            comm, cfg.effective_rows(), cfg.cols, 1e6, cfg.seed,
-            PRECISIONS[cfg.precision],
-        )
-    elif matrix_kind == "lowrank":
+        return conditioned_matrix(m, n, 1e6, cfg.seed, dtype)
+    if matrix_kind == "lowrank":
         leading = np.linspace(10.0, 5.0, cfg.k)
-        a, _ = low_rank_noise_instance(
-            comm, cfg.effective_rows(), cfg.cols, leading, 1e-6, cfg.seed,
-            PRECISIONS[cfg.precision],
-        )
-    else:
-        a = _load_matrix(comm, cfg)
-    sigma = _compute_sigma(a, cfg)
-    full = gather(a)
-    if comm.rank != 0:
-        return None
-    oracle, _, _ = small_svd(full)
-    count = len(sigma) if cfg.algo == "rsvd" else len(oracle)
-    rel = np.abs(sigma[:count] - oracle[:count]) / oracle[:count]
-    worst = int(np.argmax(rel))
-    return (a.global_rows, a.cols), float(rel[worst]), worst, count
+        return low_rank_noise_matrix(m, n, leading, 1e-6, cfg.seed, dtype)
+    if cfg.input_path is not None:
+        full = read_matrix(cfg.input_path)
+        _check_input(full.shape, full.dtype, cfg)
+        return full
+    return random_rows(cfg.seed, 0, m, n, "standard-normal", dtype)
 
 
 def run_verify(cfg, matrix_kind, out):
-    """Compare the chosen algorithm against the gathered-matrix oracle.
+    """Compare the chosen algorithm against an f64 SVD of the full matrix.
 
-    Truncated SVD is only meaningful on a spectrum with decay, so rsvd
-    verification swaps flat random data for a decaying low-rank instance.
+    The oracle is LAPACK's values-only SVD in float64, a different driver
+    from the gesdd-with-vectors call the routes make. Truncated SVD is only
+    meaningful on a spectrum with decay, so rsvd verification swaps flat
+    random data for a decaying low-rank instance.
     """
     cfg.validate()
     if cfg.algo == "rsvd" and matrix_kind == "random":
         matrix_kind = "lowrank"
     tolerance = VERIFY_TOLERANCES[(cfg.algo, cfg.precision)]
-    shape, err, worst, count = run_ranks(cfg.ranks, _verify_worker, cfg, matrix_kind)[0]
+    full = _verify_input(cfg, matrix_kind)
+    sigma = run_ranks(cfg.ranks, lambda c: _compute_sigma(distribute(c, full), cfg))[0]
+    oracle = np.linalg.svd(full.astype(np.float64, copy=False), compute_uv=False)
+    count = len(sigma) if cfg.algo == "rsvd" else len(oracle)
+    rel = np.abs(sigma[:count] - oracle[:count]) / oracle[:count]
+    worst = int(np.argmax(rel))
     print(
-        f"{cfg.algo} {cfg.precision} m={shape[0]} n={shape[1]} "
+        f"{cfg.algo} {cfg.precision} m={full.shape[0]} n={full.shape[1]} "
         f"p={cfg.ranks} matrix={matrix_kind}: max relative sigma error "
-        f"{err:.3e} over {count} values (tolerance {tolerance:.0e})",
+        f"{rel[worst]:.3e} over {count} values (tolerance {tolerance:.0e})",
         file=out,
     )
-    if err > tolerance:
+    if rel[worst] > tolerance:
         print(f"FAIL: sigma index {worst} exceeds tolerance", file=out)
         return 1
     print("PASS", file=out)

@@ -10,13 +10,12 @@ Bare flags (no subcommand) run a benchmark. Exit codes: 0 success,
 """
 
 import argparse
-import os
+import io
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 from .bench import ALGOS, PRECISIONS, BenchConfig, ConfigError, run_bench, run_verify
-from .comm import RankFailures
-
-ENV_SEED = "SVDBENCH_SEED"
 
 
 def build_parser():
@@ -27,7 +26,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
     for name, help_text in (
         ("run", "time the singular-value computation, emit CSV"),
-        ("verify", "compare an algorithm against the gathered-matrix oracle"),
+        ("verify", "compare an algorithm against an f64 SVD of the full matrix"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--algo", required=True, choices=ALGOS)
@@ -44,11 +43,11 @@ def build_parser():
         p.add_argument("--q", type=int, default=BenchConfig.q,
                        help="rsvd power iterations")
         p.add_argument("--seed", type=int, default=BenchConfig.seed,
-                       help=f"data seed (env {ENV_SEED} overrides)")
+                       help="data seed")
         p.add_argument("--reps", type=int, default=BenchConfig.reps,
                        help="repetitions per run")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-        p.add_argument("--input", default=None, metavar="FILE",
+        p.add_argument("--input", dest="input_path", default=None, metavar="FILE",
                        help="read the matrix from a TSKM binary file")
         p.add_argument("--equal-bytes", action="store_true",
                        help="halve the rows for f64 so byte counts match f32")
@@ -61,26 +60,8 @@ def build_parser():
 
 
 def _config_from(args):
-    seed = args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED}={env!r} is not an integer")
-    return BenchConfig(
-        algo=args.algo,
-        rows=args.rows,
-        cols=args.cols,
-        precision=args.precision,
-        ranks=args.ranks,
-        k=args.k,
-        q=args.q,
-        seed=seed,
-        reps=args.reps,
-        input_path=args.input,
-        equal_bytes=args.equal_bytes,
-    )
+    """The BenchConfig whose fields the flags (dest names) fill."""
+    return BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
 
 
 def main(argv=None):
@@ -95,21 +76,20 @@ def main(argv=None):
 
     try:
         cfg = _config_from(args)
-        cfg.validate()
         if args.command == "verify":
             return run_verify(cfg, args.matrix, sys.stdout)
-        if args.out is not None:
-            with open(args.out, "w") as fh:
-                return run_bench(cfg, fh, sys.stdout)
-        # CSV owns stdout, so the table moves to stderr.
-        return run_bench(cfg, sys.stdout, sys.stderr)
+        if args.out is None:
+            # CSV owns stdout, so the table moves to stderr.
+            return run_bench(cfg, sys.stdout, sys.stderr)
+        # Written after the run, so a rejected config leaves the file alone.
+        csv_out = io.StringIO()
+        code = run_bench(cfg, csv_out, sys.stdout)
+        Path(args.out).write_text(csv_out.getvalue())
+        return code
     except ConfigError as exc:
         print(f"svdbench: {exc}", file=sys.stderr)
         return 2
-    except RankFailures as exc:
-        print(f"svdbench: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # RankFailures among them
         print(f"svdbench: {exc}", file=sys.stderr)
         return 1
 

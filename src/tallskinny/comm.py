@@ -8,6 +8,10 @@ rank, so repeated runs with the same size are bitwise identical. The
 custom reduce operator is treated as non-commutative everywhere:
 combine(lower-rank subtree, higher-rank subtree), always.
 
+Payloads are n-sized: for an m x n matrix, no collective carries more
+than n x n values (a crossproduct, an R factor), never anything that
+grows with m. tests/test_payloads.py pins the rule.
+
 Each message up the tree carries the sender's call header (kind, shapes,
 operator) next to its subtree result. The parent compares that header
 with its own before combining and aborts the whole group on any

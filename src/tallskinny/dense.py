@@ -130,16 +130,14 @@ def _fix_column_signs(v, *, follow=None):
         follow[:, flip] *= -1
 
 
-def sym_eigen(n_mat, want_vectors=False):
-    """Eigenvalues (descending) of a symmetric matrix via LAPACK's eigh.
+def sym_eigen(n_mat):
+    """Eigenvalues (descending) and eigenvectors of a symmetric matrix.
 
-    The input is symmetrized by averaging before solving; inputs that are
-    asymmetric beyond 1e-8 * max|entry| are rejected. Equal eigenvalues keep
-    LAPACK's order. Eigenvector columns, when requested, are ordered to
-    match and sign-fixed so each column's largest-magnitude component is
-    positive. The eigenvectors are always computed, even when not
-    requested, so the values do not depend on `want_vectors`: eigvalsh and
-    eigh can differ in the last bits.
+    Returns (values, vectors) via LAPACK's eigh. The input is symmetrized
+    by averaging before solving; inputs that are asymmetric beyond
+    1e-8 * max|entry| are rejected. Equal eigenvalues keep LAPACK's order.
+    Eigenvector columns are ordered to match and sign-fixed so each
+    column's largest-magnitude component is positive.
     """
     a = as_matrix(n_mat, "n_mat")
     n = a.shape[0]
@@ -151,22 +149,18 @@ def sym_eigen(n_mat, want_vectors=False):
     mat = (a + a.T) * a.dtype.type(0.5)
     values, vectors = _lapack(np.linalg.eigh, mat)
     order = np.argsort(-values, kind="stable")
-    if not want_vectors:
-        return values[order], None
     vectors = vectors[:, order]
     _fix_column_signs(vectors)
     return values[order], vectors
 
 
-def small_svd(b, want_u=False, want_vt=False):
+def small_svd(b):
     """Compact SVD of a small dense matrix via LAPACK's gesdd.
 
     Returns (sigma, u, vt) with sigma descending, length min(rows, cols).
     Each right singular vector is sign-fixed so its largest-magnitude
     component is positive, and the matching column of u follows; columns
-    of u whose sigma is exactly 0 are zero. The factors are always
-    computed, even when neither is requested, so sigma does not depend on
-    which factors the caller asks for.
+    of u whose sigma is exactly 0 are zero.
     """
     b = as_matrix(b, "b")
     if min(b.shape) < 1:
@@ -174,4 +168,4 @@ def small_svd(b, want_u=False, want_vt=False):
     u, sigma, vt = _lapack(np.linalg.svd, b, full_matrices=False)
     _fix_column_signs(vt.T, follow=u)
     u[:, sigma == 0] = 0
-    return sigma, u if want_u else None, vt if want_vt else None
+    return sigma, u, vt

@@ -2,9 +2,10 @@
 
 A DistMatrix is a contiguous block of global rows per rank, in rank order.
 Row counts are balanced: the first (m mod p) ranks get one extra row, so
-the layout is a pure function of (m, p). Random generation draws every
-global row from its own counter-based stream keyed on (seed, row index),
-which makes the assembled matrix bitwise independent of the rank count.
+the layout is a pure function of (m, p). Random generation splits the
+global rows into fixed blocks of ROW_BLOCK rows and draws each block from
+its own counter-based stream keyed on (seed, block index), which makes the
+assembled matrix bitwise independent of the rank count.
 
 The two multiply patterns: distributed times replicated stays local and
 distributed-transpose times distributed is a local product plus one
@@ -26,6 +27,10 @@ STREAM_DATA = 0
 STREAM_PROJECTION = 1
 
 DISTRIBUTIONS = ("standard-normal", "uniform01")
+
+# Rows per random stream. Part of the data definition: changing it changes
+# every generated matrix.
+ROW_BLOCK = 4096
 
 
 @dataclass
@@ -66,24 +71,34 @@ def block_range(m, size, rank):
     return sum(counts[:rank]), counts[rank]
 
 
-def _row_stream(seed, row, domain):
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) << 64 | (int(row) & 0xFFFFFFFFFFFFFFFF)
+def _block_stream(seed, block, domain):
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) << 64 | (int(block) & 0xFFFFFFFFFFFFFFFF)
     counter = np.array([0, 0, domain, 0], dtype=np.uint64)
     return Generator(Philox(key=key, counter=counter))
 
 
 def random_rows(seed, row_start, row_count, n, dist, dtype, domain=STREAM_DATA):
-    """Rows [row_start, row_start + row_count) of the global random matrix."""
+    """Rows [row_start, row_start + row_count) of the global random matrix.
+
+    A stream is sequential, so a range that starts inside a block draws
+    that block up to the range's end and keeps the tail.
+    """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}; expected {DISTRIBUTIONS}")
     dtype = np.dtype(dtype)
     out = np.empty((row_count, n), dtype=dtype)
-    for i in range(row_count):
-        gen = _row_stream(seed, row_start + i, domain)
-        if dist == "standard-normal":
-            out[i] = gen.standard_normal(n, dtype=dtype)
+    row, stop = row_start, row_start + row_count
+    while row < stop:
+        block, skip = divmod(row, ROW_BLOCK)
+        take = min(stop - row, ROW_BLOCK - skip)
+        gen = _block_stream(seed, block, domain)
+        fill = gen.standard_normal if dist == "standard-normal" else gen.random
+        dest = out[row - row_start : row - row_start + take]
+        if skip:
+            dest[:] = fill((skip + take, n), dtype=dtype)[skip:]
         else:
-            out[i] = gen.random(n, dtype=dtype)
+            fill(dtype=dtype, out=dest)
+        row += take
     return out
 
 
@@ -97,10 +112,14 @@ def generate_random(comm, m, n, dist="standard-normal", seed=0, dtype=np.float64
 
 
 def distribute(comm, full):
-    """Split a replicated full matrix by the balanced partition rule."""
+    """Split a replicated full matrix by the balanced partition rule.
+
+    The local block is a view of `full`, not a copy: the ranks of a group
+    share memory, and no operation here writes to a matrix's local block.
+    """
     full = as_matrix(full, "full")
     offset, count = block_range(full.shape[0], comm.size, comm.rank)
-    return DistMatrix(full[offset : offset + count].copy(), full.shape[0], offset, comm)
+    return DistMatrix(full[offset : offset + count], full.shape[0], offset, comm)
 
 
 def read_distributed(comm, path):
@@ -147,27 +166,3 @@ def mean_center_columns(a):
     means = a.comm.allreduce_sum(local_sums) / a.dtype.type(a.global_rows)
     centered = a.local - means
     return DistMatrix(centered, a.global_rows, a.row_offset, a.comm), means[0]
-
-
-def gather(a):
-    """Assemble the full matrix on every rank (desk-scale oracles and I/O).
-
-    One sum-allreduce of row-placed blocks. Each rank pads the rows it
-    does not own with -0.0, because x + (-0.0) is bitwise x for every x,
-    signed zeros, Inf and NaN included; a +0.0 pad would turn -0.0 into
-    +0.0. An extra ownership column counts how often each row is placed,
-    and a block that does not fit `global_rows` places nothing, so every
-    rank raises unless the blocks tile the rows exactly once.
-    """
-    m, n = a.global_rows, a.cols
-    start, stop = a.row_offset, a.row_offset + a.local.shape[0]
-    placed = np.full((m, n + 1), -0.0, dtype=a.dtype)
-    if 0 <= start and stop <= m:
-        placed[start:stop, :n] = a.local
-        placed[start:stop, n] = 1
-    full = a.comm.allreduce_sum(placed)
-    if np.any(full[:, n] != 1):
-        raise ShapeError(
-            f"gather: the row blocks do not tile the {m} global rows exactly once"
-        )
-    return np.ascontiguousarray(full[:, :n])

@@ -1,14 +1,14 @@
 """Constructed test matrices with controlled spectra.
 
-Both builders assemble the full matrix identically on every rank from the
-seeded row streams and then `distribute` it, so the distributed matrix is
-bitwise independent of the rank count.
+Both builders return the full matrix as a plain array, built from the
+seeded row streams, so it does not depend on any rank count; callers
+`distribute` it.
 """
 
 import numpy as np
 
 from .dense import qr_Q
-from .distmat import distribute, random_rows
+from .distmat import random_rows
 
 
 def _orthonormal_columns(m, n, seed, dtype):
@@ -16,7 +16,7 @@ def _orthonormal_columns(m, n, seed, dtype):
     return qr_Q(g)
 
 
-def conditioned_instance(comm, m=2000, n=50, cond=1e6, seed=1234, dtype=np.float64):
+def conditioned_matrix(m, n, cond, seed, dtype=np.float64):
     """Tall matrix with log-spaced singular values from 1 down to 1/cond.
 
     Built as Qu diag(s) Qv^T with a dense right basis Qv, so the small
@@ -29,15 +29,15 @@ def conditioned_instance(comm, m=2000, n=50, cond=1e6, seed=1234, dtype=np.float
     values = np.logspace(0, -np.log10(cond), n).astype(dtype)
     q_left = _orthonormal_columns(m, n, seed, dtype)
     q_right = _orthonormal_columns(n, n, seed + 1, dtype)
-    return distribute(comm, (q_left * values) @ q_right.T)
+    q_left *= values
+    return q_left @ q_right.T
 
 
-def low_rank_noise_instance(comm, m, n, leading, noise_scale, seed, dtype=np.float64):
+def low_rank_noise_matrix(m, n, leading, noise_scale, seed, dtype=np.float64):
     """Low-rank matrix (given leading singular values) plus dense noise.
 
-    Returns (dist_matrix, leading_values). The exact spectrum of the noisy
-    matrix is unknown; compare against a full-matrix oracle, not against
-    `leading_values`.
+    The exact spectrum of the noisy matrix is unknown; compare against an
+    SVD of the returned matrix, not against `leading`.
     """
     dtype = np.dtype(dtype)
     leading = np.asarray(leading, dtype=dtype)
@@ -48,4 +48,4 @@ def low_rank_noise_instance(comm, m, n, leading, noise_scale, seed, dtype=np.flo
     if noise_scale:
         noise = random_rows(seed + 2, 0, m, n, "standard-normal", dtype)
         full += dtype.type(noise_scale) * noise
-    return distribute(comm, full), leading
+    return full

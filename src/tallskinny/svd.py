@@ -138,7 +138,7 @@ def svd_normal_equations(a, want_u=False, want_v=False):
     """Sigma (and factors) from the eigendecomposition of A^T A."""
     _require_tall(a, "svd_normal_equations")
     n_mat = require_finite(crossprod(a), "crossproduct A^T A")
-    values, vectors = sym_eigen(n_mat, want_vectors=want_u or want_v)
+    values, vectors = sym_eigen(n_mat)
     result = SvdResult(sigma=require_finite(np.sqrt(np.maximum(values, 0)), "sigma"))
     return _truncate_to_kept(a, result, want_u, want_v, vectors)
 
@@ -185,10 +185,9 @@ def svd_tsqr(a, want_u=False, want_v=False):
     _require_tall(a, "svd_tsqr")
     r_local = _local_r_padded(a.local, a.cols)
     r_full = qr_allreduce(a.comm, r_local)
-    need_v = want_u or want_v
-    sigma, _, vt = small_svd(r_full, want_u=False, want_vt=need_v)
+    sigma, _, vt = small_svd(r_full)
     result = SvdResult(sigma=require_finite(sigma, "sigma"))
-    return _truncate_to_kept(a, result, want_u, want_v, vt.T if need_v else None)
+    return _truncate_to_kept(a, result, want_u, want_v, vt.T)
 
 
 def _distributed_qr_q(y):
@@ -239,7 +238,7 @@ def svd_randomized(a, params, want_u=False, want_v=False):
         y = mult_local(a, q_z)
         q_y = _distributed_qr_q(y)
     b = mult_transpose(q_y, a)
-    sigma, u_b, vt = small_svd(b, want_u=want_u, want_vt=want_v)
+    sigma, u_b, vt = small_svd(b)
     k = params.k
     result = SvdResult(sigma=require_finite(sigma[:k], "sigma"))
     if want_u:

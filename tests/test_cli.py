@@ -61,14 +61,6 @@ class TestRun:
         third = parse_csv(capsys.readouterr().out)
         assert first[0]["sigma_sum"] != third[0]["sigma_sum"]
 
-    def test_env_seed_overrides_flag(self, capsys, monkeypatch):
-        main(["run", "--algo", "tssvd", *FAST, "--seed", "5"])
-        baseline = parse_csv(capsys.readouterr().out)
-        monkeypatch.setenv("SVDBENCH_SEED", "6")
-        main(["run", "--algo", "tssvd", *FAST, "--seed", "5"])
-        overridden = parse_csv(capsys.readouterr().out)
-        assert baseline[0]["sigma_sum"] != overridden[0]["sigma_sum"]
-
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "bench.csv"
         assert main(["run", "--algo", "tssvd", *FAST, "--out", str(path)]) == 0
@@ -126,14 +118,16 @@ class TestUsageErrors:
         assert main(args) == 2
         assert "2k" in capsys.readouterr().err
 
+    def test_rejected_config_leaves_out_file_alone(self, tmp_path, capsys):
+        path = tmp_path / "bench.csv"
+        path.write_text("earlier results\n")
+        args = ["run", "--algo", "tssvd", "--rows", "10", "--cols", "250", "--out", str(path)]
+        assert main(args) == 2
+        assert path.read_text() == "earlier results\n"
+
     def test_no_arguments_prints_help(self, capsys):
         assert main([]) == 2
         assert "svdbench" in capsys.readouterr().out
-
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("SVDBENCH_SEED", "not-a-number")
-        assert main(["run", "--algo", "tssvd", *FAST]) == 2
-        assert "SVDBENCH_SEED" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -166,6 +160,24 @@ class TestVerify:
         tssvd_err = err_of("tssvd")
         cpsvd_err = err_of("cpsvd")
         assert cpsvd_err > tssvd_err
+
+    def test_input_file(self, tmp_path, capsys):
+        path = tmp_path / "in.tskm"
+        write_matrix(path, np.random.default_rng(62).standard_normal((80, 6)))
+        args = ["verify", "--algo", "tssvd", "--ranks", "2", "--input", str(path)]
+        assert main(args) == 0
+        assert "m=80 n=6" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("shape, dtype, message", [
+        ((6, 6), np.float64, "rows > cols"),
+        ((12, 3), np.float32, "precision"),
+    ])
+    def test_bad_input_file_exits_2(self, tmp_path, capsys, shape, dtype, message):
+        path = tmp_path / "bad.tskm"
+        write_matrix(path, np.ones(shape, dtype=dtype))
+        args = ["verify", "--algo", "tssvd", "--ranks", "2", "--input", str(path)]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
 
     def test_cpsvd_fails_tolerance_on_conditioned_instance(self, capsys):
         args = ["verify", "--algo", "cpsvd", "--rows", "600", "--cols", "30",

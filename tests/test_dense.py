@@ -169,7 +169,7 @@ class TestSymEigen:
 
     def test_two_by_two_matches_characteristic_polynomial(self):
         mat = np.array([[2.0, 1.0], [1.0, 2.0]])
-        values, vectors = sym_eigen(mat, want_vectors=True)
+        values, vectors = sym_eigen(mat)
         assert np.allclose(values, eigen_2x2_oracle(mat), atol=1e-14)
         inv_sqrt2 = 1 / np.sqrt(2)
         assert np.allclose(vectors[:, 0], [inv_sqrt2, inv_sqrt2], atol=1e-14)
@@ -180,7 +180,7 @@ class TestSymEigen:
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((50, 50))
         n_mat = (g + g.T) / 2
-        values, vectors = sym_eigen(n_mat, want_vectors=True)
+        values, vectors = sym_eigen(n_mat)
         resid = np.max(np.abs(n_mat @ vectors - vectors * values))
         assert resid <= 1e-12 * np.max(np.abs(n_mat))
         assert np.max(np.abs(vectors.T @ vectors - np.eye(50))) <= 1e-12
@@ -198,7 +198,7 @@ class TestSymEigen:
         assert np.array_equal(values, [3.0, 2.0, 2.0, 1.0])
 
     def test_sign_rule(self):
-        values, vectors = sym_eigen(np.diag([5.0, 1.0]), want_vectors=True)
+        values, vectors = sym_eigen(np.diag([5.0, 1.0]))
         assert vectors[0, 0] > 0 and vectors[1, 1] > 0
 
     def test_non_square_rejected(self):
@@ -219,7 +219,7 @@ class TestSymEigen:
         rng = np.random.default_rng(9)
         g = rng.standard_normal((20, 20)).astype(np.float32)
         n_mat = (g + g.T) / np.float32(2)
-        values, vectors = sym_eigen(n_mat, want_vectors=True)
+        values, vectors = sym_eigen(n_mat)
         assert values.dtype == np.float32
         resid = np.max(np.abs(n_mat @ vectors - vectors * values))
         assert resid <= 1e-4 * np.max(np.abs(n_mat))
@@ -247,7 +247,7 @@ class TestSmallSvd:
     def test_reconstruction(self, shape):
         rng = np.random.default_rng(sum(shape))
         b = rng.standard_normal(shape)
-        sigma, u, vt = small_svd(b, want_u=True, want_vt=True)
+        sigma, u, vt = small_svd(b)
         err = np.linalg.norm(b - (u * sigma) @ vt)
         assert err <= 1e-13 * np.linalg.norm(b)
         r = min(shape)
@@ -260,28 +260,23 @@ class TestSmallSvd:
         assert np.all(np.diff(sigma) <= 0)
         assert np.all(sigma >= 0)
 
-    def test_optional_factors_default_off(self):
-        sigma, u, vt = small_svd(np.eye(3))
-        assert u is None and vt is None
-        assert np.array_equal(sigma, np.ones(3))
-
     def test_rank_deficient(self):
         b = np.ones((6, 3))
-        sigma, u, vt = small_svd(b, want_u=True, want_vt=True)
+        sigma, u, vt = small_svd(b)
         assert sigma[0] == pytest.approx(np.sqrt(18), rel=1e-14)
         assert np.all(sigma[1:] <= 1e-12 * sigma[0])
         err = np.linalg.norm(b - (u * sigma) @ vt)
         assert err <= 1e-13 * np.linalg.norm(b)
 
     def test_zero_matrix(self):
-        sigma, u, vt = small_svd(np.zeros((4, 2)), want_u=True, want_vt=True)
+        sigma, u, vt = small_svd(np.zeros((4, 2)))
         assert np.array_equal(sigma, np.zeros(2))
         assert np.array_equal(u, np.zeros((4, 2)))
 
     def test_float32_reconstruction(self):
         rng = np.random.default_rng(11)
         b = rng.standard_normal((8, 5)).astype(np.float32)
-        sigma, u, vt = small_svd(b, want_u=True, want_vt=True)
+        sigma, u, vt = small_svd(b)
         assert sigma.dtype == np.float32
         err = np.linalg.norm(b - (u * sigma) @ vt)
         assert err <= 1e-5 * np.linalg.norm(b)

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from tallskinny.comm import RankFailures, run_ranks, solo_communicator
+from tallskinny.comm import run_ranks, solo_communicator
 from tallskinny.dense import ShapeError, UnsupportedShape, sym_eigen
 from tallskinny.distmat import (
-    DistMatrix,
+    ROW_BLOCK,
     block_range,
     block_rows,
     crossprod,
     distribute,
-    gather,
     generate_random,
     mean_center_columns,
     mult_local,
@@ -40,11 +39,24 @@ class TestGeneration:
         out = run_ranks(4, lambda c: generate_random(c, 10, 2, seed=1).local.shape)
         assert out == [(3, 2), (3, 2), (2, 2), (2, 2)]
 
-    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("size", [2, 3, 4])
     def test_rank_count_invariant_bitwise(self, size):
-        solo = generate_random(solo_communicator(), 11, 3, seed=99).local
-        blocks = run_ranks(size, lambda c: generate_random(c, 11, 3, seed=99).local)
-        assert np.array_equal(np.vstack(blocks), solo)
+        # The second shape puts rank boundaries inside the random-stream
+        # blocks, so ranks draw partial blocks.
+        for m in (11, 2 * ROW_BLOCK + 5):
+            solo = generate_random(solo_communicator(), m, 3, seed=99).local
+            blocks = run_ranks(size, lambda c: generate_random(c, m, 3, seed=99).local)
+            assert np.array_equal(np.vstack(blocks), solo), f"m={m}"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dist", ["standard-normal", "uniform01"])
+    def test_unaligned_range_is_slice_of_full_draw(self, dist, dtype):
+        full = random_rows(17, 0, 2 * ROW_BLOCK + 5, 4, dist, dtype)
+        for start, count in [(5, 10), (ROW_BLOCK - 6, 20), (ROW_BLOCK, ROW_BLOCK),
+                             (2 * ROW_BLOCK - 1, 6), (7, 2 * ROW_BLOCK - 2)]:
+            part = random_rows(17, start, count, 4, dist, dtype)
+            assert np.array_equal(part, full[start : start + count]), (start, count)
+        assert random_rows(17, ROW_BLOCK + 3, 0, 4, dist, dtype).shape == (0, 4)
 
     def test_uniform01_range(self):
         a = generate_random(solo_communicator(), 50, 4, dist="uniform01", seed=5)
@@ -88,10 +100,10 @@ class TestCrossprod:
     @pytest.mark.parametrize("size", [1, 4])
     def test_matches_gather_multiply_oracle(self, size):
         def worker(comm):
-            a = generate_random(comm, 40, 5, seed=11)
-            return crossprod(a), gather(a)
+            return crossprod(generate_random(comm, 40, 5, seed=11))
 
-        n_dist, full = run_ranks(size, worker)[0]
+        n_dist = run_ranks(size, worker)[0]
+        full = generate_random(solo_communicator(), 40, 5, seed=11).local
         want = full.T @ full
         assert np.max(np.abs(n_dist - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -125,11 +137,10 @@ class TestMultLocal:
         b = rng.standard_normal((5, 3))
 
         def worker(comm):
-            a = generate_random(comm, 21, 5, seed=21)
-            return gather(mult_local(a, b)), gather(a)
+            return mult_local(generate_random(comm, 21, 5, seed=21), b).local
 
-        got, full = run_ranks(3, worker)[0]
-        want = full @ b
+        got = np.vstack(run_ranks(3, worker))
+        want = generate_random(solo_communicator(), 21, 5, seed=21).local @ b
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_no_collectives(self):
@@ -168,9 +179,11 @@ class TestMultTranspose:
         def worker(comm):
             a = generate_random(comm, 24, 3, seed=5)
             y = generate_random(comm, 24, 2, seed=6)
-            return mult_transpose(a, y), gather(a), gather(y)
+            return mult_transpose(a, y)
 
-        got, fa, fy = run_ranks(3, worker)[0]
+        got = run_ranks(3, worker)[0]
+        fa = generate_random(solo_communicator(), 24, 3, seed=5).local
+        fy = generate_random(solo_communicator(), 24, 2, seed=6).local
         want = fa.T @ fy
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -190,11 +203,11 @@ class TestMeanCenter:
         def worker(comm):
             a = distribute(comm, np.full((9, 1), 4.25))
             centered, means = mean_center_columns(a)
-            return gather(centered), means
+            return centered.local, means
 
-        centered, means = run_ranks(3, worker)[0]
-        assert np.array_equal(centered, np.zeros((9, 1)))
-        assert np.array_equal(means, [4.25])
+        blocks = run_ranks(3, worker)
+        assert np.array_equal(np.vstack([c for c, _ in blocks]), np.zeros((9, 1)))
+        assert np.array_equal(blocks[0][1], [4.25])
 
     def test_already_centered_unchanged(self):
         col = np.arange(8.0) - 3.5  # mean exactly zero
@@ -207,62 +220,48 @@ class TestMeanCenter:
         def worker(comm):
             a = generate_random(comm, 30, 3, seed=30)
             centered, _ = mean_center_columns(a)
-            return gather(centered)
+            return centered.local
 
-        full = run_ranks(4, worker)[0]
+        full = np.vstack(run_ranks(4, worker))
         assert np.max(np.abs(full.mean(axis=0))) <= 1e-13
 
 
 class TestGatherDistribute:
-    def test_solo_gather(self):
-        a = generate_random(solo_communicator(), 6, 2, seed=1)
-        assert np.array_equal(gather(a), a.local)
+    """The per-rank blocks, stacked in rank order, are the full matrix."""
 
     def test_two_ranks(self):
         def worker(comm):
-            full = np.array([[1.0], [2.0]])
-            return gather(distribute(comm, full))
+            return distribute(comm, np.array([[1.0], [2.0]])).local
 
-        for got in run_ranks(2, worker):
-            assert np.array_equal(got, [[1.0], [2.0]])
+        assert [b.tolist() for b in run_ranks(2, worker)] == [[[1.0]], [[2.0]]]
 
     def test_round_trip(self):
+        full = generate_random(solo_communicator(), 13, 3, seed=44).local
+
         def worker(comm):
             a = generate_random(comm, 13, 3, seed=44)
-            again = distribute(comm, gather(a))
+            again = distribute(comm, full)
             return np.array_equal(again.local, a.local) and again.row_offset == a.row_offset
 
         assert all(run_ranks(4, worker))
 
     @pytest.mark.parametrize("dtype, bits", [(np.float64, np.uint64), (np.float32, np.uint32)])
     @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_bitwise_exact_for_special_values(self, size, dtype, bits):
+    def test_bitwise_exact_for_special_values(self, tmp_path, size, dtype, bits):
+        # verify distributes the matrix it read whole; run reads row ranges.
         tiny = np.finfo(dtype).smallest_subnormal
         special = [-0.0, 0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1.0]
         full = np.array(special * 3, dtype=dtype).reshape(8, 3)
+        path = tmp_path / "special.tskm"
+        write_matrix(path, full)
 
         def worker(comm):
-            return gather(distribute(comm, full))
+            return distribute(comm, read_matrix(path)).local, read_distributed(comm, path).local
 
-        for got in run_ranks(size, worker):
+        blocks = run_ranks(size, worker)
+        for got in (np.vstack([d for d, _ in blocks]), np.vstack([r for _, r in blocks])):
             assert got.dtype == full.dtype
             assert np.array_equal(got.view(bits), full.view(bits))
-
-    @pytest.mark.parametrize("delta", [-1, 1])
-    @pytest.mark.parametrize("rank", [0, 1])
-    def test_blocks_that_do_not_tile_fail_every_rank(self, rank, delta):
-        def worker(comm):
-            a = distribute(comm, np.ones((10, 2)))
-            if comm.rank == rank:
-                rows = a.local.shape[0] + delta
-                a = DistMatrix(np.ones((rows, 2)), a.global_rows, a.row_offset, comm)
-            return gather(a)
-
-        with pytest.raises(RankFailures) as info:
-            run_ranks(2, worker, timeout=10)
-        assert set(info.value.failures) == {0, 1}
-        for exc in info.value.failures.values():
-            assert isinstance(exc, ShapeError)
 
 
 class TestPartitionInvariance:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tallskinny.comm import run_ranks, solo_communicator
-from tallskinny.distmat import distribute, gather, generate_random
+from tallskinny.distmat import distribute, generate_random
 from tallskinny.pca import pca
 from tallskinny.svd import ParameterError, RsvdParams
 
@@ -53,21 +53,22 @@ class TestPca:
         def worker(comm):
             a = generate_random(comm, 60, 4, seed=32)
             res = pca(a, method="tssvd", want_scores=True)
-            return res.sdev, gather(res.scores)
+            return res.sdev, res.scores.local
 
-        sdev, scores = run_ranks(3, worker)[0]
+        out = run_ranks(3, worker)
+        sdev = out[0][0]
+        scores = np.vstack([s for _, s in out])
         assert np.max(np.abs(scores.mean(axis=0))) <= 1e-12
         variances = scores.var(axis=0, ddof=1)
         assert np.max(np.abs(variances - sdev**2) / sdev**2) <= 1e-10
 
     def test_variance_conserved_at_full_ncomp(self):
         def worker(comm):
-            a = generate_random(comm, 50, 5, seed=33)
-            res = pca(a, method="cpsvd")
-            centered = gather(a) - gather(a).mean(axis=0)
-            return res.sdev, centered
+            return pca(generate_random(comm, 50, 5, seed=33), method="cpsvd").sdev
 
-        sdev, centered = run_ranks(2, worker)[0]
+        sdev = run_ranks(2, worker)[0]
+        full = generate_random(solo_communicator(), 50, 5, seed=33).local
+        centered = full - full.mean(axis=0)
         total = np.sum(centered**2) / (centered.shape[0] - 1)
         assert abs(np.sum(sdev**2) - total) <= 1e-10 * total
 

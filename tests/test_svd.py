@@ -9,8 +9,8 @@ from tallskinny.dense import (
     qr_R,
     small_svd,
 )
-from tallskinny.distmat import distribute, gather, generate_random
-from tallskinny.matrices import conditioned_instance, low_rank_noise_instance
+from tallskinny.distmat import distribute, generate_random
+from tallskinny.matrices import conditioned_matrix, low_rank_noise_matrix
 from tallskinny.svd import (
     DegenerateProjection,
     ParameterError,
@@ -36,6 +36,11 @@ def max_rel_err(got, want):
     return float(np.max(np.abs(got - want) / want))
 
 
+def random_full(m, n, seed):
+    """The matrix generate_random distributes, whole."""
+    return generate_random(solo_communicator(), m, n, seed=seed).local
+
+
 class TestNormalEquations:
     def test_stacked_identities(self):
         def worker(comm):
@@ -51,11 +56,10 @@ class TestNormalEquations:
 
     def test_random_matches_gathered_oracle(self):
         def worker(comm):
-            a = generate_random(comm, 100, 8, seed=42)
-            return svd_normal_equations(a).sigma, gather(a)
+            return svd_normal_equations(generate_random(comm, 100, 8, seed=42)).sigma
 
-        sigma, full = run_ranks(4, worker)[0]
-        oracle, _, _ = small_svd(full)
+        sigma = run_ranks(4, worker)[0]
+        oracle, _, _ = small_svd(random_full(100, 8, 42))
         compare = oracle >= 1e-6 * oracle[0]
         assert max_rel_err(sigma[compare], oracle[compare]) <= 1e-10
 
@@ -63,9 +67,12 @@ class TestNormalEquations:
         def worker(comm):
             a = generate_random(comm, 60, 6, seed=1)
             res = svd_normal_equations(a, want_u=True, want_v=True)
-            return res.sigma, gather(res.u), res.v, gather(a)
+            return res.sigma, res.u.local, res.v
 
-        sigma, u, v, full = run_ranks(2, worker)[0]
+        out = run_ranks(2, worker)
+        sigma, _, v = out[0]
+        u = np.vstack([u for _, u, _ in out])
+        full = random_full(60, 6, 1)
         assert np.max(np.abs(v.T @ v - np.eye(6))) <= 1e-12
         assert np.max(np.abs(u.T @ u - np.eye(6))) <= 1e-10
         recon = (u * sigma) @ v.T
@@ -94,18 +101,19 @@ class TestQrAllreduce:
     def test_matches_gathered_qr(self, size):
         def worker(comm):
             a = generate_random(comm, 64 if comm.size != 7 else 63, 6, seed=9)
-            return qr_allreduce(comm, qr_R(a.local)), gather(a)
+            return qr_allreduce(comm, qr_R(a.local))
 
-        got, full = run_ranks(size, worker)[0]
-        want = qr_R(full)
+        got = run_ranks(size, worker)[0]
+        want = qr_R(random_full(64 if size != 7 else 63, 6, 9))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_gram_identity(self):
         def worker(comm):
             a = generate_random(comm, 40, 5, seed=10)
-            return qr_allreduce(comm, qr_R(a.local)), gather(a)
+            return qr_allreduce(comm, qr_R(a.local))
 
-        r, full = run_ranks(4, worker)[0]
+        r = run_ranks(4, worker)[0]
+        full = random_full(40, 5, 10)
         gram = full.T @ full
         assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
 
@@ -144,11 +152,10 @@ class TestTsqr:
 
     def test_random_matches_gathered_oracle(self):
         def worker(comm):
-            a = generate_random(comm, 200, 10, seed=12)
-            return svd_tsqr(a).sigma, gather(a)
+            return svd_tsqr(generate_random(comm, 200, 10, seed=12)).sigma
 
-        sigma, full = run_ranks(4, worker)[0]
-        oracle, _, _ = small_svd(full)
+        sigma = run_ranks(4, worker)[0]
+        oracle, _, _ = small_svd(random_full(200, 10, 12))
         assert max_rel_err(sigma, oracle) <= 1e-12
 
     def test_agrees_with_normal_equations(self):
@@ -162,28 +169,31 @@ class TestTsqr:
     def test_short_local_blocks_are_padded(self):
         def worker(comm):
             a = generate_random(comm, 10, 6, seed=14)  # blocks of 3,3,2,2 rows
-            return svd_tsqr(a).sigma, gather(a)
+            return svd_tsqr(a).sigma
 
-        sigma, full = run_ranks(4, worker)[0]
-        oracle, _, _ = small_svd(full)
+        sigma = run_ranks(4, worker)[0]
+        oracle, _, _ = small_svd(random_full(10, 6, 14))
         assert max_rel_err(sigma, oracle) <= 1e-12
 
     def test_empty_local_blocks(self):
         def worker(comm):
             a = generate_random(comm, 5, 3, seed=15)  # three ranks get 0 rows
-            return svd_tsqr(a).sigma, gather(a)
+            return svd_tsqr(a).sigma
 
-        sigma, full = run_ranks(8, worker)[0]
-        oracle, _, _ = small_svd(full)
+        sigma = run_ranks(8, worker)[0]
+        oracle, _, _ = small_svd(random_full(5, 3, 15))
         assert max_rel_err(sigma, oracle) <= 1e-12
 
     def test_reconstruction_full_rank(self):
         def worker(comm):
             a = generate_random(comm, 300, 20, seed=16)
             res = svd_tsqr(a, want_u=True, want_v=True)
-            return res.sigma, gather(res.u), res.v, gather(a)
+            return res.sigma, res.u.local, res.v
 
-        sigma, u, v, full = run_ranks(4, worker)[0]
+        out = run_ranks(4, worker)
+        sigma, _, v = out[0]
+        u = np.vstack([u for _, u, _ in out])
+        full = random_full(300, 20, 16)
         assert np.max(np.abs(v.T @ v - np.eye(20))) <= 1e-12
         assert np.max(np.abs(u.T @ u - np.eye(20))) <= 1e-10
         recon = (u * sigma) @ v.T
@@ -208,19 +218,21 @@ class TestRandomized:
         assert abs(sigma[0] - 10.0) <= 1e-10 * 10.0
 
     def test_decaying_spectrum_top2_within_1pct(self):
-        def worker(comm):
-            a, _ = low_rank_noise_instance(comm, 400, 30, [10, 9, 8, 7, 6], 0.0, seed=4)
-            got = svd_randomized(a, RsvdParams(k=2, q=2, seed=5)).sigma
-            oracle, _, _ = small_svd(gather(a))
-            return got, oracle
+        full = low_rank_noise_matrix(400, 30, [10, 9, 8, 7, 6], 0.0, seed=4)
 
-        got, oracle = run_ranks(2, worker)[0]
+        def worker(comm):
+            return svd_randomized(distribute(comm, full), RsvdParams(k=2, q=2, seed=5)).sigma
+
+        got = run_ranks(2, worker)[0]
+        oracle, _, _ = small_svd(full)
         assert max_rel_err(got, oracle[:2]) <= 0.01
 
     def test_power_iterations_sharpen(self):
+        full = low_rank_noise_matrix(500, 30, [4, 3, 2], 0.02, seed=6)
+        oracle, _, _ = small_svd(full)
+
         def worker(comm):
-            a, _ = low_rank_noise_instance(comm, 500, 30, [4, 3, 2], 0.02, seed=6)
-            oracle, _, _ = small_svd(gather(a))
+            a = distribute(comm, full)
             errs = {}
             for q in (0, 2):
                 got = svd_randomized(a, RsvdParams(k=3, q=q, seed=7)).sigma
@@ -231,23 +243,27 @@ class TestRandomized:
         assert errs[2] <= errs[0]
 
     def test_uniform_projection(self):
-        def worker(comm):
-            a, _ = low_rank_noise_instance(comm, 300, 20, [5, 4], 0.0, seed=8)
-            params = RsvdParams(k=2, q=1, projection="uniform01", seed=9)
-            got = svd_randomized(a, params).sigma
-            oracle, _, _ = small_svd(gather(a))
-            return got, oracle
+        full = low_rank_noise_matrix(300, 20, [5, 4], 0.0, seed=8)
 
-        got, oracle = run_ranks(3, worker)[0]
+        def worker(comm):
+            params = RsvdParams(k=2, q=1, projection="uniform01", seed=9)
+            return svd_randomized(distribute(comm, full), params).sigma
+
+        got = run_ranks(3, worker)[0]
+        oracle, _, _ = small_svd(full)
         assert max_rel_err(got, oracle[:2]) <= 0.01
 
     def test_factors(self):
-        def worker(comm):
-            a, _ = low_rank_noise_instance(comm, 200, 16, [6, 5, 4], 1e-9, seed=10)
-            res = svd_randomized(a, RsvdParams(k=3, q=2, seed=11), want_u=True, want_v=True)
-            return res.sigma, gather(res.u), res.v, gather(a)
+        full = low_rank_noise_matrix(200, 16, [6, 5, 4], 1e-9, seed=10)
 
-        sigma, u, v, full = run_ranks(2, worker)[0]
+        def worker(comm):
+            a = distribute(comm, full)
+            res = svd_randomized(a, RsvdParams(k=3, q=2, seed=11), want_u=True, want_v=True)
+            return res.sigma, res.u.local, res.v
+
+        out = run_ranks(2, worker)
+        sigma, _, v = out[0]
+        u = np.vstack([u for _, u, _ in out])
         assert u.shape == (200, 3) and v.shape == (16, 3)
         assert np.max(np.abs(u.T @ u - np.eye(3))) <= 1e-10
         assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-10
@@ -280,9 +296,9 @@ class TestRecoverU:
 
         def worker(comm):
             a = distribute(comm, full)
-            return gather(recover_U(a, np.eye(2), np.array([3.0, 2.0])))
+            return recover_U(a, np.eye(2), np.array([3.0, 2.0])).local
 
-        got = run_ranks(2, worker)[0]
+        got = np.vstack(run_ranks(2, worker))
         assert np.max(np.abs(got - u0)) <= 1e-13
 
     def test_all_zero_sigma_drops_everything(self):
@@ -294,10 +310,9 @@ class TestRecoverU:
         def worker(comm):
             a = generate_random(comm, 120, 8, seed=21)
             res = svd_tsqr(a, want_v=True)
-            u = recover_U(a, res.v, res.sigma)
-            return gather(u)
+            return recover_U(a, res.v, res.sigma).local
 
-        u = run_ranks(3, worker)[0]
+        u = np.vstack(run_ranks(3, worker))
         assert np.max(np.abs(u.T @ u - np.eye(8))) <= 1e-10
 
     def test_length_mismatch(self):
@@ -308,14 +323,14 @@ class TestRecoverU:
 
 class TestConditioningSeparation:
     def test_tsqr_beats_normal_equations_at_kappa_1e6(self):
-        def worker(comm):
-            a = conditioned_instance(comm, 2000, 50, cond=1e6, seed=22)
-            ts = svd_tsqr(a).sigma
-            cp = svd_normal_equations(a).sigma
-            oracle, _, _ = small_svd(gather(a))
-            return ts, cp, oracle
+        full = conditioned_matrix(2000, 50, cond=1e6, seed=22)
 
-        ts, cp, oracle = run_ranks(2, worker)[0]
+        def worker(comm):
+            a = distribute(comm, full)
+            return svd_tsqr(a).sigma, svd_normal_equations(a).sigma
+
+        ts, cp = run_ranks(2, worker)[0]
+        oracle, _, _ = small_svd(full)
         ts_err = abs(ts[-1] - oracle[-1]) / oracle[-1]
         cp_err = abs(cp[-1] - oracle[-1]) / oracle[-1]
         assert ts_err <= 1e-9
