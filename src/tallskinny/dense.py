@@ -8,6 +8,14 @@ nonnegative diagonal and exact zeros below it, eigenvalues and singular
 values in descending order, and a deterministic sign for every vector.
 None of these operations communicate; they are the building blocks the
 distributed layer calls on local blocks.
+
+Two properties of numpy.linalg shape the QR kernels. Every routine factors
+float32 input in float64 (on a float64 copy, cast back at the end), so a
+float32 Householder QR costs what a float64 one does. And np.linalg.qr
+holds the GIL while it factors, unlike matmul, cholesky, inv and svd, so
+two rank threads calling it run one after the other. tall_R, the local R
+factor of a tall block, is therefore a Cholesky QR2 of GEMMs and n x n
+factorizations, with qr_R (Householder) as its fallback and reference.
 """
 
 import numpy as np
@@ -90,6 +98,47 @@ def qr_R(a):
     r = _lapack(np.linalg.qr, _tall(a), mode="r")
     r[np.diag(r) < 0] *= -1
     return np.triu(r)
+
+
+# Largest orthogonality defect ||G2 - I||_F that tall_R accepts from the
+# first CholQR pass, where G2 = Q1^T Q1. The Frobenius norm bounds the
+# 2-norm, so below the bound every eigenvalue of G2 (the square of a
+# singular value of Q1) lies in [1/2, 3/2], and kappa(Q1)^2 <= 3. The
+# second pass is a Cholesky QR of Q1, whose errors grow like kappa(Q1)^2 u
+# (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015); at most 3 times
+# their value for an orthonormal Q1, which keeps CholQR2 within a small
+# constant of Householder QR's backward error.
+CHOLQR_MAX_DEFECT = 0.5
+
+
+def tall_R(a):
+    """qr_R's factor by Cholesky QR2, falling back to qr_R(a).
+
+    Two passes R_i = chol(X^T X)^T: the first on a, the second on
+    Q1 = a R1^-1 (one GEMM against the n x n inverse), and R = R2 R1.
+    Each step is a GEMM or an n x n LAPACK call, and all of them release
+    the GIL. The input selects the fallback to Householder qr_R(a): a
+    Cholesky factorization fails, or G2 = Q1^T Q1 is non-finite or further
+    from I than CHOLQR_MAX_DEFECT. A non-finite entry anywhere before G2
+    reaches G2's diagonal, a sum of squares, so the one defect test covers
+    every non-finite intermediate. The contracts are qr_R's: exact zeros
+    below the diagonal and a nonnegative diagonal (here a product of two
+    positive Cholesky diagonals).
+    """
+    a = _tall(a)
+    try:
+        with np.errstate(all="ignore"):
+            r1 = np.linalg.cholesky(a.T @ a).T
+            q1 = a @ np.linalg.inv(r1)
+            g2 = q1.T @ q1
+            r2 = np.linalg.cholesky(g2).T
+            defect = np.linalg.norm(g2 - np.eye(a.shape[1], dtype=g2.dtype))
+    except np.linalg.LinAlgError:
+        return qr_R(a)
+    # NaN fails this test, so a non-finite G2 falls back too.
+    if not defect <= CHOLQR_MAX_DEFECT:
+        return qr_R(a)
+    return np.triu(r2 @ r1)
 
 
 def qr_Q(a):

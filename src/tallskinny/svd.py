@@ -6,10 +6,17 @@ fast, but forming A^T A squares the condition number.
 
 svd_tsqr: communication-avoiding QR. Each rank reduces its block to an R
 factor; a custom allreduce stacks R factors two at a time and re-factors,
-yielding R of the full matrix, whose local SVD gives sigma and V.
+yielding R of the full matrix, whose local SVD gives sigma and V. The
+local factor comes from dense.tall_R, a Cholesky QR2 built from GEMMs and
+n x n LAPACK calls that release the GIL, so rank threads overlap. It falls
+back to Householder qr_R when a Cholesky fails, an intermediate is not
+finite, or the first pass leaves Q1 too far from orthonormal (from a
+condition number of about 1e4 in float32 and 3e8 in float64). The 2n x n
+reduce combine and blocks shorter than n rows stay on qr_R.
 
 svd_randomized: truncated SVD by random projection with q power
-iterations; distributed Q factors come from the same QR reduction.
+iterations; distributed Q factors come from the same QR reduction and
+the same local kernel.
 
 All three recover a distributed U from A V inv(Sigma) when asked (the
 randomized variant uses U = Q_Y U_B instead).
@@ -40,6 +47,7 @@ from .dense import (
     small_svd,
     solve_triangular_right,
     sym_eigen,
+    tall_R,
 )
 from .distmat import (
     STREAM_PROJECTION,
@@ -172,12 +180,13 @@ def qr_allreduce(comm, r_local):
 
 
 def _local_r_padded(block, n):
-    """qr_R of a local block, zero-padding blocks shorter than n rows."""
+    """R factor of a local block: tall_R, or qr_R of a block shorter than
+    n rows after zero-padding it to n x n."""
     if block.shape[0] < n:
         padded = np.zeros((n, n), dtype=block.dtype)
         padded[: block.shape[0]] = block
         return qr_R(padded)
-    return qr_R(block)
+    return tall_R(block)
 
 
 def svd_tsqr(a, want_u=False, want_v=False):

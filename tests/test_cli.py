@@ -10,7 +10,13 @@ import pytest
 
 import tallskinny
 from tallskinny import bench
-from tallskinny.bench import CSV_HEADER, BenchConfig, run_bench, run_verify
+from tallskinny.bench import (
+    CSV_HEADER,
+    BenchConfig,
+    run_bench,
+    run_verify,
+    verify_tolerance,
+)
 from tallskinny.cli import main
 from tallskinny.matfile import write_matrix
 
@@ -94,8 +100,17 @@ class TestRun:
         path = tmp_path / "in32.tskm"
         write_matrix(path, np.ones((12, 3), dtype=np.float32))
         args = ["run", "--algo", "tssvd", "--reps", "1", "--input", str(path)]
-        assert main(args) == 1
+        assert main(args) == 2
         assert "precision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [(6, 6), (3, 6)])
+    def test_input_not_tall_exits_2(self, tmp_path, capsys, shape):
+        path = tmp_path / "square.tskm"
+        write_matrix(path, np.ones(shape))
+        args = ["run", "--algo", "tssvd", "--ranks", "2", "--reps", "1",
+                "--input", str(path)]
+        assert main(args) == 2
+        assert "rows > cols" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -178,6 +193,32 @@ class TestVerify:
         args = ["verify", "--algo", "tssvd", "--ranks", "2", "--input", str(path)]
         assert main(args) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ranks", [1, 2])
+    def test_conditioned_instance_gate(self, capsys, ranks):
+        # The gate scales with sigma_1 / sigma_i: TSQR stays inside it at
+        # kappa = 1e6, the normal equations (error ~ kappa^2 u) do not.
+        def verify(algo):
+            code = main(["verify", "--algo", algo, "--rows", "5000", "--cols", "50",
+                         "--ranks", str(ranks), "--matrix", "cond1e6"])
+            return code, capsys.readouterr().out
+
+        code, out = verify("tssvd")
+        assert code == 0 and "PASS" in out
+        code, out = verify("cpsvd")
+        assert code == 1 and "FAIL" in out
+
+    def test_gate_scales_with_sigma_1_over_sigma_i(self):
+        oracle = np.array([4.0, 2.0, 1.0, 1e-6])
+        tol = verify_tolerance("tssvd", oracle, 400, np.float64)
+        unit = 3 * np.sqrt(400) * 4 * np.finfo(np.float64).eps
+        assert np.allclose(tol, unit * oracle[0] / oracle, rtol=1e-15)
+        assert np.array_equal(verify_tolerance("cpsvd", oracle, 400, np.float64), tol)
+        f32 = verify_tolerance("tssvd", oracle, 400, np.float32)
+        u = (np.finfo(np.float32).eps + np.finfo(np.float64).eps) / 2
+        assert np.allclose(f32, 3 * np.sqrt(400) * 4 * u * oracle[0] / oracle)
+        assert np.array_equal(verify_tolerance("rsvd", oracle[:2], 400, np.float64),
+                              [1e-2, 1e-2])
 
     def test_cpsvd_fails_tolerance_on_conditioned_instance(self, capsys):
         args = ["verify", "--algo", "cpsvd", "--rows", "600", "--cols", "30",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from tallskinny import dense
 from tallskinny.dense import (
+    CHOLQR_MAX_DEFECT,
     ConvergenceError,
     ShapeError,
     UnsupportedShape,
@@ -11,7 +13,9 @@ from tallskinny.dense import (
     small_svd,
     solve_triangular_right,
     sym_eigen,
+    tall_R,
 )
+from tallskinny.matrices import conditioned_matrix
 
 
 def gemm_oracle(transpose_a, a, b):
@@ -134,6 +138,86 @@ class TestQr:
             qr_R(np.ones((2, 3)))
         with pytest.raises(UnsupportedShape):
             qr_Q(np.ones((2, 3)))
+
+
+def cholesky_fails(g):
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def first_pass_gram(a):
+    """G2 = Q1^T Q1 after CholQR's first pass, formed as tall_R forms it."""
+    with np.errstate(all="ignore"):
+        q1 = a @ np.linalg.inv(np.linalg.cholesky(a.T @ a).T)
+        return q1.T @ q1
+
+
+def falls_back(a):
+    """tall_R(a) is qr_R(a), NaN for NaN."""
+    r = tall_R(a)
+    return r.dtype == a.dtype and np.array_equal(r, qr_R(a), equal_nan=True)
+
+
+class TestTallR:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cholqr2_matches_householder(self, dtype):
+        a = np.random.default_rng(11).standard_normal((2000, 12)).astype(dtype)
+        r = tall_R(a)
+        assert not falls_back(a)
+        assert r.dtype == dtype
+        assert np.count_nonzero(np.tril(r, -1)) == 0 and np.all(np.diag(r) > 0)
+        # R with a positive diagonal is unique, and a is well conditioned.
+        m, n = a.shape
+        u = np.finfo(dtype).eps / 2
+        diff = r.astype(np.float64) - qr_R(a)
+        assert np.linalg.norm(diff, 2) <= np.sqrt(m) * n * u * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rank_deficient_block_falls_back(self, dtype):
+        a = np.random.default_rng(12).standard_normal((50, 5)).astype(dtype)
+        a[:, 2] = 0
+        assert cholesky_fails(a.T @ a)
+        assert falls_back(a)
+
+    def test_float32_kappa_1e6_falls_back(self):
+        a = conditioned_matrix(2000, 20, 1e6, 13, np.float32)
+        assert cholesky_fails(a.T @ a)
+        assert falls_back(a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_falls_back(self, dtype, bad):
+        # The Cholesky factors of a NaN Gram come back NaN without an error,
+        # so only the NaN-safe defect test sends this input to qr_R.
+        a = np.random.default_rng(14).standard_normal((50, 5)).astype(dtype)
+        a[7, 2] = bad
+        assert falls_back(a)
+
+    def test_float32_gram_overflow_falls_back(self):
+        a = np.random.default_rng(29).standard_normal((500, 10)).astype(np.float32)
+        a[:, 3] *= np.float32(1e20)
+        with np.errstate(over="ignore"):
+            assert not np.all(np.isfinite(a.T @ a))
+        assert falls_back(a)
+
+    @pytest.mark.parametrize("dtype, cond", [(np.float64, 3e8), (np.float32, 1e4)])
+    def test_defect_bound_falls_back(self, monkeypatch, dtype, cond):
+        a = conditioned_matrix(200, 5, cond, 3, dtype)
+        g2 = first_pass_gram(a)
+        defect = np.linalg.norm(g2 - np.eye(5))
+        assert np.all(np.isfinite(g2)) and not cholesky_fails(g2)
+        assert defect > CHOLQR_MAX_DEFECT
+        assert falls_back(a)
+        # The defect test alone sent it there.
+        monkeypatch.setattr(dense, "CHOLQR_MAX_DEFECT", 2 * defect)
+        assert not falls_back(a)
+
+    def test_wide_rejected(self):
+        with pytest.raises(UnsupportedShape, match="tall"):
+            tall_R(np.ones((2, 3)))
 
 
 class TestSolveTriangularRight:

@@ -4,15 +4,22 @@ QR: exact zeros below the diagonal, a nonnegative diagonal, and Q whose
 column signs match R. Eigen and SVD: descending values, the sign rule
 (each vector's largest-magnitude entry is positive) and zero u columns at
 sigma = 0. Inputs cover float32 and float64, m >= n with m == n and n == 1,
-negative leading entries, and zero or repeated columns.
+negative leading entries, and zero or repeated columns. The local R kernel
+tall_R (Cholesky QR2 or its Householder fallback) also gets a sweep over
+the condition number, where its singular values must meet the bound
+svdbench verify applies, as qr_R's do.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tallskinny.dense import qr_Q, qr_R, small_svd, sym_eigen
+from tallskinny.bench import verify_tolerance
+from tallskinny.dense import qr_Q, qr_R, small_svd, sym_eigen, tall_R
 
 ENTRIES = st.floats(-100, 100, width=32, allow_subnormal=False)
 
@@ -34,6 +41,28 @@ def tall_matrices(draw):
     elif edit == "all-zero":
         a[:] = 0
     return a
+
+
+# Condition numbers swept per precision: f64 up to 1e7, where CholQR2 still
+# runs, f32 up to 1e6, far beyond the ~1e4 where it hands over to qr_R.
+KAPPA_SWEEP = [(np.float64, k) for k in (1.0, 1e1, 1e3, 1e5, 1e7)] + [
+    (np.float32, k) for k in (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
+]
+
+
+def conditioned(dtype, kappa, m, n, scale, seed):
+    """U diag(s) V^T, s log-spaced from scale down to scale / kappa."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    values = scale * np.logspace(0, -math.log10(kappa), n)
+    return ((left * values) @ right.T).astype(dtype)
+
+
+@st.composite
+def tall_shapes(draw):
+    n = draw(st.integers(1, 8))
+    return draw(st.integers(n, 40 * n)), n
 
 
 @st.composite
@@ -96,3 +125,19 @@ def test_small_svd_contracts(a, wide):
     # u follows v's signs, so the factors still reconstruct b.
     recon = (f64(u) * f64(sigma)) @ f64(vt)
     assert np.linalg.norm(recon - b) <= tol(b, np.linalg.norm(f64(b)))
+
+
+@pytest.mark.parametrize("dtype, kappa", KAPPA_SWEEP)
+@given(tall_shapes(), st.integers(-3, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
+    a = conditioned(dtype, kappa, *shape, 10.0**exponent, seed)
+    want = np.linalg.svd(f64(a), compute_uv=False)
+    # verify's gate: |d sigma_i| <= lambda sqrt(m) n (u + u64) sigma_1.
+    bound = verify_tolerance("tssvd", want, a.shape[0], dtype) * want
+    for r in (qr_R(a), tall_R(a)):
+        assert r.dtype == a.dtype
+        assert np.count_nonzero(np.tril(r, -1)) == 0
+        assert np.all(np.diag(r) >= 0)
+        got = np.linalg.svd(f64(r), compute_uv=False)
+        assert np.all(np.abs(got - want) <= bound)

@@ -432,8 +432,9 @@ class TestNonFiniteInput:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("size", [1, 2])
     def test_float32_gram_overflow(self, size):
-        # (1e20)^2 overflows float32, so only the crossproduct route fails;
-        # TSQR never squares an entry and keeps a finite sigma.
+        # (1e20)^2 overflows float32, so only the crossproduct route fails.
+        # TSQR's local CholQR2 overflows in its Gram too, but then falls back
+        # to Householder QR, which never squares an entry: sigma stays finite.
         full = np.random.default_rng(29).standard_normal((500, 10)).astype(np.float32)
         full[:, 3] *= np.float32(1e20)
 
