@@ -7,7 +7,6 @@ and data generation stay outside the clock. Records come back from rank 0
 as CSV rows plus a human-readable summary with the median.
 """
 
-import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -30,9 +29,9 @@ CSV_HEADER = "algo,precision,m,n,p,k,q,rep,seconds,sigma_sum"
 # admits 1% relative error on each.
 RSVD_VERIFY_TOLERANCE = 1e-2
 # lambda of the probabilistic rounding model behind verify_tolerance: a
-# sum of k rounding errors stays within lambda sqrt(k) u with probability
-# at least 1 - 2 exp(-lambda^2 / 2), about 0.98 at lambda = 3 (Higham &
-# Mary, SISC 2019, Thm 2.4).
+# sum of rounding errors stays within lambda times its expected size with
+# probability at least 1 - 2 exp(-lambda^2 / 2), about 0.98 at lambda = 3
+# (Higham & Mary, SISC 2019, Thm 2.4).
 ROUNDING_LAMBDA = 3
 
 
@@ -167,26 +166,30 @@ def _verify_input(cfg, matrix_kind):
     return random_rows(cfg.seed, 0, m, n, "standard-normal", dtype)
 
 
-def verify_tolerance(algo, oracle, m, dtype):
+def verify_tolerance(algo, oracle, dtype):
     """Largest relative error |sigma_i - oracle_i| / oracle_i verify admits.
 
     `oracle` holds the reference values that are compared (all n, or rsvd's
     leading k) and `dtype` is the working precision. For cpsvd and tssvd
     the gate is what a backward-stable SVD attains. Its backward error dA
-    moves each sigma_i by at most ||dA||_2 (Weyl). Householder QR has
-    ||da_j|| <= gamma ||a_j|| column by column (Higham, ASNA Thm 19.4), and
-    in the probabilistic rounding model gamma = ROUNDING_LAMBDA sqrt(mn) u
-    (Higham & Mary, SISC 2019). With ||A||_F <= sqrt(n) sigma_1 that is
-    |d sigma_i| <= ROUNDING_LAMBDA sqrt(m) n u sigma_1. The f64 oracle is
-    backward stable too, so its unit roundoff adds to the working one.
-    The normal equations are not backward stable: cpsvd errs by up to
-    about the same bound times sigma_1 / sigma_i, which passes on
-    well-conditioned data and fails the gate on the cond1e6 instance.
+    moves each sigma_i by at most ||dA||_2 (Weyl). The route has two
+    backward-stable stages, the reduction to an n x n factor and the SVD
+    of that factor, and each applies n orthogonal transformations. With
+    independent rounding errors on data of mean zero, as verify's
+    instances are, an inner product's error no longer grows with its
+    length (Higham & Mary, SISC 2020), so each transformation adds at most
+    ROUNDING_LAMBDA u ||A||_2. Two stages of n steps give
+    |d sigma_i| <= 2 ROUNDING_LAMBDA n u sigma_1, and the f64 oracle,
+    backward stable too, adds the same in its own unit roundoff. Input far
+    from mean zero can need the sqrt(m) growth this model drops. The
+    normal equations are not backward stable: cpsvd errs by up to about
+    this bound times sigma_1 / sigma_i, which passes on well-conditioned
+    data and fails on the cond1e6 instance.
     """
     if algo == "rsvd":
         return np.full(len(oracle), RSVD_VERIFY_TOLERANCE)
     u = (np.finfo(dtype).eps + np.finfo(np.float64).eps) / 2
-    return ROUNDING_LAMBDA * math.sqrt(m) * len(oracle) * u * oracle[0] / oracle
+    return 2 * ROUNDING_LAMBDA * len(oracle) * u * oracle[0] / oracle
 
 
 def run_verify(cfg, matrix_kind, out):
@@ -206,7 +209,7 @@ def run_verify(cfg, matrix_kind, out):
     oracle = np.linalg.svd(full.astype(np.float64, copy=False), compute_uv=False)
     count = len(sigma) if cfg.algo == "rsvd" else len(oracle)
     rel = np.abs(sigma[:count] - oracle[:count]) / oracle[:count]
-    tolerance = verify_tolerance(cfg.algo, oracle[:count], full.shape[0], full.dtype)
+    tolerance = verify_tolerance(cfg.algo, oracle[:count], full.dtype)
     worst = int(np.argmax(rel / tolerance))
     print(
         f"{cfg.algo} {cfg.precision} m={full.shape[0]} n={full.shape[1]} "

@@ -109,6 +109,17 @@ def qr_R(a):
 # their value for an orthonormal Q1, which keeps CholQR2 within a small
 # constant of Householder QR's backward error.
 CHOLQR_MAX_DEFECT = 0.5
+# Largest condition estimate ||R1||_F ||R1^-1||_F that tall_R accepts.
+# Q1 = A R1^-1 is a GEMM against a computed inverse, not a backward-stable
+# triangular solve: the GEMM's error |E| <= gamma_n |A| |R1^-1| and the
+# inverse's residual R1^-1 R1 - I let the backward error of R = R2 R1 grow
+# with kappa(R1) (Higham, ASNA, sec. 14.1). Rounding errors of random sign
+# leave far less than that worst case. Over 26,000 draws (m <= 40n, n <= 8,
+# kappa from 1e2 to 1e7), CholQR2 kept max|d sigma| <= 3.2 n (u + u64)
+# sigma_1 wherever this estimate stayed below 1e4, inside svdbench
+# verify's 6 n (u + u64) sigma_1. Above it the error grew with kappa, to
+# 28 n (u + u64) sigma_1 at kappa = 1e7 in float64.
+CHOLQR_MAX_COND = 1e4
 
 
 def tall_R(a):
@@ -118,26 +129,35 @@ def tall_R(a):
     Q1 = a R1^-1 (one GEMM against the n x n inverse), and R = R2 R1.
     Each step is a GEMM or an n x n LAPACK call, and all of them release
     the GIL. The input selects the fallback to Householder qr_R(a): a
-    Cholesky factorization fails, or G2 = Q1^T Q1 is non-finite or further
-    from I than CHOLQR_MAX_DEFECT. A non-finite entry anywhere before G2
-    reaches G2's diagonal, a sum of squares, so the one defect test covers
-    every non-finite intermediate. The contracts are qr_R's: exact zeros
-    below the diagonal and a nonnegative diagonal (here a product of two
-    positive Cholesky diagonals).
+    Cholesky factorization fails, R1's condition estimate exceeds
+    CHOLQR_MAX_COND (then before the GEMM), or G2 = Q1^T Q1 is further
+    from I than CHOLQR_MAX_DEFECT. Both tests fail on NaN, and a non-finite
+    entry anywhere in a reaches R1, so every non-finite intermediate falls
+    back. The contracts are qr_R's: exact zeros below the diagonal and a
+    nonnegative diagonal (here a product of two positive Cholesky
+    diagonals).
     """
     a = _tall(a)
+    r = _cholesky_qr2(a)
+    return qr_R(a) if r is None else r
+
+
+def _cholesky_qr2(a):
+    """tall_R's CholQR2 factor of a, or None where it must fall back."""
     try:
         with np.errstate(all="ignore"):
             r1 = np.linalg.cholesky(a.T @ a).T
-            q1 = a @ np.linalg.inv(r1)
+            r1_inv = np.linalg.inv(r1)
+            if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
+                return None
+            q1 = a @ r1_inv
             g2 = q1.T @ q1
             r2 = np.linalg.cholesky(g2).T
             defect = np.linalg.norm(g2 - np.eye(a.shape[1], dtype=g2.dtype))
     except np.linalg.LinAlgError:
-        return qr_R(a)
-    # NaN fails this test, so a non-finite G2 falls back too.
+        return None
     if not defect <= CHOLQR_MAX_DEFECT:
-        return qr_R(a)
+        return None
     return np.triu(r2 @ r1)
 
 

@@ -10,9 +10,11 @@ yielding R of the full matrix, whose local SVD gives sigma and V. The
 local factor comes from dense.tall_R, a Cholesky QR2 built from GEMMs and
 n x n LAPACK calls that release the GIL, so rank threads overlap. It falls
 back to Householder qr_R when a Cholesky fails, an intermediate is not
-finite, or the first pass leaves Q1 too far from orthonormal (from a
-condition number of about 1e4 in float32 and 3e8 in float64). The 2n x n
-reduce combine and blocks shorter than n rows stay on qr_R.
+finite, the first factor's condition estimate exceeds 1e4 (beyond which
+the GEMM against its inverse loses accuracy; at n = 50 from a condition
+number of about 3e3), or the first pass leaves Q1 too far from
+orthonormal. The 2n x n reduce combine and blocks shorter than n rows
+stay on qr_R.
 
 svd_randomized: truncated SVD by random projection with q power
 iterations; distributed Q factors come from the same QR reduction and

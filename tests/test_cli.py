@@ -194,12 +194,14 @@ class TestVerify:
         assert main(args) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", [5_000, 20_000, 50_000, 100_000])
     @pytest.mark.parametrize("ranks", [1, 2])
-    def test_conditioned_instance_gate(self, capsys, ranks):
-        # The gate scales with sigma_1 / sigma_i: TSQR stays inside it at
-        # kappa = 1e6, the normal equations (error ~ kappa^2 u) do not.
+    def test_conditioned_instance_gate(self, capsys, ranks, rows):
+        # The gate scales with sigma_1 / sigma_i but not with the rows: TSQR
+        # stays inside it at kappa = 1e6, the normal equations (error
+        # ~ kappa^2 u) do not, at every height.
         def verify(algo):
-            code = main(["verify", "--algo", algo, "--rows", "5000", "--cols", "50",
+            code = main(["verify", "--algo", algo, "--rows", str(rows), "--cols", "50",
                          "--ranks", str(ranks), "--matrix", "cond1e6"])
             return code, capsys.readouterr().out
 
@@ -210,15 +212,24 @@ class TestVerify:
 
     def test_gate_scales_with_sigma_1_over_sigma_i(self):
         oracle = np.array([4.0, 2.0, 1.0, 1e-6])
-        tol = verify_tolerance("tssvd", oracle, 400, np.float64)
-        unit = 3 * np.sqrt(400) * 4 * np.finfo(np.float64).eps
+        tol = verify_tolerance("tssvd", oracle, np.float64)
+        # 2 lambda n (u + u64) with lambda = 3; u + u64 is eps in float64.
+        unit = 6 * 4 * np.finfo(np.float64).eps
         assert np.allclose(tol, unit * oracle[0] / oracle, rtol=1e-15)
-        assert np.array_equal(verify_tolerance("cpsvd", oracle, 400, np.float64), tol)
-        f32 = verify_tolerance("tssvd", oracle, 400, np.float32)
+        assert np.array_equal(verify_tolerance("cpsvd", oracle, np.float64), tol)
+        f32 = verify_tolerance("tssvd", oracle, np.float32)
         u = (np.finfo(np.float32).eps + np.finfo(np.float64).eps) / 2
-        assert np.allclose(f32, 3 * np.sqrt(400) * 4 * u * oracle[0] / oracle)
-        assert np.array_equal(verify_tolerance("rsvd", oracle[:2], 400, np.float64),
+        assert np.allclose(f32, 6 * 4 * u * oracle[0] / oracle)
+        assert np.array_equal(verify_tolerance("rsvd", oracle[:2], np.float64),
                               [1e-2, 1e-2])
+
+    @pytest.mark.parametrize("dtype, flat", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    def test_gate_on_sigma_1_no_looser_than_flat_table(self, dtype, flat):
+        # At verify's default 1e6 x 250 the bound on sigma_1 stays within
+        # the flat per-precision table it replaced, and it does not grow
+        # with the rows.
+        oracle = np.linspace(2.0, 1.0, 250)
+        assert verify_tolerance("tssvd", oracle, dtype)[0] <= flat
 
     def test_cpsvd_fails_tolerance_on_conditioned_instance(self, capsys):
         args = ["verify", "--algo", "cpsvd", "--rows", "600", "--cols", "30",

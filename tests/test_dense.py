@@ -3,6 +3,7 @@ import pytest
 
 from tallskinny import dense
 from tallskinny.dense import (
+    CHOLQR_MAX_COND,
     CHOLQR_MAX_DEFECT,
     ConvergenceError,
     ShapeError,
@@ -148,6 +149,12 @@ def cholesky_fails(g):
     return False
 
 
+def first_factor_cond(a):
+    """||R1||_F ||R1^-1||_F of CholQR's first factor, as tall_R forms it."""
+    r1 = np.linalg.cholesky(a.T @ a).T
+    return np.linalg.norm(r1) * np.linalg.norm(np.linalg.inv(r1))
+
+
 def first_pass_gram(a):
     """G2 = Q1^T Q1 after CholQR's first pass, formed as tall_R forms it."""
     with np.errstate(all="ignore"):
@@ -191,7 +198,7 @@ class TestTallR:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_falls_back(self, dtype, bad):
         # The Cholesky factors of a NaN Gram come back NaN without an error,
-        # so only the NaN-safe defect test sends this input to qr_R.
+        # so only the NaN-safe guards send this input to qr_R.
         a = np.random.default_rng(14).standard_normal((50, 5)).astype(dtype)
         a[7, 2] = bad
         assert falls_back(a)
@@ -211,8 +218,32 @@ class TestTallR:
         assert np.all(np.isfinite(g2)) and not cholesky_fails(g2)
         assert defect > CHOLQR_MAX_DEFECT
         assert falls_back(a)
-        # The defect test alone sent it there.
+        # With the condition test out of the way, the defect test alone
+        # sends it there.
+        monkeypatch.setattr(dense, "CHOLQR_MAX_COND", np.inf)
+        assert falls_back(a)
         monkeypatch.setattr(dense, "CHOLQR_MAX_DEFECT", 2 * defect)
+        assert not falls_back(a)
+
+    @pytest.mark.parametrize("cond", [1e5, 1e7])
+    def test_condition_bound_falls_back(self, monkeypatch, cond):
+        # float64 kappa = 1e5 and 1e7: the first pass stays nearly orthogonal,
+        # but the GEMM against R1^-1 would cost accuracy.
+        a = conditioned_matrix(200, 5, cond, 3, np.float64)
+        g2 = first_pass_gram(a)
+        assert not cholesky_fails(g2)
+        assert np.linalg.norm(g2 - np.eye(5)) <= CHOLQR_MAX_DEFECT
+        assert first_factor_cond(a) > CHOLQR_MAX_COND
+        assert falls_back(a)
+        # The condition test alone sent it there.
+        monkeypatch.setattr(dense, "CHOLQR_MAX_COND", np.inf)
+        assert not falls_back(a)
+
+    def test_benchmark_shapes_take_cholqr2(self):
+        # Standard-normal blocks, as the routes see them, stay far inside
+        # the condition bound even at n = 250.
+        a = np.random.default_rng(15).standard_normal((20_000, 250))
+        assert first_factor_cond(a) < CHOLQR_MAX_COND / 10
         assert not falls_back(a)
 
     def test_wide_rejected(self):
