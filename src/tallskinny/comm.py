@@ -138,10 +138,13 @@ class Communicator:
     def _send(self, dst, seq, kind, payload):
         self._world.inboxes[dst].put((seq, kind, self.rank, payload))
 
-    def _fail(self, exc):
+    def _poison_peers(self, exc):
         for dst in range(self.size):
             if dst != self.rank:
                 self._world.inboxes[dst].put(_Poison(self.rank, str(exc)))
+
+    def _fail(self, exc):
+        self._poison_peers(exc)
         raise exc
 
     def _recv(self, seq, kind, src):
@@ -232,7 +235,9 @@ def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
 
     Returns the per-rank return values in rank order. If any rank raises,
     the surviving results are discarded and RankFailures carries every
-    rank's exception.
+    rank's exception. A rank that raises outside a collective poisons its
+    peers as a failing collective does, so none of them waits for it until
+    the timeout.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
@@ -246,6 +251,7 @@ def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
             results[rank] = target(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported via RankFailures
             failures[rank] = exc
+            comm._poison_peers(exc)
 
     threads = [
         threading.Thread(target=body, args=(r,), daemon=True, name=f"rank-{r}")

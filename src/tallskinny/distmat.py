@@ -9,7 +9,8 @@ assembled matrix bitwise independent of the rank count.
 
 The two multiply patterns: distributed times replicated stays local and
 distributed-transpose times distributed is a local product plus one
-sum-allreduce.
+sum-allreduce. mult_and_transpose fuses the two for one replicated b:
+Y = A b and A^T Y from a single cache-blocked read of the local rows.
 """
 
 from dataclasses import dataclass
@@ -31,6 +32,14 @@ DISTRIBUTIONS = ("standard-normal", "uniform01")
 # Rows per random stream. Part of the data definition: changing it changes
 # every generated matrix.
 ROW_BLOCK = 4096
+
+# Bytes of the local block per chunk of mult_and_transpose. A chunk is
+# read by the product A_c b and read again by A_c^T Y_c, and the second read
+# hits the cache only while the chunk fits in L2. Measured at 1e5 x 50 and
+# 2e4 x 250 with one and two ranks: 256-512 KiB chunks were fastest, 1 MiB
+# and larger lost, and at 2 MiB the fused pass was as slow as two separate
+# ones.
+PASS_CHUNK_BYTES = 1 << 18
 
 
 @dataclass
@@ -156,6 +165,39 @@ def mult_transpose(a, y):
             f"offset={y.row_offset}, local={y.local.shape[0]}"
         )
     return a.comm.allreduce_sum(gemm(True, a.local, y.local))
+
+
+def mult_and_transpose(a, b):
+    """Distributed Y = A @ b and replicated W = A^T Y, reading A once.
+
+    The local rows are walked in chunks of about PASS_CHUNK_BYTES: each
+    chunk's Y_c = A_c b is written into Y, and A_c^T Y_c is added into W
+    while A_c is still in cache. One sum-allreduce of the n x b.cols W
+    follows. Y is mult_local(a, b) and W is mult_transpose(a, Y), up to
+    the order of the sums.
+    """
+    b = as_matrix(b, "b")
+    if a.cols != b.shape[0]:
+        raise ShapeError(
+            f"mult_and_transpose: a has {a.cols} cols but b is "
+            f"{b.shape[0]}x{b.shape[1]}"
+        )
+    if a.dtype != b.dtype:
+        raise ShapeError(
+            f"mult_and_transpose operands must share precision, got {a.dtype} "
+            f"and {b.dtype}"
+        )
+    rows = a.local.shape[0]
+    y = np.empty((rows, b.shape[1]), dtype=a.dtype)
+    w = np.zeros((a.cols, b.shape[1]), dtype=a.dtype)
+    chunk = max(1, PASS_CHUNK_BYTES // (a.cols * a.dtype.itemsize))
+    for start in range(0, rows, chunk):
+        a_c = a.local[start : start + chunk]
+        y_c = y[start : start + chunk]
+        np.matmul(a_c, b, out=y_c)
+        w += a_c.T @ y_c
+    y = DistMatrix(y, a.global_rows, a.row_offset, a.comm)
+    return y, a.comm.allreduce_sum(w)
 
 
 def mean_center_columns(a):

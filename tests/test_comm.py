@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,22 @@ class TestErrorPropagation:
         with pytest.raises(RankFailures) as info:
             run_ranks(4, worker, timeout=10)
         assert set(info.value.failures) == {0, 1, 2, 3}
+
+    def test_rank_raising_outside_a_collective_poisons_peers(self):
+        # Rank 0 never enters the allreduce its peer waits in; at the
+        # default timeout of 120 s the peer must still learn of it at once.
+        def worker(comm):
+            if comm.rank == 0:
+                raise ValueError("deliberate, before the collective")
+            return comm.allreduce_sum(np.ones((1, 1)))
+
+        start = time.monotonic()
+        with pytest.raises(RankFailures) as info:
+            run_ranks(2, worker)
+        assert time.monotonic() - start < 1.0
+        assert isinstance(info.value.failures[0], ValueError)
+        assert isinstance(info.value.failures[1], CollectiveError)
+        assert "rank 0" in str(info.value.failures[1])
 
 
 class TestSequencing:

@@ -4,13 +4,16 @@ import pytest
 from tallskinny.comm import run_ranks, solo_communicator
 from tallskinny.dense import ShapeError, UnsupportedShape, sym_eigen
 from tallskinny.distmat import (
+    PASS_CHUNK_BYTES,
     ROW_BLOCK,
+    DistMatrix,
     block_range,
     block_rows,
     crossprod,
     distribute,
     generate_random,
     mean_center_columns,
+    mult_and_transpose,
     mult_local,
     mult_transpose,
     random_rows,
@@ -156,6 +159,71 @@ class TestMultLocal:
         a = generate_random(solo_communicator(), 10, 2, seed=1)
         with pytest.raises(ShapeError):
             mult_local(a, np.eye(3))
+
+
+class TestMultAndTranspose:
+    N, B_COLS = 8, 3
+
+    @classmethod
+    def chunk_rows(cls, dtype):
+        return PASS_CHUNK_BYTES // (cls.N * np.dtype(dtype).itemsize)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("rows", ["0", "1", "chunk-1", "chunk", "chunk+1"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_two_products(self, dtype, rows, size):
+        # Every rank holds `rows` rows, so each walks the chunk boundary.
+        chunk = self.chunk_rows(dtype)
+        count = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1}[rows]
+        rng = np.random.default_rng(30)
+        full = rng.standard_normal((size * count, self.N)).astype(dtype)
+        b = rng.standard_normal((self.N, self.B_COLS)).astype(dtype)
+        full.flags.writeable = False
+
+        def worker(comm):
+            offset = comm.rank * count
+            a = DistMatrix(full[offset : offset + count], size * count, offset, comm)
+            y, w = mult_and_transpose(a, b)
+            return y.local, y.global_rows, y.row_offset, w
+
+        out = run_ranks(size, worker)
+        y = np.vstack([local for local, _, _, _ in out])
+        assert all(m == size * count and off == r * count for r, (_, m, off, _) in enumerate(out))
+        assert all(np.array_equal(w, out[0][3]) for *_, w in out)
+        # Within the rounding of a length-k inner product: k u |x|^T |z|.
+        eps = np.finfo(dtype).eps
+        a64, b64, y64 = (x.astype(np.float64) for x in (full, b, y))
+        assert y.dtype == out[0][3].dtype == dtype
+        assert np.all(np.abs(y64 - a64 @ b64) <= self.N * eps * (np.abs(a64) @ np.abs(b64)))
+        want = a64.T @ y64
+        bound = max(1, size * count) * eps * (np.abs(a64).T @ np.abs(y64))
+        assert np.all(np.abs(out[0][3] - want) <= bound)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_leaves_input_untouched(self, size):
+        def worker(comm):
+            a = generate_random(comm, 3 * self.chunk_rows(np.float64) + 5, self.N, seed=31)
+            before = a.local.copy()
+            mult_and_transpose(a, np.ones((self.N, 2)))
+            return np.array_equal(a.local.view(np.uint64), before.view(np.uint64))
+
+        assert all(run_ranks(size, worker))
+
+    def test_one_collective(self):
+        def worker(comm):
+            a = generate_random(comm, 40, 4, seed=32)
+            before = comm.collective_count
+            mult_and_transpose(a, np.eye(4))
+            return comm.collective_count - before
+
+        assert run_ranks(3, worker) == [1, 1, 1]
+
+    def test_dimension_and_precision_mismatch(self):
+        a = generate_random(solo_communicator(), 10, 2, seed=1)
+        with pytest.raises(ShapeError, match="cols"):
+            mult_and_transpose(a, np.eye(3))
+        with pytest.raises(ShapeError, match="precision"):
+            mult_and_transpose(a, np.eye(2, dtype=np.float32))
 
 
 class TestMultTranspose:

@@ -14,9 +14,9 @@ import pytest
 
 from tallskinny.bench import ALGOS, BenchConfig, run_bench, run_verify
 from tallskinny.comm import Communicator, run_ranks
-from tallskinny.distmat import generate_random
+from tallskinny.distmat import distribute, generate_random
 from tallskinny.pca import pca
-from tallskinny.svd import RsvdParams, route
+from tallskinny.svd import RsvdParams, route, svd_randomized
 
 M, N, P = 4000, 10, 2
 
@@ -53,3 +53,19 @@ def test_svdbench_run_and_verify(payload_sizes, method):
     assert run_bench(cfg, io.StringIO(), io.StringIO()) == 0
     assert run_verify(cfg, "random", io.StringIO()) == 0
     assert payload_sizes and max(payload_sizes) <= N * N
+
+
+def _rsvd_rank_deficient(comm):
+    # Rank one: the one step of svd_randomized takes its fallback, which
+    # adds the re-orthogonalizing R and B = Q_Y^T A to the W and R of the
+    # fast path.
+    rng = np.random.default_rng(52)
+    full = np.outer(rng.standard_normal(M), rng.standard_normal(N))
+    a = distribute(comm, full)
+    svd_randomized(a, RsvdParams(k=2, q=0, seed=53), want_u=True, want_v=True)
+
+
+def test_rsvd_fallback(payload_sizes):
+    run_ranks(P, _rsvd_rank_deficient)
+    assert len(payload_sizes) == 4 * P
+    assert max(payload_sizes) <= N * N

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tallskinny import svd
+from tallskinny.bench import verify_tolerance
 from tallskinny.comm import RankFailures, run_ranks, solo_communicator
 from tallskinny.dense import (
     NonFiniteInput,
@@ -39,6 +43,14 @@ def max_rel_err(got, want):
 def random_full(m, n, seed):
     """The matrix generate_random distributes, whole."""
     return generate_random(solo_communicator(), m, n, seed=seed).local
+
+
+def rank_one_matrix(m, n, sigma, seed):
+    """sigma u v^T for random unit vectors u and v."""
+    rng = np.random.default_rng(seed)
+    u0 = rng.standard_normal(m)
+    v0 = rng.standard_normal(n)
+    return sigma * np.outer(u0 / np.linalg.norm(u0), v0 / np.linalg.norm(v0))
 
 
 class TestNormalEquations:
@@ -202,12 +214,7 @@ class TestTsqr:
 
 class TestRandomized:
     def test_exact_rank_one(self):
-        rng = np.random.default_rng(71)
-        u0 = rng.standard_normal(300)
-        u0 /= np.linalg.norm(u0)
-        v0 = rng.standard_normal(12)
-        v0 /= np.linalg.norm(v0)
-        full = 10.0 * np.outer(u0, v0)
+        full = rank_one_matrix(300, 12, 10.0, 71)
 
         def worker(comm):
             a = distribute(comm, full)
@@ -216,6 +223,21 @@ class TestRandomized:
         sigma = run_ranks(3, worker)[0]
         assert len(sigma) == 1
         assert abs(sigma[0] - 10.0) <= 1e-10 * 10.0
+
+    @pytest.mark.parametrize("q", [0, 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rank_deficient_projection(self, dtype, size, k, q):
+        # Y = A Omega has rank one, so its R factor is singular to working
+        # precision, in float32 as in float64.
+        full = rank_one_matrix(300, 12, 10.0, 71).astype(dtype)
+
+        def worker(comm):
+            return svd_randomized(distribute(comm, full), RsvdParams(k=k, q=q, seed=3)).sigma
+
+        sigma = run_ranks(size, worker)[0]
+        assert abs(sigma[0] - 10.0) <= 0.01 * 10.0
 
     def test_decaying_spectrum_top2_within_1pct(self):
         full = low_rank_noise_matrix(400, 30, [10, 9, 8, 7, 6], 0.0, seed=4)
@@ -286,6 +308,108 @@ class TestRandomized:
         a = distribute(solo_communicator(), np.zeros((30, 6)))
         with pytest.raises(DegenerateProjection, match="seed"):
             svd_randomized(a, RsvdParams(k=2, q=0, seed=12))
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name for the rest of the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestImplicitGuard:
+    """Which side of svd_randomized's guard an input takes.
+
+    The fast path never calls mult_transpose; the fallback calls it once
+    per step on every rank to form B = Q_Y^T A.
+    """
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_data_stays_implicit(self, monkeypatch, dtype, size):
+        passes = count_calls(monkeypatch, svd, "mult_transpose")
+
+        def worker(comm):
+            a = generate_random(comm, 3000, 20, seed=60, dtype=dtype)
+            return svd_randomized(a, RsvdParams(k=3, q=2, seed=61)).sigma
+
+        sigma = run_ranks(size, worker)[0]
+        assert passes == []
+        oracle = np.linalg.svd(random_full(3000, 20, 60), compute_uv=False)
+        assert np.all(sigma <= oracle[:3] * (1 + 1e-5))
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rank_deficient_falls_back(self, monkeypatch, dtype, size):
+        passes = count_calls(monkeypatch, svd, "mult_transpose")
+        full = rank_one_matrix(400, 10, 10.0, 62).astype(dtype)
+
+        def worker(comm):
+            return svd_randomized(distribute(comm, full), RsvdParams(k=2, q=0, seed=63)).sigma
+
+        sigma = run_ranks(size, worker)[0]
+        assert len(passes) == size
+        assert abs(sigma[0] - 10.0) <= 1e-5 * 10.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_guard_is_what_keeps_rank_deficient_input_exact(self, monkeypatch, dtype):
+        full = rank_one_matrix(400, 10, 10.0, 62).astype(dtype)
+        a = distribute(solo_communicator(), full)
+        params = RsvdParams(k=2, q=0, seed=63)
+        monkeypatch.setattr(svd, "RSVD_IMPLICIT_MAX_GROWTH", np.finfo(np.float64).max)
+        forced = svd_randomized(a, params).sigma
+        assert abs(forced[0] - 10.0) > 0.01 * 10.0
+
+    def test_fallback_agrees_with_fast_path(self, monkeypatch):
+        a = generate_random(solo_communicator(), 2000, 16, seed=64)
+        params = RsvdParams(k=3, q=1, seed=65)
+        fast = svd_randomized(a, params, want_u=True, want_v=True)
+        monkeypatch.setattr(svd, "RSVD_IMPLICIT_MAX_GROWTH", 0.0)
+        slow = svd_randomized(a, params, want_u=True, want_v=True)
+        assert max_rel_err(fast.sigma, slow.sigma) <= 1e-12
+        assert np.max(np.abs(fast.u.local - slow.u.local)) <= 1e-10
+        assert np.max(np.abs(fast.v - slow.v)) <= 1e-10
+
+
+@st.composite
+def rank_limited_inputs(draw):
+    """(A, k, q, dtype): A of rank 1..2k+1 with n > 2k, as U diag(s) V^T."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * k + 1, 2 * k + 6))
+    m = draw(st.integers(n + 1, 200))
+    rank = draw(st.integers(1, 2 * k + 1))
+    exponents = draw(st.lists(st.floats(-4, 1), min_size=rank, max_size=rank))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((m, rank)))
+    right, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    full = (left * 10.0 ** np.array(exponents)) @ right.T
+    return full.astype(dtype), k, draw(st.integers(0, 2)), seed
+
+
+@given(rank_limited_inputs(), st.integers(1, 3))
+@settings(max_examples=150)
+def test_rsvd_never_exceeds_sigma_beyond_rounding(case, size):
+    # B = Q_Y^T A with orthonormal Q_Y interlaces: sigma_i^ <= sigma_i(A).
+    # Either path may add only rounding, svdbench verify's
+    # 2 lambda n (u + u64) sigma_1.
+    full, k, q, seed = case
+    oracle = np.linalg.svd(full.astype(np.float64), compute_uv=False)
+    bound = verify_tolerance("tssvd", oracle, full.dtype) * oracle
+
+    def worker(comm):
+        a = distribute(comm, full)
+        return svd_randomized(a, RsvdParams(k=k, q=q, seed=seed)).sigma
+
+    sigma = run_ranks(size, worker)[0]
+    assert np.all(sigma <= oracle[:k] + bound[:k])
 
 
 class TestRecoverU:
