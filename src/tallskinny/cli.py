@@ -7,10 +7,19 @@ Two subcommands share one flag set:
 
 Bare flags (no subcommand) run a benchmark. Exit codes: 0 success,
 1 algorithm failure or verification tolerance breach, 2 bad usage.
+
+Run as a program with no *_NUM_THREADS variable set, svdbench gives each
+rank its share of the cores: it re-executes itself once with
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
+max(1, cores // ranks), where that is below the core count. Rank threads
+each call BLAS, and with the library's default of one BLAS thread per core
+the two levels oversubscribe the cores. A variable the user set is left
+as it is.
 """
 
 import argparse
 import io
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -59,12 +68,44 @@ def build_parser():
     return parser
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cores():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def blas_threads(ranks, environ):
+    """(BLAS threads per rank, whether svdbench must set them).
+
+    A *_NUM_THREADS variable in `environ` is the user's choice: the first
+    of BLAS_THREAD_VARS that is set gives the count, and with none of them
+    set the library's default of one thread per core holds. Otherwise each
+    rank gets max(1, cores // ranks), which needs setting only when it is
+    below that default.
+    """
+    cores = _cores()
+    if any(name.endswith("_NUM_THREADS") for name in environ):
+        return next((environ[v] for v in BLAS_THREAD_VARS if v in environ), cores), False
+    threads = max(1, cores // max(1, ranks))
+    return threads, threads < cores
+
+
+def _reexec_with(threads):
+    """Restart this interpreter, as it was started, with `threads` BLAS threads."""
+    env = {**os.environ, **{name: str(threads) for name in BLAS_THREAD_VARS}}
+    os.execve(sys.executable, [sys.executable, *sys.orig_argv[1:]], env)
+
+
 def _config_from(args):
     """The BenchConfig whose fields the flags (dest names) fill."""
     return BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
 
 
 def main(argv=None):
+    as_program = argv is None
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in ("run", "verify", "-h", "--help"):
         argv.insert(0, "run")
@@ -73,18 +114,23 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return 2
+    threads, must_set = blas_threads(args.ranks, os.environ)
+    if as_program and must_set:
+        _reexec_with(threads)
 
     try:
         cfg = _config_from(args)
         if args.command == "verify":
             return run_verify(cfg, args.matrix, sys.stdout)
-        if args.out is None:
-            # CSV owns stdout, so the table moves to stderr.
-            return run_bench(cfg, sys.stdout, sys.stderr)
-        # Written after the run, so a rejected config leaves the file alone.
-        csv_out = io.StringIO()
-        code = run_bench(cfg, csv_out, sys.stdout)
-        Path(args.out).write_text(csv_out.getvalue())
+        # Without --out, CSV owns stdout and the table moves to stderr. With
+        # it, the file is written after the run, so that a rejected config
+        # leaves it alone.
+        csv_out = sys.stdout if args.out is None else io.StringIO()
+        human_out = sys.stderr if args.out is None else sys.stdout
+        code = run_bench(cfg, csv_out, human_out)
+        print(f"  BLAS threads per rank: {threads}", file=human_out)
+        if args.out is not None:
+            Path(args.out).write_text(csv_out.getvalue())
         return code
     except ConfigError as exc:
         print(f"svdbench: {exc}", file=sys.stderr)

@@ -16,6 +16,11 @@ holds the GIL while it factors, unlike matmul, cholesky, inv and svd, so
 two rank threads calling it run one after the other. tall_R, the local R
 factor of a tall block, is therefore a Cholesky QR2 of GEMMs and n x n
 factorizations, with qr_R (Householder) as its fallback and reference.
+
+Passes that read a block against a small replicated factor walk its rows
+in chunks of chunk_rows(block, factor columns): tall_R's second pass here,
+and distmat's fused multiply. A chunk is reused while it is still in cache,
+and nothing the height of the block is allocated beyond the pass's output.
 """
 
 import numpy as np
@@ -89,6 +94,34 @@ def _tall(a):
     return a
 
 
+# Bytes of a block's rows per chunk of a row-blocked pass. A chunk is read
+# twice, or written and read back, and the second access hits the cache only
+# while the chunk fits in L2. On a 2-core Xeon (2 MiB of L2 per core), one
+# BLAS thread per rank, the fused rsvd pass ran fastest at 256-512 KiB at
+# 1e5 x 50 and 2e4 x 250 with one and two ranks, and lost 10-70% at 1 MiB;
+# tall_R at 1e5 x 50 float64 took 56-62 ms at 256 KiB against 72-78 ms with
+# a whole Q1.
+PASS_CHUNK_BYTES = 1 << 18
+# Fewest rows per chunk, per column of the factor the chunk is multiplied
+# by. Against an n x n factor each chunk's GEMM must be tall enough to run
+# at full speed: on the 1e4-row blocks of 2e4 x 250 float64 at two ranks,
+# tall_R took 109-111 ms with 131-row (256 KiB) chunks against 98-103 ms
+# unchunked, and 98-105 ms with chunks of about 1000 rows. A narrow factor
+# (rsvd's n x 2k) never reaches this floor.
+PASS_CHUNK_MIN_ROWS_PER_COL = 4
+
+
+def chunk_rows(a, factor_cols):
+    """Rows per chunk of a pass over a's rows against an n x factor_cols factor.
+
+    PASS_CHUNK_BYTES of a, and at least PASS_CHUNK_MIN_ROWS_PER_COL *
+    factor_cols rows.
+    """
+    row_bytes = max(1, a.shape[1] * a.itemsize)
+    return max(1, PASS_CHUNK_BYTES // row_bytes,
+               PASS_CHUNK_MIN_ROWS_PER_COL * factor_cols)
+
+
 def qr_R(a):
     """Upper-triangular R of a tall matrix, with nonnegative diagonal.
 
@@ -126,10 +159,14 @@ def tall_R(a):
     """qr_R's factor by Cholesky QR2, falling back to qr_R(a).
 
     Two passes R_i = chol(X^T X)^T: the first on a, the second on
-    Q1 = a R1^-1 (one GEMM against the n x n inverse), and R = R2 R1.
-    Each step is a GEMM or an n x n LAPACK call, and all of them release
-    the GIL. The input selects the fallback to Householder qr_R(a): a
-    Cholesky factorization fails, R1's condition estimate exceeds
+    Q1 = a R1^-1, and R = R2 R1. Q1 is never formed whole: the second
+    pass walks a in chunks of chunk_rows(a, n) rows, multiplies each by
+    the n x n inverse into one reused chunk buffer and adds the chunk's
+    Q1_c^T Q1_c into G2 while it is still in cache. Beyond its input the
+    kernel holds one chunk and a few n x n arrays. Each step is a GEMM or
+    an n x n LAPACK call, and all of them release the GIL. The input
+    selects the fallback to Householder qr_R(a): a Cholesky
+    factorization fails, R1's condition estimate exceeds
     CHOLQR_MAX_COND (then before the GEMM), or G2 = Q1^T Q1 is further
     from I than CHOLQR_MAX_DEFECT. Both tests fail on NaN, and a non-finite
     entry anywhere in a reaches R1, so every non-finite intermediate falls
@@ -150,8 +187,7 @@ def _cholesky_qr2(a):
             r1_inv = np.linalg.inv(r1)
             if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
                 return None
-            q1 = a @ r1_inv
-            g2 = q1.T @ q1
+            g2 = _gram_of_product(a, r1_inv)
             r2 = np.linalg.cholesky(g2).T
             defect = np.linalg.norm(g2 - np.eye(a.shape[1], dtype=g2.dtype))
     except np.linalg.LinAlgError:
@@ -159,6 +195,20 @@ def _cholesky_qr2(a):
     if not defect <= CHOLQR_MAX_DEFECT:
         return None
     return np.triu(r2 @ r1)
+
+
+def _gram_of_product(a, x):
+    """(a x)^T (a x), summed over row chunks of a without forming a x."""
+    rows, cols = a.shape[0], x.shape[1]
+    chunk = chunk_rows(a, cols)
+    buf = np.empty((min(chunk, rows), cols), dtype=np.result_type(a, x))
+    g = np.zeros((cols, cols), dtype=buf.dtype)
+    for start in range(0, rows, chunk):
+        a_c = a[start : start + chunk]
+        q_c = buf[: a_c.shape[0]]
+        np.matmul(a_c, x, out=q_c)
+        g += q_c.T @ q_c
+    return g
 
 
 def qr_Q(a):

@@ -20,7 +20,7 @@ from numpy.random import Generator, Philox
 
 from . import matfile
 from .comm import Communicator
-from .dense import ShapeError, UnsupportedShape, as_matrix, gemm
+from .dense import ShapeError, UnsupportedShape, as_matrix, chunk_rows, gemm
 
 # Stream domains keep data matrices and projection matrices decorrelated
 # even when a caller reuses one seed for both.
@@ -32,14 +32,6 @@ DISTRIBUTIONS = ("standard-normal", "uniform01")
 # Rows per random stream. Part of the data definition: changing it changes
 # every generated matrix.
 ROW_BLOCK = 4096
-
-# Bytes of the local block per chunk of mult_and_transpose. A chunk is
-# read by the product A_c b and read again by A_c^T Y_c, and the second read
-# hits the cache only while the chunk fits in L2. Measured at 1e5 x 50 and
-# 2e4 x 250 with one and two ranks: 256-512 KiB chunks were fastest, 1 MiB
-# and larger lost, and at 2 MiB the fused pass was as slow as two separate
-# ones.
-PASS_CHUNK_BYTES = 1 << 18
 
 
 @dataclass
@@ -170,11 +162,11 @@ def mult_transpose(a, y):
 def mult_and_transpose(a, b):
     """Distributed Y = A @ b and replicated W = A^T Y, reading A once.
 
-    The local rows are walked in chunks of about PASS_CHUNK_BYTES: each
-    chunk's Y_c = A_c b is written into Y, and A_c^T Y_c is added into W
-    while A_c is still in cache. One sum-allreduce of the n x b.cols W
-    follows. Y is mult_local(a, b) and W is mult_transpose(a, Y), up to
-    the order of the sums.
+    The local rows are walked in chunks of dense.chunk_rows(a.local,
+    b.cols) rows: each chunk's Y_c = A_c b is written into Y, and
+    A_c^T Y_c is added into W while A_c is still in cache. One
+    sum-allreduce of the n x b.cols W follows. Y is mult_local(a, b) and
+    W is mult_transpose(a, Y), up to the order of the sums.
     """
     b = as_matrix(b, "b")
     if a.cols != b.shape[0]:
@@ -190,7 +182,7 @@ def mult_and_transpose(a, b):
     rows = a.local.shape[0]
     y = np.empty((rows, b.shape[1]), dtype=a.dtype)
     w = np.zeros((a.cols, b.shape[1]), dtype=a.dtype)
-    chunk = max(1, PASS_CHUNK_BYTES // (a.cols * a.dtype.itemsize))
+    chunk = chunk_rows(a.local, b.shape[1])
     for start in range(0, rows, chunk):
         a_c = a.local[start : start + chunk]
         y_c = y[start : start + chunk]

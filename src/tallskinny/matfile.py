@@ -68,10 +68,10 @@ def read_rows(path, row_start, row_count):
     out = np.empty((row_count, n), dtype=dtype)
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size + row_start * n * dtype.itemsize)
-        data = fh.read(out.nbytes)
-    if len(data) != out.nbytes:
+        # Straight into the result: no intermediate bytes object.
+        got = fh.readinto(out.reshape(-1).view(np.uint8))
+    if got != out.nbytes:
         raise MatrixFileError(f"{path}: truncated payload")
-    out[:] = np.frombuffer(data, dtype=dtype).reshape(row_count, n)
     return out
 
 

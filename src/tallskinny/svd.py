@@ -5,16 +5,20 @@ singular values are square roots of the eigenvalues. One allreduce, very
 fast, but forming A^T A squares the condition number.
 
 svd_tsqr: communication-avoiding QR. Each rank reduces its block to an R
-factor; a custom allreduce stacks R factors two at a time and re-factors,
-yielding R of the full matrix, whose local SVD gives sigma and V. The
-local factor comes from dense.tall_R, a Cholesky QR2 built from GEMMs and
-n x n LAPACK calls that release the GIL, so rank threads overlap. It falls
-back to Householder qr_R when a Cholesky fails, an intermediate is not
-finite, the first factor's condition estimate exceeds 1e4 (beyond which
-the GEMM against its inverse loses accuracy; at n = 50 from a condition
-number of about 3e3), or the first pass leaves Q1 too far from
-orthonormal. The 2n x n reduce combine and blocks shorter than n rows
-stay on qr_R.
+factor; a custom allreduce stacks R factors two at a time and
+re-factors, yielding R of the full matrix, whose local SVD gives sigma
+and V. The local factor comes from dense.tall_R, a Cholesky QR2 built
+from GEMMs and n x n LAPACK calls that release the GIL, so rank threads
+overlap. Its second pass streams the block in cache-sized row chunks, so
+beyond its block a rank holds one chunk and a few n x n arrays, never an
+m x n intermediate. It falls back to Householder qr_R when a Cholesky
+fails, an intermediate is not finite, the first factor's condition
+estimate exceeds 1e4 (beyond which the GEMM against its inverse loses
+accuracy; at n = 50 from a condition number of about 3e3), or the first
+pass leaves Q1 too far from orthonormal. The 2n x n reduce combine and
+blocks shorter than n rows stay on qr_R. cpsvd's Gram is n x n too, so
+neither full-spectrum route allocates anything the height of the block
+when only sigma is asked for.
 
 svd_randomized: truncated SVD by random projection with q power
 iterations, in q + 1 passes over A. Each pass reads the local rows once,

@@ -17,7 +17,7 @@ from tallskinny.bench import (
     run_verify,
     verify_tolerance,
 )
-from tallskinny.cli import main
+from tallskinny.cli import BLAS_THREAD_VARS, main
 from tallskinny.matfile import write_matrix
 
 FAST = ["--rows", "300", "--cols", "10", "--ranks", "2", "--reps", "2"]
@@ -253,6 +253,86 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == CSV_HEADER
+
+
+class TestBlasThreads:
+    """As a program, svdbench splits the cores between the ranks' BLAS."""
+
+    class Exec(Exception):
+        pass
+
+    @pytest.fixture
+    def program(self, monkeypatch):
+        """Run main() as the program would, on 4 cores, recording any re-exec."""
+        for name in list(os.environ):
+            if name.endswith("_NUM_THREADS"):
+                monkeypatch.delenv(name)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        calls = []
+
+        def execve(path, args, env):
+            calls.append(env)
+            raise self.Exec
+
+        monkeypatch.setattr(os, "execve", execve)
+
+        def run(*flags):
+            monkeypatch.setattr(sys, "argv", ["svdbench", "run", "--algo", "cpsvd", *flags])
+            try:
+                return main()
+            except self.Exec:
+                return "exec"
+
+        run.calls = calls
+        return run
+
+    def test_reexecs_with_cores_per_rank(self, program):
+        assert program("--rows", "60", "--cols", "4", "--ranks", "2", "--reps", "1") == "exec"
+        env = program.calls[0]
+        assert [env[v] for v in BLAS_THREAD_VARS] == ["2"] * 3
+
+    def test_one_rank_keeps_the_default(self, program, capsys):
+        assert program("--rows", "60", "--cols", "4", "--ranks", "1", "--reps", "1") == 0
+        assert program.calls == []
+        assert "BLAS threads per rank: 4" in capsys.readouterr().err
+
+    def test_more_ranks_than_cores_get_one_thread(self, program):
+        assert program("--rows", "60", "--cols", "4", "--ranks", "6", "--reps", "1") == "exec"
+        assert program.calls[0]["OPENBLAS_NUM_THREADS"] == "1"
+
+    @pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+    def test_user_setting_is_honoured(self, program, monkeypatch, capsys, name):
+        monkeypatch.setenv(name, "3")
+        assert program("--rows", "60", "--cols", "4", "--ranks", "2", "--reps", "1") == 0
+        assert program.calls == []
+        assert "BLAS threads per rank: 3" in capsys.readouterr().err
+
+    def test_library_call_never_reexecs(self, program, capsys):
+        assert main(["run", "--algo", "cpsvd", "--rows", "60", "--cols", "4", "--ranks", "2"]) == 0
+        assert program.calls == []
+        assert "BLAS threads per rank: 2" in capsys.readouterr().err
+
+    def test_reexeced_program_keeps_its_csv(self):
+        # End to end, on this machine's cores: with the variables stripped
+        # the run reports cores // 2 threads and writes the CSV that an
+        # explicit setting to that count writes.
+        src = str(Path(tallskinny.__file__).resolve().parents[1])
+        base = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        threads = max(1, len(os.sched_getaffinity(0)) // 2)
+        cmd = [sys.executable, "-m", "tallskinny", "run", "--algo", "tssvd",
+               "--rows", "400", "--cols", "8", "--ranks", "2", "--reps", "2", "--seed", "5"]
+        explicit = {**base, **{v: str(threads) for v in BLAS_THREAD_VARS}}
+        procs = [subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
+                 for env in (base, explicit)]
+        for proc in procs:
+            assert proc.returncode == 0, proc.stderr
+            assert f"BLAS threads per rank: {threads}" in proc.stderr
+
+        def without_seconds(text):
+            return [{k: v for k, v in row.items() if k != "seconds"} for row in parse_csv(text)]
+
+        assert without_seconds(procs[0].stdout) == without_seconds(procs[1].stdout)
 
 
 class TestBenchApi:

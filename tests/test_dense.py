@@ -8,6 +8,7 @@ from tallskinny.dense import (
     ConvergenceError,
     ShapeError,
     UnsupportedShape,
+    chunk_rows,
     gemm,
     qr_Q,
     qr_R,
@@ -178,6 +179,22 @@ class TestTallR:
         assert np.count_nonzero(np.tril(r, -1)) == 0 and np.all(np.diag(r) > 0)
         # R with a positive diagonal is unique, and a is well conditioned.
         m, n = a.shape
+        u = np.finfo(dtype).eps / 2
+        diff = r.astype(np.float64) - qr_R(a)
+        assert np.linalg.norm(diff, 2) <= np.sqrt(m) * n * u * np.linalg.norm(a, 2)
+
+    @pytest.mark.parametrize("rows", ["chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunk_boundaries_match_householder(self, dtype, rows):
+        # The second pass walks the rows in chunks; blocks that end just
+        # short of, on, or just past a chunk boundary lose no rows.
+        n = 12
+        chunk = chunk_rows(np.empty((0, n), dtype), n)
+        m = {"chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
+             "2chunk+1": 2 * chunk + 1}[rows]
+        a = np.random.default_rng(16).standard_normal((m, n)).astype(dtype)
+        r = tall_R(a)
+        assert not falls_back(a)
         u = np.finfo(dtype).eps / 2
         diff = r.astype(np.float64) - qr_R(a)
         assert np.linalg.norm(diff, 2) <= np.sqrt(m) * n * u * np.linalg.norm(a, 2)

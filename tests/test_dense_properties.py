@@ -11,6 +11,7 @@ svdbench verify applies, as qr_R's do.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tallskinny.bench import verify_tolerance
+from tallskinny import dense
 from tallskinny.dense import qr_Q, qr_R, small_svd, sym_eigen, tall_R
 
 ENTRIES = st.floats(-100, 100, width=32, allow_subnormal=False)
@@ -127,10 +129,7 @@ def test_small_svd_contracts(a, wide):
     assert np.linalg.norm(recon - b) <= tol(b, np.linalg.norm(f64(b)))
 
 
-@pytest.mark.parametrize("dtype, kappa", KAPPA_SWEEP)
-@given(tall_shapes(), st.integers(-3, 3), st.integers(0, 2**32 - 1))
-@settings(max_examples=30)
-def test_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
+def check_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
     a = conditioned(dtype, kappa, *shape, 10.0**exponent, seed)
     want = np.linalg.svd(f64(a), compute_uv=False)
     # verify's gate: |d sigma_i| <= 2 lambda n (u + u64) sigma_1.
@@ -141,3 +140,20 @@ def test_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
         assert np.all(np.diag(r) >= 0)
         got = np.linalg.svd(f64(r), compute_uv=False)
         assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("dtype, kappa", KAPPA_SWEEP)
+@given(tall_shapes(), st.integers(-3, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
+    check_tall_R_backward_stable(dtype, kappa, shape, exponent, seed)
+
+
+@pytest.mark.parametrize("dtype, kappa", KAPPA_SWEEP)
+@given(tall_shapes(), st.integers(-3, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_tall_R_backward_stable_in_n_row_chunks(dtype, kappa, shape, exponent, seed):
+    # At m <= 40 n the default chunk holds every draw whole; n-row chunks
+    # walk up to 40 of them, and most draws end on a short one.
+    with mock.patch.multiple(dense, PASS_CHUNK_BYTES=1, PASS_CHUNK_MIN_ROWS_PER_COL=1):
+        check_tall_R_backward_stable(dtype, kappa, shape, exponent, seed)

@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tallskinny.comm import run_ranks, solo_communicator
-from tallskinny.dense import ShapeError, UnsupportedShape, sym_eigen
+from tallskinny.dense import PASS_CHUNK_BYTES, ShapeError, UnsupportedShape, sym_eigen
 from tallskinny.distmat import (
-    PASS_CHUNK_BYTES,
     ROW_BLOCK,
     DistMatrix,
     block_range,
@@ -19,7 +20,13 @@ from tallskinny.distmat import (
     random_rows,
     read_distributed,
 )
-from tallskinny.matfile import MatrixFileError, read_header, read_matrix, write_matrix
+from tallskinny.matfile import (
+    MatrixFileError,
+    read_header,
+    read_matrix,
+    read_rows,
+    write_matrix,
+)
 
 
 class TestPartition:
@@ -375,6 +382,29 @@ class TestMatrixFile:
         path.write_bytes(b"NOPE" + bytes(28))
         with pytest.raises(MatrixFileError, match="magic"):
             read_matrix(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "t.tskm"
+        write_matrix(path, np.ones((4, 3)))
+        with open(path, "r+b") as fh:
+            fh.truncate(32 + 3 * 3 * 8 + 5)
+        with pytest.raises(MatrixFileError, match="truncated payload"):
+            read_matrix(path)
+        assert np.array_equal(read_rows(path, 1, 2), np.ones((2, 3)))
+        assert read_rows(path, 3, 0).shape == (0, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_holds_one_copy_of_the_block(self, tmp_path, dtype):
+        path = tmp_path / "big.tskm"
+        write_matrix(path, np.ones((20_000, 50), dtype=dtype))
+        tracemalloc.start()
+        try:
+            block = read_rows(path, 5_000, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(block == 1)
+        assert peak <= 1.1 * block.nbytes
 
     def test_distributed_read_matches_full(self, tmp_path):
         rng = np.random.default_rng(56)
