@@ -18,9 +18,13 @@ factor of a tall block, is therefore a Cholesky QR2 of GEMMs and n x n
 factorizations, with qr_R (Householder) as its fallback and reference.
 
 Passes that read a block against a small replicated factor walk its rows
-in chunks of chunk_rows(block, factor columns): tall_R's second pass here,
-and distmat's fused multiply. A chunk is reused while it is still in cache,
-and nothing the height of the block is allocated beyond the pass's output.
+in chunks of chunk_rows(block, factor columns) through row_chunks: tall_R's
+second pass here, and distmat's fused multiply. A chunk is reused while it
+is still in cache, and nothing the height of the block is allocated beyond
+the pass's output. A block with a shift (an n-vector, the column means of a
+centered matrix) stands for block - shift: row_chunks subtracts the shift
+from each chunk into one reused buffer, so gram and tall_R factor the
+centered block without a centered copy of it.
 """
 
 import numpy as np
@@ -122,6 +126,41 @@ def chunk_rows(a, factor_cols):
                PASS_CHUNK_MIN_ROWS_PER_COL * factor_cols)
 
 
+def row_chunks(a, chunk, shift=None):
+    """Yield (start, rows) over a's rows, `chunk` rows at a time.
+
+    Without a shift each chunk is a view of a. With one, each chunk is
+    a[start : start + chunk] - shift, written into one buffer that the next
+    chunk overwrites. Its entries are the same roundings fl(a_ij - shift_j)
+    that an explicit a - shift holds, so a kernel fed these chunks computes
+    on the centered values themselves, never on a rank-one correction.
+    """
+    rows = a.shape[0]
+    buf = None if shift is None else np.empty((min(chunk, rows), a.shape[1]), a.dtype)
+    for start in range(0, rows, chunk):
+        a_c = a[start : start + chunk]
+        if buf is not None:
+            a_c = np.subtract(a_c, shift, out=buf[: a_c.shape[0]])
+        yield start, a_c
+
+
+def gram(a, shift=None):
+    """a^T a, or (a - shift)^T (a - shift) summed over row chunks.
+
+    The unshifted Gram is one product, which numpy computes as a symmetric
+    rank-k update (a chunked one took 10-16% longer in float32 at
+    1e5 x 50, one BLAS thread). The shifted one adds up the chunks'
+    products, each a symmetric rank-k update too, so either result is
+    exactly symmetric.
+    """
+    if shift is None:
+        return a.T @ a
+    g = np.zeros((a.shape[1], a.shape[1]), dtype=a.dtype)
+    for _, a_c in row_chunks(a, chunk_rows(a, a.shape[1]), shift):
+        g += a_c.T @ a_c
+    return g
+
+
 def qr_R(a):
     """Upper-triangular R of a tall matrix, with nonnegative diagonal.
 
@@ -155,39 +194,42 @@ CHOLQR_MAX_DEFECT = 0.5
 CHOLQR_MAX_COND = 1e4
 
 
-def tall_R(a):
-    """qr_R's factor by Cholesky QR2, falling back to qr_R(a).
+def tall_R(a, shift=None):
+    """qr_R's factor of a - shift by Cholesky QR2, falling back to qr_R.
 
     Two passes R_i = chol(X^T X)^T: the first on a, the second on
     Q1 = a R1^-1, and R = R2 R1. Q1 is never formed whole: the second
     pass walks a in chunks of chunk_rows(a, n) rows, multiplies each by
     the n x n inverse into one reused chunk buffer and adds the chunk's
     Q1_c^T Q1_c into G2 while it is still in cache. Beyond its input the
-    kernel holds one chunk and a few n x n arrays. Each step is a GEMM or
-    an n x n LAPACK call, and all of them release the GIL. The input
-    selects the fallback to Householder qr_R(a): a Cholesky
+    kernel holds one chunk (two with a shift) and a few n x n arrays.
+    Each step is a GEMM or an n x n LAPACK call, and all of them release
+    the GIL. The input selects the fallback to Householder qr_R: a Cholesky
     factorization fails, R1's condition estimate exceeds
     CHOLQR_MAX_COND (then before the GEMM), or G2 = Q1^T Q1 is further
     from I than CHOLQR_MAX_DEFECT. Both tests fail on NaN, and a non-finite
     entry anywhere in a reaches R1, so every non-finite intermediate falls
     back. The contracts are qr_R's: exact zeros below the diagonal and a
     nonnegative diagonal (here a product of two positive Cholesky
-    diagonals).
+    diagonals). With a shift both Grams read a's chunks through row_chunks,
+    and the fallback factors an explicit a - shift.
     """
     a = _tall(a)
-    r = _cholesky_qr2(a)
-    return qr_R(a) if r is None else r
+    r = _cholesky_qr2(a, shift)
+    if r is not None:
+        return r
+    return qr_R(a if shift is None else a - shift)
 
 
-def _cholesky_qr2(a):
-    """tall_R's CholQR2 factor of a, or None where it must fall back."""
+def _cholesky_qr2(a, shift):
+    """tall_R's CholQR2 factor of a - shift, or None where it must fall back."""
     try:
         with np.errstate(all="ignore"):
-            r1 = np.linalg.cholesky(a.T @ a).T
+            r1 = np.linalg.cholesky(gram(a, shift)).T
             r1_inv = np.linalg.inv(r1)
             if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
                 return None
-            g2 = _gram_of_product(a, r1_inv)
+            g2 = _gram_of_product(a, r1_inv, shift)
             r2 = np.linalg.cholesky(g2).T
             defect = np.linalg.norm(g2 - np.eye(a.shape[1], dtype=g2.dtype))
     except np.linalg.LinAlgError:
@@ -197,14 +239,13 @@ def _cholesky_qr2(a):
     return np.triu(r2 @ r1)
 
 
-def _gram_of_product(a, x):
-    """(a x)^T (a x), summed over row chunks of a without forming a x."""
+def _gram_of_product(a, x, shift):
+    """((a - shift) x)^T ((a - shift) x), summed over row chunks of a."""
     rows, cols = a.shape[0], x.shape[1]
     chunk = chunk_rows(a, cols)
     buf = np.empty((min(chunk, rows), cols), dtype=np.result_type(a, x))
     g = np.zeros((cols, cols), dtype=buf.dtype)
-    for start in range(0, rows, chunk):
-        a_c = a[start : start + chunk]
+    for _, a_c in row_chunks(a, chunk, shift):
         q_c = buf[: a_c.shape[0]]
         np.matmul(a_c, x, out=q_c)
         g += q_c.T @ q_c

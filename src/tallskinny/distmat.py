@@ -11,16 +11,35 @@ The two multiply patterns: distributed times replicated stays local and
 distributed-transpose times distributed is a local product plus one
 sum-allreduce. mult_and_transpose fuses the two for one replicated b:
 Y = A b and A^T Y from a single cache-blocked read of the local rows.
+
+A centered matrix is implicit. mean_center_columns returns a DistMatrix
+whose `shift` is the n-vector of column means: the matrix is
+block - shift, and no m x n centered copy exists. The kernels here
+(crossprod, mult_local, mult_transpose on either argument,
+mult_and_transpose) and dense.tall_R read a shifted block in row chunks,
+each centered into one reused buffer by dense.row_chunks. Any other reader
+gets `local`, which is block - shift materialized: slower, never
+uncentered. An unshifted matrix runs the same code as it would without
+this, and its `local` is its block.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import matfile
 from .comm import Communicator
-from .dense import ShapeError, UnsupportedShape, as_matrix, chunk_rows, gemm
+from .dense import (
+    ShapeError,
+    UnsupportedShape,
+    as_matrix,
+    chunk_rows,
+    gemm,
+    gram,
+    row_chunks,
+)
 
 # Stream domains keep data matrices and projection matrices decorrelated
 # even when a caller reuses one seed for both.
@@ -36,26 +55,36 @@ ROW_BLOCK = 4096
 
 @dataclass
 class DistMatrix:
-    """One rank's row block plus the global layout metadata."""
+    """One rank's row block plus the global layout metadata.
 
-    local: np.ndarray
+    The rank's rows of the matrix are block - shift when shift (an n-vector
+    of the block's dtype) is set, and block otherwise.
+    """
+
+    block: np.ndarray
     global_rows: int
     row_offset: int
     comm: Communicator
+    shift: Optional[np.ndarray] = None
+
+    @property
+    def local(self):
+        """The rank's rows of the matrix; a new block - shift when shifted."""
+        return self.block if self.shift is None else self.block - self.shift
 
     @property
     def cols(self):
-        return self.local.shape[1]
+        return self.block.shape[1]
 
     @property
     def dtype(self):
-        return self.local.dtype
+        return self.block.dtype
 
     def same_distribution(self, other):
         return (
             self.global_rows == other.global_rows
             and self.row_offset == other.row_offset
-            and self.local.shape[0] == other.local.shape[0]
+            and self.block.shape[0] == other.block.shape[0]
             and self.comm is other.comm
         )
 
@@ -131,10 +160,8 @@ def read_distributed(comm, path):
 
 
 def crossprod(a):
-    """Replicated N = A^T A, symmetrized by averaging with its transpose."""
-    n_local = gemm(True, a.local, a.local)
-    n_full = a.comm.allreduce_sum(n_local)
-    return (n_full + n_full.T) * n_full.dtype.type(0.5)
+    """Replicated N = A^T A, exactly symmetric (see dense.gram)."""
+    return a.comm.allreduce_sum(gram(a.block, a.shift))
 
 
 def mult_local(a, b):
@@ -144,27 +171,46 @@ def mult_local(a, b):
         raise ShapeError(
             f"mult_local: a has {a.cols} cols but b is {b.shape[0]}x{b.shape[1]}"
         )
-    return DistMatrix(a.local @ b, a.global_rows, a.row_offset, a.comm)
+    if a.shift is None:
+        out = a.block @ b
+    else:
+        out = np.empty((a.block.shape[0], b.shape[1]), np.result_type(a.block, b))
+        for start, a_c in row_chunks(a.block, chunk_rows(a.block, b.shape[1]), a.shift):
+            np.matmul(a_c, b, out=out[start : start + a_c.shape[0]])
+    return DistMatrix(out, a.global_rows, a.row_offset, a.comm)
 
 
 def mult_transpose(a, y):
-    """Replicated A^T Y for distributed a and y on the same layout."""
+    """Replicated A^T Y for distributed a and y on the same layout.
+
+    Either may be shifted; then both are walked in the same row chunks,
+    sized by chunk_rows for the wider of the two.
+    """
     if not a.same_distribution(y):
         raise ShapeError(
             "mult_transpose requires matching row distribution: "
             f"a has m={a.global_rows}, offset={a.row_offset}, "
-            f"local={a.local.shape[0]}; y has m={y.global_rows}, "
-            f"offset={y.row_offset}, local={y.local.shape[0]}"
+            f"local={a.block.shape[0]}; y has m={y.global_rows}, "
+            f"offset={y.row_offset}, local={y.block.shape[0]}"
         )
-    return a.comm.allreduce_sum(gemm(True, a.local, y.local))
+    if a.shift is None and y.shift is None:
+        return a.comm.allreduce_sum(gemm(True, a.block, y.block))
+    chunk = min(chunk_rows(a.block, y.cols), chunk_rows(y.block, a.cols))
+    out = np.zeros((a.cols, y.cols), np.result_type(a.block, y.block))
+    for (_, a_c), (_, y_c) in zip(
+        row_chunks(a.block, chunk, a.shift), row_chunks(y.block, chunk, y.shift)
+    ):
+        out += gemm(True, a_c, y_c)
+    return a.comm.allreduce_sum(out)
 
 
 def mult_and_transpose(a, b):
     """Distributed Y = A @ b and replicated W = A^T Y, reading A once.
 
-    The local rows are walked in chunks of dense.chunk_rows(a.local,
-    b.cols) rows: each chunk's Y_c = A_c b is written into Y, and
-    A_c^T Y_c is added into W while A_c is still in cache. One
+    The local rows are walked in chunks of dense.chunk_rows(a.block,
+    b.cols) rows, centered by dense.row_chunks when a is shifted: each
+    chunk's Y_c = A_c b is written into Y, and A_c^T Y_c is added into W
+    while A_c is still in cache. One
     sum-allreduce of the n x b.cols W follows. Y is mult_local(a, b) and
     W is mult_transpose(a, Y), up to the order of the sums.
     """
@@ -179,13 +225,10 @@ def mult_and_transpose(a, b):
             f"mult_and_transpose operands must share precision, got {a.dtype} "
             f"and {b.dtype}"
         )
-    rows = a.local.shape[0]
-    y = np.empty((rows, b.shape[1]), dtype=a.dtype)
+    y = np.empty((a.block.shape[0], b.shape[1]), dtype=a.dtype)
     w = np.zeros((a.cols, b.shape[1]), dtype=a.dtype)
-    chunk = chunk_rows(a.local, b.shape[1])
-    for start in range(0, rows, chunk):
-        a_c = a.local[start : start + chunk]
-        y_c = y[start : start + chunk]
+    for start, a_c in row_chunks(a.block, chunk_rows(a.block, b.shape[1]), a.shift):
+        y_c = y[start : start + a_c.shape[0]]
         np.matmul(a_c, b, out=y_c)
         w += a_c.T @ y_c
     y = DistMatrix(y, a.global_rows, a.row_offset, a.comm)
@@ -193,10 +236,16 @@ def mult_and_transpose(a, b):
 
 
 def mean_center_columns(a):
-    """Subtract global column means; returns (centered, means)."""
+    """Subtract global column means; returns (centered, means).
+
+    The means take one column-sum allreduce. The centered matrix shares a's
+    rows and carries the means as its shift, so nothing m x n is allocated
+    (unless a is itself shifted: then its centered rows are materialized
+    once and shifted again).
+    """
     if a.global_rows < 1:
         raise UnsupportedShape("mean_center_columns needs at least one row")
-    local_sums = a.local.sum(axis=0, keepdims=True)
-    means = a.comm.allreduce_sum(local_sums) / a.dtype.type(a.global_rows)
-    centered = a.local - means
-    return DistMatrix(centered, a.global_rows, a.row_offset, a.comm), means[0]
+    local = a.local
+    local_sums = local.sum(axis=0, keepdims=True)
+    means = a.comm.allreduce_sum(local_sums)[0] / a.dtype.type(a.global_rows)
+    return DistMatrix(local, a.global_rows, a.row_offset, a.comm, means), means

@@ -26,6 +26,12 @@ def pca(a, method="tssvd", ncomp=None, want_scores=False, params=None):
     and component standard deviations are sigma / sqrt(m - 1). method is
     one of "cpsvd", "tssvd", "rsvd"; rsvd takes its RsvdParams via
     `params` and can only deliver ncomp <= k components.
+
+    The centered data is never formed: mean_center_columns returns a's
+    rows with the means as a shift, and the SVD's passes and the scores
+    center each row chunk as they read it. Without scores a rank allocates
+    no more than its route does for sigma alone, plus a chunk and a few
+    n x n arrays; the scores are an m x ncomp output.
     """
     if a.global_rows < 2:
         raise ParameterError(f"pca needs at least 2 rows, got {a.global_rows}")

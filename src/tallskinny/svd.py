@@ -18,7 +18,9 @@ accuracy; at n = 50 from a condition number of about 3e3), or the first
 pass leaves Q1 too far from orthonormal. The 2n x n reduce combine and
 blocks shorter than n rows stay on qr_R. cpsvd's Gram is n x n too, so
 neither full-spectrum route allocates anything the height of the block
-when only sigma is asked for.
+when only sigma is asked for, or when pca asks for V without scores:
+the centered matrix pca passes in is its input block plus a shift (the
+column means), which every pass over the rows subtracts chunk by chunk.
 
 svd_randomized: truncated SVD by random projection with q power
 iterations, in q + 1 passes over A. Each pass reads the local rows once,
@@ -191,20 +193,21 @@ def qr_allreduce(comm, r_local):
     return require_finite(r_full, "reduced R factor")
 
 
-def _local_r_padded(block, n):
-    """R factor of a local block: tall_R, or qr_R of a block shorter than
+def _local_r_padded(a):
+    """R factor of a's local rows: tall_R, or qr_R of a block shorter than
     n rows after zero-padding it to n x n."""
-    if block.shape[0] < n:
-        padded = np.zeros((n, n), dtype=block.dtype)
-        padded[: block.shape[0]] = block
+    rows, n = a.block.shape
+    if rows < n:
+        padded = np.zeros((n, n), dtype=a.dtype)
+        padded[:rows] = a.local
         return qr_R(padded)
-    return tall_R(block)
+    return tall_R(a.block, a.shift)
 
 
 def svd_tsqr(a, want_u=False, want_v=False):
     """Sigma (and factors) via the distributed QR reduction."""
     _require_tall(a, "svd_tsqr")
-    r_local = _local_r_padded(a.local, a.cols)
+    r_local = _local_r_padded(a)
     r_full = qr_allreduce(a.comm, r_local)
     sigma, _, vt = small_svd(r_full)
     result = SvdResult(sigma=require_finite(sigma, "sigma"))
@@ -219,7 +222,7 @@ RSVD_IMPLICIT_MAX_GROWTH = 8.0
 
 def _reduced_r(y):
     """R factor of a distributed Y; DegenerateProjection on a zero diagonal."""
-    r = qr_allreduce(y.comm, _local_r_padded(y.local, y.cols))
+    r = qr_allreduce(y.comm, _local_r_padded(y))
     if np.any(np.diag(r) == 0):
         raise DegenerateProjection(
             "projection produced an exactly singular R; retry with a new seed"
@@ -294,8 +297,8 @@ def svd_randomized(a, params, want_u=False, want_v=False):
         domain=STREAM_PROJECTION,
     )
     for step in range(params.q + 1):
-        y, w = mult_and_transpose(a, basis)
-        b, left, r = _project(a, y, w)
+        left = None  # drop the last Y before the pass allocates the next
+        b, left, r = _project(a, *mult_and_transpose(a, basis))
         if step < params.q:
             basis = qr_Q(b.T)
     sigma, u_b, vt = small_svd(b)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from tallskinny.comm import run_ranks, solo_communicator
-from tallskinny.dense import PASS_CHUNK_BYTES, ShapeError, UnsupportedShape, sym_eigen
+from tallskinny.dense import (
+    PASS_CHUNK_BYTES,
+    ShapeError,
+    UnsupportedShape,
+    chunk_rows,
+    sym_eigen,
+)
 from tallskinny.distmat import (
     ROW_BLOCK,
     DistMatrix,
@@ -123,6 +129,21 @@ class TestCrossprod:
 
         got = run_ranks(3, worker)[0]
         assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exactly_symmetric_over_chunks(self, dtype, size, shifted):
+        # 12000 x 40: a shifted block's Gram sums two or more chunks.
+        full = random_rows(12, 0, 12000, 40, "standard-normal", dtype) + dtype(10)
+
+        def worker(comm):
+            a = distribute(comm, full)
+            assert a.local.shape[0] >= 2 * chunk_rows(a.local, a.cols)
+            return crossprod(mean_center_columns(a)[0] if shifted else a)
+
+        for got in run_ranks(size, worker):
+            assert np.array_equal(got, got.T)
 
     def test_positive_semidefinite(self):
         got = crossprod(generate_random(solo_communicator(), 25, 6, seed=8))

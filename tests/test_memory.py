@@ -1,7 +1,10 @@
-"""Transient memory of the sigma-only routes, measured with tracemalloc.
+"""Transient memory of the sigma-only routes and of pca without scores,
+measured with tracemalloc.
 
 A rank holds its row block; what a route allocates on top of that must
-not grow with the rows, except rsvd's m x 2k products. The input is built
+not grow with the rows, except rsvd's m x 2k product. pca centers its
+input implicitly, so it adds a chunk-sized centering buffer and a few
+n x n arrays, never an m x n centered copy. The input is built
 before tracing starts and handed out as views, so the traced peak is the
 routes' own allocations, summed over the rank threads. numpy reports its
 array buffers to tracemalloc; LAPACK's and BLAS's internal workspace is
@@ -16,23 +19,42 @@ import pytest
 from tallskinny.comm import run_ranks
 from tallskinny.dense import chunk_rows
 from tallskinny.distmat import distribute, random_rows
+from tallskinny.pca import pca
 from tallskinny.svd import RsvdParams, route
 
 M, N, K = 20_000, 50, 2
+PARAMS = RsvdParams(k=K, q=2, projection="uniform01", seed=4)
 # Slack on each term of the bound: a route holds a few n x n arrays and at
-# most one chunk per rank at a time, and rsvd two m x 2k products at once.
+# most one chunk per rank at a time, and rsvd one m x 2k product.
 SLACK = 2
 
 
-def traced_peak(full, method, size):
-    """Peak traced bytes while `size` ranks run `method` for sigma on `full`."""
-    fn = route(method, RsvdParams(k=K, q=2, projection="uniform01", seed=4))
+def traced_peak(full, target, size):
+    """Peak traced bytes while `size` ranks run target(DistMatrix of full)."""
     tracemalloc.start()
     try:
-        run_ranks(size, lambda comm: fn(distribute(comm, full)).sigma)
+        run_ranks(size, lambda comm: target(distribute(comm, full)))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def chunk_bytes(full):
+    return chunk_rows(full, N) * N * full.itemsize
+
+
+def sigma_only_bound(full, method, size):
+    # numpy.linalg works on float64 copies of the n x n factors.
+    bound = SLACK * size * (chunk_bytes(full) + N * N * 8)
+    if method == "rsvd":
+        bound += SLACK * M * 2 * K * full.itemsize
+    return bound
+
+
+def check(peak, bound, full, what):
+    assert peak <= bound, f"{what}: peak {peak} B, bound {bound} B, input {full.nbytes} B"
+    # An m x n temporary does not fit under the bound.
+    assert bound < full.nbytes
 
 
 @pytest.mark.parametrize("size", [1, 2])
@@ -40,15 +62,22 @@ def traced_peak(full, method, size):
 @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
 def test_sigma_only_routes_allocate_no_block_sized_array(method, dtype, size):
     full = random_rows(3, 0, M, N, "standard-normal", dtype)
-    itemsize = full.itemsize
-    # numpy.linalg works on float64 copies of the n x n factors.
-    per_rank = chunk_rows(full, N) * N * itemsize + N * N * 8
-    bound = SLACK * size * per_rank
-    if method == "rsvd":
-        bound += 2 * SLACK * M * 2 * K * itemsize
-    peak = traced_peak(full, method, size)
-    assert peak <= bound, (
-        f"{method} p={size}: peak {peak} B, bound {bound} B, input {full.nbytes} B"
+    fn = route(method, PARAMS)
+    peak = traced_peak(full, lambda a: fn(a).sigma, size)
+    check(peak, sigma_only_bound(full, method, size), full, f"{method} p={size}")
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+def test_pca_without_scores_allocates_no_centered_copy(method, dtype, size):
+    full = random_rows(3, 0, M, N, "standard-normal", dtype) + dtype(10)
+    params = PARAMS if method == "rsvd" else None
+    peak = traced_peak(full, lambda a: pca(a, method=method, params=params).sdev, size)
+    # Beyond the sigma-only route: one centering buffer per rank (tall_R's
+    # second pass holds it next to its product chunk), and the means, V and
+    # the rotation, each at most n x n.
+    bound = sigma_only_bound(full, method, size) + size * (
+        chunk_bytes(full) + SLACK * N * N * 8
     )
-    # An m x n temporary does not fit under the bound.
-    assert bound < full.nbytes
+    check(peak, bound, full, f"pca {method} p={size}")
