@@ -20,7 +20,6 @@ from .dense import (
     NonFiniteInput,
     ShapeError,
     UnsupportedShape,
-    gemm,
     qr_Q,
     qr_R,
     small_svd,
@@ -75,7 +74,6 @@ __all__ = [
     "block_rows",
     "crossprod",
     "distribute",
-    "gemm",
     "generate_random",
     "mean_center_columns",
     "mult_local",

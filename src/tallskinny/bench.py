@@ -16,7 +16,7 @@ import numpy as np
 
 from .comm import run_ranks
 from .distmat import distribute, generate_random, random_rows, read_distributed
-from .matfile import read_header, read_matrix
+from .matfile import MatrixFileError, read_checked_header, read_matrix
 from .matrices import conditioned_matrix, low_rank_noise_matrix
 from .svd import ROUTES, ParameterError, RsvdParams, route
 
@@ -71,9 +71,12 @@ class BenchConfig:
         if self.input_path is None:
             m, n = self.effective_rows(), self.cols
         else:
-            # The header alone, read here in the calling thread, so that a
-            # bad file is a ConfigError before any rank starts.
-            m, n, dtype = read_header(self.input_path)
+            # Checked here in the calling thread, so that a bad or short
+            # file is a ConfigError before any rank starts.
+            try:
+                m, n, dtype = read_checked_header(self.input_path)
+            except MatrixFileError as exc:
+                raise ConfigError(str(exc)) from exc
             if dtype != PRECISIONS[self.precision]:
                 raise ConfigError(
                     f"input file holds {dtype}; pass the matching --precision"

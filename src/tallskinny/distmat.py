@@ -11,6 +11,7 @@ The two multiply patterns: distributed times replicated stays local and
 distributed-transpose times distributed is a local product plus one
 sum-allreduce. mult_and_transpose fuses the two for one replicated b:
 Y = A b and A^T Y from a single cache-blocked read of the local rows.
+Each of the three is one loop over row chunks, shifted or not.
 
 A centered matrix is implicit. mean_center_columns returns a DistMatrix
 whose `shift` is the n-vector of column means: the matrix is
@@ -19,8 +20,8 @@ block - shift, and no m x n centered copy exists. The kernels here
 mult_and_transpose) and dense.tall_R read a shifted block in row chunks,
 each centered into one reused buffer by dense.row_chunks. Any other reader
 gets `local`, which is block - shift materialized: slower, never
-uncentered. An unshifted matrix runs the same code as it would without
-this, and its `local` is its block.
+uncentered. An unshifted matrix's `local` is its block, and only
+crossprod (dense.gram) has a path of its own for it.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .dense import (
     UnsupportedShape,
     as_matrix,
     chunk_rows,
-    gemm,
     gram,
     row_chunks,
 )
@@ -164,43 +164,50 @@ def crossprod(a):
     return a.comm.allreduce_sum(gram(a.block, a.shift))
 
 
-def mult_local(a, b):
-    """Distributed product A @ b for replicated b; no communication."""
+def _factor(who, a, b):
+    """b as a matrix, checked to have a's column count and precision."""
     b = as_matrix(b, "b")
     if a.cols != b.shape[0]:
+        raise ShapeError(f"{who}: a has {a.cols} cols but b is {b.shape[0]}x{b.shape[1]}")
+    if a.dtype != b.dtype:
         raise ShapeError(
-            f"mult_local: a has {a.cols} cols but b is {b.shape[0]}x{b.shape[1]}"
+            f"{who} operands must share precision, got {a.dtype} and {b.dtype}"
         )
-    if a.shift is None:
-        out = a.block @ b
-    else:
-        out = np.empty((a.block.shape[0], b.shape[1]), np.result_type(a.block, b))
-        for start, a_c in row_chunks(a.block, chunk_rows(a.block, b.shape[1]), a.shift):
-            np.matmul(a_c, b, out=out[start : start + a_c.shape[0]])
+    return b
+
+
+def mult_local(a, b):
+    """Distributed product A @ b for replicated b; no communication.
+
+    One pass over row chunks, as in mult_and_transpose, writing each
+    chunk's product into the result.
+    """
+    b = _factor("mult_local", a, b)
+    out = np.empty((a.block.shape[0], b.shape[1]), a.dtype)
+    for start, a_c in row_chunks(a.block, chunk_rows(a.block, b.shape[1]), a.shift):
+        np.matmul(a_c, b, out=out[start : start + a_c.shape[0]])
     return DistMatrix(out, a.global_rows, a.row_offset, a.comm)
 
 
 def mult_transpose(a, y):
     """Replicated A^T Y for distributed a and y on the same layout.
 
-    Either may be shifted; then both are walked in the same row chunks,
-    sized by chunk_rows for the wider of the two.
+    Both are walked in the same row chunks, sized by chunk_rows for the
+    wider of the two; either may be shifted.
     """
-    if not a.same_distribution(y):
+    if not a.same_distribution(y) or a.dtype != y.dtype:
         raise ShapeError(
-            "mult_transpose requires matching row distribution: "
+            "mult_transpose requires matching row distribution and precision: "
             f"a has m={a.global_rows}, offset={a.row_offset}, "
-            f"local={a.block.shape[0]}; y has m={y.global_rows}, "
-            f"offset={y.row_offset}, local={y.block.shape[0]}"
+            f"local={a.block.shape[0]}, {a.dtype}; y has m={y.global_rows}, "
+            f"offset={y.row_offset}, local={y.block.shape[0]}, {y.dtype}"
         )
-    if a.shift is None and y.shift is None:
-        return a.comm.allreduce_sum(gemm(True, a.block, y.block))
     chunk = min(chunk_rows(a.block, y.cols), chunk_rows(y.block, a.cols))
-    out = np.zeros((a.cols, y.cols), np.result_type(a.block, y.block))
+    out = np.zeros((a.cols, y.cols), a.dtype)
     for (_, a_c), (_, y_c) in zip(
         row_chunks(a.block, chunk, a.shift), row_chunks(y.block, chunk, y.shift)
     ):
-        out += gemm(True, a_c, y_c)
+        out += a_c.T @ y_c
     return a.comm.allreduce_sum(out)
 
 
@@ -211,20 +218,11 @@ def mult_and_transpose(a, b):
     b.cols) rows, centered by dense.row_chunks when a is shifted: each
     chunk's Y_c = A_c b is written into Y, and A_c^T Y_c is added into W
     while A_c is still in cache. One
-    sum-allreduce of the n x b.cols W follows. Y is mult_local(a, b) and
-    W is mult_transpose(a, Y), up to the order of the sums.
+    sum-allreduce of the n x b.cols W follows. Y is bitwise
+    mult_local(a, b), and W is mult_transpose(a, Y) up to the order of the
+    sums.
     """
-    b = as_matrix(b, "b")
-    if a.cols != b.shape[0]:
-        raise ShapeError(
-            f"mult_and_transpose: a has {a.cols} cols but b is "
-            f"{b.shape[0]}x{b.shape[1]}"
-        )
-    if a.dtype != b.dtype:
-        raise ShapeError(
-            f"mult_and_transpose operands must share precision, got {a.dtype} "
-            f"and {b.dtype}"
-        )
+    b = _factor("mult_and_transpose", a, b)
     y = np.empty((a.block.shape[0], b.shape[1]), dtype=a.dtype)
     w = np.zeros((a.cols, b.shape[1]), dtype=a.dtype)
     for start, a_c in row_chunks(a.block, chunk_rows(a.block, b.shape[1]), a.shift):

@@ -14,6 +14,7 @@ Readers may load any contiguous row range with a single seek, which is how
 distributed reads split a file by the balanced partition rule.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -56,6 +57,18 @@ def read_header(path):
     if precision not in _PRECISION_TO_DTYPE:
         raise MatrixFileError(f"{path}: unsupported precision byte {precision}")
     return int(m), int(n), _PRECISION_TO_DTYPE[precision]
+
+
+def read_checked_header(path):
+    """read_header(path), after checking that the file size is at least
+    32 + m * n * itemsize; read_rows checks only the rows it reads."""
+    m, n, dtype = read_header(path)
+    size, need = os.path.getsize(path), _HEADER.size + m * n * dtype.itemsize
+    if size < need:
+        raise MatrixFileError(
+            f"{path}: truncated payload ({size} bytes; the header promises {need})"
+        )
+    return m, n, dtype
 
 
 def read_rows(path, row_start, row_count):

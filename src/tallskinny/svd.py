@@ -143,15 +143,13 @@ def recover_U(a, v, sigma):
 
 
 def _truncate_to_kept(a, result, want_u, want_v, v_full):
-    """Attach factors, shrinking sigma/v consistently if U drops columns."""
-    sigma = result.sigma
+    """Attach factors, shrinking sigma/v consistently if U drops columns:
+    sigma is descending, so U keeps a prefix of them, U.cols long."""
     if want_u:
-        keep = sigma > rank_tolerance(sigma, a.global_rows, a.cols)
-        result.u = recover_U(a, v_full, sigma)
-        result.sigma = sigma[keep]
-        if want_v:
-            result.v = v_full[:, keep]
-    elif want_v:
+        result.u = recover_U(a, v_full, result.sigma)
+        result.sigma = result.sigma[: result.u.cols]
+        v_full = v_full[:, : result.u.cols]
+    if want_v:
         result.v = v_full
     return result
 
@@ -159,8 +157,7 @@ def _truncate_to_kept(a, result, want_u, want_v, v_full):
 def svd_normal_equations(a, want_u=False, want_v=False):
     """Sigma (and factors) from the eigendecomposition of A^T A."""
     _require_tall(a, "svd_normal_equations")
-    n_mat = require_finite(crossprod(a), "crossproduct A^T A")
-    values, vectors = sym_eigen(n_mat)
+    values, vectors = sym_eigen(crossprod(a))
     result = SvdResult(sigma=require_finite(np.sqrt(np.maximum(values, 0)), "sigma"))
     return _truncate_to_kept(a, result, want_u, want_v, vectors)
 
@@ -241,17 +238,19 @@ def _implicit_ok(r):
     return smallest * RSVD_IMPLICIT_MAX_GROWTH >= 1
 
 
-def _project(a, y, w):
-    """(B, Y or Q_Y, R or None): B = Q_Y^T A for Y = Q_Y R and W = A^T Y.
+def _project(a, basis):
+    """(B, Y or Q_Y, R or None): B = Q_Y^T A for Y = A basis = Q_Y R.
 
     The second and third values give Q_Y: Y R^-1 when R is returned, on
-    the fast path, and the explicit Q_Y itself otherwise.
+    the fast path, and the explicit Q_Y itself otherwise. The fallback
+    holds two m x 2k arrays at a time: Y gives way to Q1 = Y R^-1.
     """
+    y, w = mult_and_transpose(a, basis)
     r = _reduced_r(y)
     if _implicit_ok(r):
         return np.linalg.solve(r.T, w.T), y, r
-    q1 = mult_local(y, np.linalg.inv(r))
-    q_y = mult_local(q1, np.linalg.inv(_reduced_r(q1)))
+    y = mult_local(y, np.linalg.inv(r))
+    q_y = mult_local(y, np.linalg.inv(_reduced_r(y)))
     return mult_transpose(q_y, a), q_y, None
 
 
@@ -298,7 +297,7 @@ def svd_randomized(a, params, want_u=False, want_v=False):
     )
     for step in range(params.q + 1):
         left = None  # drop the last Y before the pass allocates the next
-        b, left, r = _project(a, *mult_and_transpose(a, basis))
+        b, left, r = _project(a, basis)
         if step < params.q:
             basis = qr_Q(b.T)
     sigma, u_b, vt = small_svd(b)

@@ -112,6 +112,20 @@ class TestRun:
         assert main(args) == 2
         assert "rows > cols" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_truncated_input_exits_2_naming_the_file(self, tmp_path, capsys, command):
+        # Checked before any rank starts: no rank reports a collective abort.
+        path = tmp_path / "short.tskm"
+        write_matrix(path, np.ones((40, 5)))
+        with open(path, "r+b") as fh:
+            fh.truncate(32 + 39 * 5 * 8)
+        args = [command, "--algo", "tssvd", "--ranks", "2", "--reps", "1",
+                "--input", str(path)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "truncated payload" in err
+        assert "collective" not in err
+
 
 class TestUsageErrors:
     def test_rows_not_tall_exits_2(self, capsys):

@@ -6,10 +6,10 @@ from tallskinny.dense import (
     CHOLQR_MAX_COND,
     CHOLQR_MAX_DEFECT,
     ConvergenceError,
+    NonFiniteInput,
     ShapeError,
     UnsupportedShape,
     chunk_rows,
-    gemm,
     qr_Q,
     qr_R,
     small_svd,
@@ -18,60 +18,6 @@ from tallskinny.dense import (
     tall_R,
 )
 from tallskinny.matrices import conditioned_matrix
-
-
-def gemm_oracle(transpose_a, a, b):
-    """Brute-force triple loop; deliberately ignorant of numpy matmul."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if transpose_a:
-        a = a.T
-    m, kk = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for l in range(kk):
-                acc += a[i, l] * b[l, j]
-            out[i, j] = acc
-    return out
-
-
-class TestGemm:
-    def test_identity_passthrough(self):
-        b = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(gemm(False, np.eye(3), b), b)
-
-    def test_transpose_column(self):
-        a = np.array([[3.0], [4.0]])
-        assert np.array_equal(gemm(True, a, a), [[25.0]])
-
-    def test_two_by_two(self):
-        out = gemm(False, [[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("transpose_a", [False, True])
-    def test_matches_triple_loop(self, seed, transpose_a):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((6, 4) if not transpose_a else (4, 6))
-        b = rng.standard_normal((4, 3))
-        want = gemm_oracle(transpose_a, a, b)
-        got = gemm(transpose_a, a, b)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            gemm(False, np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_mixed_precision_rejected(self):
-        with pytest.raises(ShapeError, match="precision"):
-            gemm(False, np.ones((2, 2), np.float32), np.ones((2, 2), np.float64))
-
-    def test_float32_stays_float32(self):
-        out = gemm(False, np.ones((2, 2), np.float32), np.ones((2, 2), np.float32))
-        assert out.dtype == np.float32
 
 
 class TestQr:
@@ -346,6 +292,20 @@ class TestSymEigen:
         mat = np.array([[2.0, 1.0 + 1e-12], [1.0, 2.0]])
         values, _ = sym_eigen(mat)
         assert np.allclose(values, [3.0, 1.0], atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_rejected(self, bad, where):
+        mat = np.array([[2.0, 0.0], [0.0, 1.0]])
+        mat[where] = bad
+        with pytest.raises(NonFiniteInput):
+            sym_eigen(mat)
+
+    def test_symmetrizing_does_not_overflow(self):
+        # Every entry is finite in float32, but a + a^T is not.
+        mat = np.array([[2e38, 1e38], [1e38, 2e38]], dtype=np.float32)
+        values, _ = sym_eigen(mat)
+        assert np.allclose(values, [3e38, 1e38], rtol=1e-6)
 
     def test_float32(self):
         rng = np.random.default_rng(9)

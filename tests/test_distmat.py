@@ -28,6 +28,7 @@ from tallskinny.distmat import (
 )
 from tallskinny.matfile import (
     MatrixFileError,
+    read_checked_header,
     read_header,
     read_matrix,
     read_rows,
@@ -188,6 +189,13 @@ class TestMultLocal:
         with pytest.raises(ShapeError):
             mult_local(a, np.eye(3))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mixed_precision_rejected(self, dtype):
+        other = np.float64 if dtype == np.float32 else np.float32
+        a = generate_random(solo_communicator(), 10, 2, seed=1, dtype=dtype)
+        with pytest.raises(ShapeError, match="precision"):
+            mult_local(a, np.eye(2, dtype=other))
+
 
 class TestMultAndTranspose:
     N, B_COLS = 8, 3
@@ -292,6 +300,62 @@ class TestMultTranspose:
             return True
 
         assert all(run_ranks(2, worker))
+
+    def test_mixed_precision_rejected(self):
+        comm = solo_communicator()
+        a = generate_random(comm, 10, 2, seed=1)
+        y = generate_random(comm, 10, 2, seed=2, dtype=np.float32)
+        with pytest.raises(ShapeError, match="precision"):
+            mult_transpose(a, y)
+
+
+class TestOnePath:
+    """A zero shift runs the unshifted matrix's own loop, bitwise.
+
+    mult_local, mult_transpose and mult_and_transpose each walk the rows
+    in one row_chunks loop, shifted or not. The one intended fork is
+    dense.gram, crossprod's kernel, which keeps a one-shot product for an
+    unshifted block because it is faster there; it is not tested here.
+    """
+
+    M, N, Y_COLS = 12000, 40, 4
+
+    @staticmethod
+    def same_bits(x, y):
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_shift_is_bitwise_unshifted(self, dtype, size):
+        full = random_rows(40, 0, self.M, self.N, "standard-normal", dtype)
+        factors = [
+            random_rows(41, 0, self.N, cols, "standard-normal", dtype)
+            for cols in (2, self.Y_COLS, self.N)
+        ]
+
+        def worker(comm):
+            a = distribute(comm, full)
+            zero = DistMatrix(a.block, a.global_rows, a.row_offset, comm,
+                              np.zeros(self.N, dtype))
+            assert a.block.shape[0] >= 2 * chunk_rows(a.block, self.N)
+            y = mult_local(a, factors[1])
+            y_zero = DistMatrix(y.block, y.global_rows, y.row_offset, comm,
+                                np.zeros(self.Y_COLS, dtype))
+            pairs = [(mult_local(zero, b).local, mult_local(a, b).local)
+                     for b in factors]
+            pairs += [
+                (mult_transpose(zero, y), mult_transpose(a, y)),
+                (mult_transpose(y, zero), mult_transpose(y, a)),
+                (mult_transpose(a, y_zero), mult_transpose(a, y)),
+                (mult_transpose(y_zero, a), mult_transpose(y, a)),
+            ]
+            for b in factors:
+                (y0, w0), (y1, w1) = mult_and_transpose(zero, b), mult_and_transpose(a, b)
+                pairs += [(y0.local, y1.local), (w0, w1)]
+            return [self.same_bits(shifted, plain) for shifted, plain in pairs]
+
+        for rank, equal in enumerate(run_ranks(size, worker)):
+            assert all(equal), f"rank {rank}: bitwise equal {equal}"
 
 
 class TestMeanCenter:
@@ -413,6 +477,17 @@ class TestMatrixFile:
             read_matrix(path)
         assert np.array_equal(read_rows(path, 1, 2), np.ones((2, 3)))
         assert read_rows(path, 3, 0).shape == (0, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_checked_header_wants_the_whole_payload(self, tmp_path, dtype):
+        path = tmp_path / "t.tskm"
+        write_matrix(path, np.ones((4, 3), dtype=dtype))
+        full = 32 + 4 * 3 * np.dtype(dtype).itemsize
+        assert read_checked_header(path) == (4, 3, np.dtype(dtype))
+        with open(path, "r+b") as fh:
+            fh.truncate(full - 1)
+        with pytest.raises(MatrixFileError, match="truncated payload"):
+            read_checked_header(path)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_read_holds_one_copy_of_the_block(self, tmp_path, dtype):

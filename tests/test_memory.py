@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tallskinny import svd
 from tallskinny.comm import run_ranks
 from tallskinny.dense import chunk_rows
 from tallskinny.distmat import distribute, random_rows
@@ -81,3 +82,29 @@ def test_pca_without_scores_allocates_no_centered_copy(method, dtype, size):
         chunk_bytes(full) + SLACK * N * N * 8
     )
     check(peak, bound, full, f"pca {method} p={size}")
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rsvd_fallback_holds_one_product_more_than_the_fast_path(
+    monkeypatch, dtype, size
+):
+    # Column means of 10, left uncentered, make Y = A Omega nearly rank one,
+    # so the first step falls back and forms Q_Y explicitly: Y gives way to
+    # Q1 = Y R^-1, and Q1 and Q_Y are the two m x 2k arrays it holds.
+    full = random_rows(3, 0, M, N, "standard-normal", dtype)
+    offset = full + dtype(10)
+    fn = route("rsvd", PARAMS)
+    fallbacks = []
+    mult_transpose = svd.mult_transpose
+    monkeypatch.setattr(
+        svd, "mult_transpose", lambda q_y, a: fallbacks.append(1) or mult_transpose(q_y, a)
+    )
+    fast = traced_peak(full, lambda a: fn(a).sigma, size)
+    assert fallbacks == []
+    peak = traced_peak(offset, lambda a: fn(a).sigma, size)
+    assert len(fallbacks) >= size
+    product = M * 2 * K * full.itemsize
+    assert peak <= fast + product, (
+        f"p={size}: fallback peak {peak} B, fast path {fast} B, one Y {product} B"
+    )

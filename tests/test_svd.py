@@ -531,6 +531,26 @@ class TestFactorFlags:
 
         assert all(run_ranks(size, worker))
 
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd"])
+    def test_rank_deficient_keeps_factors_consistent(self, method, size):
+        # A zero column and a repeated one put two singular values at or
+        # near zero; those below the rank tolerance leave U, and sigma and
+        # V must drop them too.
+        full = np.random.default_rng(44).standard_normal((200, 6))
+        full[:, 4] = 0
+        full[:, 5] = full[:, 0]
+        solve = route(method)
+
+        def worker(comm):
+            a = distribute(comm, full)
+            res = solve(a, want_u=True, want_v=True)
+            return res.sigma, res.u.cols, res.v.shape[1], solve(a).sigma
+
+        for sigma, u_cols, v_cols, bare in run_ranks(size, worker):
+            assert len(sigma) == u_cols == v_cols < full.shape[1]
+            assert np.array_equal(sigma, bare[: len(sigma)])
+
 
 class TestNonFiniteInput:
     """One NaN or Inf entry must fail every rank, never yield a sigma."""
@@ -574,3 +594,17 @@ class TestNonFiniteInput:
         want = np.linalg.svd(full.astype(np.float64), compute_uv=False)
         assert np.all(np.isfinite(sigma))
         assert abs(sigma[0] - want[0]) <= 1e-5 * want[0]
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd"])
+    def test_float32_finite_gram_near_overflow(self, method, size):
+        # The crossproduct's largest entry, 2.43e38, is finite in float32;
+        # symmetrizing it must not overflow on the way to the eigensolver.
+        full = np.array([[9e18, 0], [9e18, 0], [9e18, 9e17]], dtype=np.float32)
+
+        def worker(comm):
+            return route(method)(distribute(comm, full)).sigma
+
+        want = np.linalg.svd(full.astype(np.float64), compute_uv=False)
+        for sigma in run_ranks(size, worker):
+            assert max_rel_err(sigma, want) <= 1e-6
