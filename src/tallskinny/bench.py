@@ -71,11 +71,12 @@ class BenchConfig:
         if self.input_path is None:
             m, n = self.effective_rows(), self.cols
         else:
-            # Checked here in the calling thread, so that a bad or short
-            # file is a ConfigError before any rank starts.
+            # Checked here in the calling thread, so that a missing,
+            # unreadable, bad or short file is a ConfigError before any
+            # rank starts.
             try:
                 m, n, dtype = read_checked_header(self.input_path)
-            except MatrixFileError as exc:
+            except (MatrixFileError, OSError) as exc:
                 raise ConfigError(str(exc)) from exc
             if dtype != PRECISIONS[self.precision]:
                 raise ConfigError(

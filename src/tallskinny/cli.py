@@ -6,7 +6,8 @@ Two subcommands share one flag set:
     svdbench verify --algo cpsvd --rows 5000 --cols 50 --ranks 4 ...
 
 Bare flags (no subcommand) run a benchmark. Exit codes: 0 success,
-1 algorithm failure or verification tolerance breach, 2 bad usage.
+1 algorithm failure or verification tolerance breach, 2 bad usage. A
+missing, unreadable, malformed or short --input file is bad usage.
 
 Run as a program with no *_NUM_THREADS variable set, svdbench gives each
 rank its share of the cores: it re-executes itself once with
@@ -24,6 +25,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from . import dense
 from .bench import ALGOS, PRECISIONS, BenchConfig, ConfigError, run_bench, run_verify
 
 
@@ -129,6 +131,7 @@ def main(argv=None):
         human_out = sys.stderr if args.out is None else sys.stdout
         code = run_bench(cfg, csv_out, human_out)
         print(f"  BLAS threads per rank: {threads}", file=human_out)
+        print(f"  row-pass chunk: {dense.PASS_CHUNK_BYTES / 1024:g} KiB", file=human_out)
         if args.out is not None:
             Path(args.out).write_text(csv_out.getvalue())
         return code

@@ -84,12 +84,21 @@ def _tall(a):
 
 # Bytes of a block's rows per chunk of a row-blocked pass. A chunk is read
 # twice, or written and read back, and the second access hits the cache only
-# while the chunk fits in L2. On a 2-core Xeon (2 MiB of L2 per core), one
-# BLAS thread per rank, the fused rsvd pass ran fastest at 256-512 KiB at
-# 1e5 x 50 and 2e4 x 250 with one and two ranks, and lost 10-70% at 1 MiB;
-# tall_R at 1e5 x 50 float64 took 56-62 ms at 256 KiB against 72-78 ms with
-# a whole Q1.
-PASS_CHUNK_BYTES = 1 << 18
+# while the chunk fits in L2 (tall_R at 1e5 x 50 float64 took 56-62 ms in
+# 256 KiB chunks against 72-78 ms with a whole Q1). Against rsvd's n x 2k
+# factors a chunk costs two GEMMs of some 10 us each, so per-call overhead
+# counts too. On a 2-core Xeon (2 MiB of L2 per core), one BLAS thread per
+# rank, interleaved at 1e5 x 50 and 2e4 x 250, 512 KiB chunks made half the
+# calls of 256 KiB ones: rsvd's time moved by -5% to +1% at one rank and
+# fell 2-8% at two, pca(rsvd)'s fell up to 15% at two, and tssvd's moved
+# within +-4%; 384 KiB tied with 512 within 1-3%. The gain is largest at two
+# ranks, whose threads contend for each call's fixed overhead. 1 MiB lost
+# 7-12% in float64 and 34% in float32 on rsvd. In float32 the cause is not
+# L2 but OpenBLAS leaving its small-matrix kernel above M N K = 1e6: a
+# c x 50 by 50 x 4 GEMM went from 8.8 to 19.6 ns a row in float32 (17.5 to
+# 35.8 in float64) between c = 5000 and c = 5010, and a float32 1 MiB chunk
+# of 50 columns is 5242 rows.
+PASS_CHUNK_BYTES = 1 << 19
 # Fewest rows per chunk, per column of the factor the chunk is multiplied
 # by. Against an n x n factor each chunk's GEMM must be tall enough to run
 # at full speed: on the 1e4-row blocks of 2e4 x 250 float64 at two ranks,

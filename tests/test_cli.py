@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tallskinny
-from tallskinny import bench
+from tallskinny import bench, dense
 from tallskinny.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -124,6 +124,12 @@ class TestRun:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "truncated payload" in err
+        assert "collective" not in err
+        missing = tmp_path / "missing.tskm"
+        args[args.index(str(path))] = str(missing)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "No such file" in err
         assert "collective" not in err
 
 
@@ -324,7 +330,9 @@ class TestBlasThreads:
     def test_library_call_never_reexecs(self, program, capsys):
         assert main(["run", "--algo", "cpsvd", "--rows", "60", "--cols", "4", "--ranks", "2"]) == 0
         assert program.calls == []
-        assert "BLAS threads per rank: 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "BLAS threads per rank: 2" in err
+        assert f"row-pass chunk: {dense.PASS_CHUNK_BYTES / 1024:g} KiB" in err
 
     def test_reexeced_program_keeps_its_csv(self):
         # End to end, on this machine's cores: with the variables stripped
@@ -342,6 +350,7 @@ class TestBlasThreads:
         for proc in procs:
             assert proc.returncode == 0, proc.stderr
             assert f"BLAS threads per rank: {threads}" in proc.stderr
+            assert f"row-pass chunk: {dense.PASS_CHUNK_BYTES / 1024:g} KiB" in proc.stderr
 
         def without_seconds(text):
             return [{k: v for k, v in row.items() if k != "seconds"} for row in parse_csv(text)]

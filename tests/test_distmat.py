@@ -135,8 +135,10 @@ class TestCrossprod:
     @pytest.mark.parametrize("size", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_exactly_symmetric_over_chunks(self, dtype, size, shifted):
-        # 12000 x 40: a shifted block's Gram sums two or more chunks.
-        full = random_rows(12, 0, 12000, 40, "standard-normal", dtype) + dtype(10)
+        # Each block is two chunks and a row: a shifted block's Gram sums
+        # three chunks, the last a partial one.
+        chunk = chunk_rows(np.empty((0, 40), dtype), 40)
+        full = random_rows(12, 0, size * (2 * chunk + 1), 40, "standard-normal", dtype) + dtype(10)
 
         def worker(comm):
             a = distribute(comm, full)
@@ -318,7 +320,7 @@ class TestOnePath:
     unshifted block because it is faster there; it is not tested here.
     """
 
-    M, N, Y_COLS = 12000, 40, 4
+    N, Y_COLS = 40, 4
 
     @staticmethod
     def same_bits(x, y):
@@ -327,7 +329,10 @@ class TestOnePath:
     @pytest.mark.parametrize("size", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_shift_is_bitwise_unshifted(self, dtype, size):
-        full = random_rows(40, 0, self.M, self.N, "standard-normal", dtype)
+        # Each block is two chunks and a row, so every loop crosses a chunk
+        # boundary and ends on a partial chunk.
+        chunk = chunk_rows(np.empty((0, self.N), dtype), self.N)
+        full = random_rows(40, 0, size * (2 * chunk + 1), self.N, "standard-normal", dtype)
         factors = [
             random_rows(41, 0, self.N, cols, "standard-normal", dtype)
             for cols in (2, self.Y_COLS, self.N)
