@@ -2,9 +2,11 @@
 
 Each bench run spawns the requested in-process ranks, generates (or reads)
 the matrix once on every rank, and times only the singular-value
-computation, per rep. That is the only portion requiring communication; factor recovery
-and data generation stay outside the clock. Records come back from rank 0
-as CSV rows plus a human-readable summary with the median.
+computation, per rep. That is the only portion requiring communication;
+factor recovery and data generation stay outside the clock. Every rank
+times each rep, and a rep's record holds the max over ranks: rank 0 roots
+every collective and returns first. Records are written as CSV rows plus
+a human-readable summary with the median.
 """
 
 import statistics
@@ -113,17 +115,17 @@ def _compute_sigma(a, cfg):
 
 
 def _bench_worker(comm, cfg):
+    """(shape, this rank's seconds per rep, sigma sum per rep)."""
     # One load serves every rep: no route writes to a.local.
     a = _load_matrix(comm, cfg)
-    records = []
-    for rep in range(cfg.reps):
+    seconds, sums = [], []
+    for _ in range(cfg.reps):
         comm.barrier()
         start = time.perf_counter()
         sigma = _compute_sigma(a, cfg)
-        seconds = time.perf_counter() - start
-        if comm.rank == 0:
-            records.append((rep, seconds, float(np.sum(sigma))))
-    return ((a.global_rows, a.cols), records) if comm.rank == 0 else None
+        seconds.append(time.perf_counter() - start)
+        sums.append(float(np.sum(sigma)))
+    return (a.global_rows, a.cols), seconds, sums
 
 
 def _csv_row(cfg, shape, rep, seconds, sigma_sum):
@@ -138,7 +140,10 @@ def _csv_row(cfg, shape, rep, seconds, sigma_sum):
 def run_bench(cfg, csv_out, human_out):
     """Run the configured benchmark; write CSV rows and a summary table."""
     cfg.validate()
-    shape, records = run_ranks(cfg.ranks, _bench_worker, cfg)[0]
+    results = run_ranks(cfg.ranks, _bench_worker, cfg)
+    shape, _, sums = results[0]
+    slowest = [max(rep) for rep in zip(*(seconds for _, seconds, _ in results))]
+    records = list(zip(range(cfg.reps), slowest, sums))
     print(CSV_HEADER, file=csv_out)
     for rep, seconds, sigma_sum in records:
         print(_csv_row(cfg, shape, rep, seconds, sigma_sum), file=csv_out)
@@ -159,14 +164,14 @@ def run_bench(cfg, csv_out, human_out):
 
 def _verify_input(cfg, matrix_kind):
     """The full verification matrix, built once in the calling thread."""
+    if cfg.input_path is not None:
+        return read_matrix(cfg.input_path)
     m, n, dtype = cfg.effective_rows(), cfg.cols, PRECISIONS[cfg.precision]
     if matrix_kind == "cond1e6":
         return conditioned_matrix(m, n, 1e6, cfg.seed, dtype)
     if matrix_kind == "lowrank":
         leading = np.linspace(10.0, 5.0, cfg.k)
         return low_rank_noise_matrix(m, n, leading, 1e-6, cfg.seed, dtype)
-    if cfg.input_path is not None:
-        return read_matrix(cfg.input_path)
     return random_rows(cfg.seed, 0, m, n, "standard-normal", dtype)
 
 
@@ -203,10 +208,17 @@ def run_verify(cfg, matrix_kind, out):
     from the gesdd-with-vectors call the routes make; verify_tolerance gives
     the bound on each value. Truncated SVD is only meaningful on a spectrum
     with decay, so rsvd verification swaps flat random data for a decaying
-    low-rank instance.
+    low-rank instance. An input file is checked as it is, for every route;
+    the built-in cond1e6 instance cannot be asked for with one.
     """
+    if cfg.input_path is not None and matrix_kind != "random":
+        raise ConfigError(
+            f"--matrix {matrix_kind} builds its own matrix; it cannot take --input"
+        )
     cfg.validate()
-    if cfg.algo == "rsvd" and matrix_kind == "random":
+    if cfg.input_path is not None:
+        matrix_kind = "input"
+    elif cfg.algo == "rsvd" and matrix_kind == "random":
         matrix_kind = "lowrank"
     full = _verify_input(cfg, matrix_kind)
     sigma = run_ranks(cfg.ranks, lambda c: _compute_sigma(distribute(c, full), cfg))[0]

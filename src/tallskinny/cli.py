@@ -9,6 +9,13 @@ Bare flags (no subcommand) run a benchmark. Exit codes: 0 success,
 1 algorithm failure or verification tolerance breach, 2 bad usage. A
 missing, unreadable, malformed or short --input file is bad usage.
 
+verify checks an --input file's matrix as it is, for every route, and
+ignores --rows and --cols. Without --input it generates the matrix:
+random normal data (for rsvd, whose 1% gate needs a decaying spectrum, a
+low-rank instance instead), or the ill-conditioned instance of
+--matrix cond1e6. That instance is built, never read, so --matrix
+cond1e6 with --input is bad usage.
+
 Run as a program with no *_NUM_THREADS variable set, svdbench gives each
 rank its share of the cores: it re-executes itself once with
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to

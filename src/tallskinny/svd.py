@@ -25,19 +25,23 @@ column means), which every pass over the rows subtracts chunk by chunk.
 svd_randomized: truncated SVD by random projection with q power
 iterations, in q + 1 passes over A. Each pass reads the local rows once,
 in cache-sized chunks, for both Y = A Omega and W = A^T Y
-(distmat.mult_and_transpose). The QR reduction factors Y = Q_Y R, and
-B = Q_Y^T A = R^-T W^T follows from W, so Q_Y stays implicit as Y R^-1
-and A is not read a second time. A guard on R's column-scaled condition
-sends ill-conditioned Y (a rank-deficient A, say) to a fallback that
-forms Q_Y, re-orthogonalizes it once and reads A again for B.
+(distmat.mult_and_transpose). The q power iterations keep W alone: the
+next basis is qr_Q(W), which spans what qr_Q(B^T) would, and costs one
+sum-allreduce. Only the last pass factors Y = Q_Y R by the QR reduction,
+and B = Q_Y^T A = R^-T W^T follows from W, so Q_Y stays implicit as
+Y R^-1 and A is not read a second time. A guard on R's column-scaled
+condition sends an ill-conditioned Y (a rank-deficient A, say) to a
+fallback that forms Q_Y, re-orthogonalizes it once and reads A again
+for B.
 
 The two full-spectrum routes recover a distributed U from
 A V inv(Sigma) when asked; the randomized one uses U = Q_Y U_B.
 
-The first reduced value of each route (the crossproduct, or the R factor
-qr_allreduce returns) and the returned sigma are checked for NaN and Inf.
-A reduced value is bitwise the same on every rank, so every rank raises
-NonFiniteInput together, with no extra message.
+The first reduced value of each route (the crossproduct, the W of each
+rsvd power iteration, or the R factor qr_allreduce returns) and the
+returned sigma are checked for NaN and Inf. A reduced value is bitwise
+the same on every rank, so every rank raises NonFiniteInput together,
+with no extra message.
 
 ROUTES names them cpsvd, tssvd and rsvd; route() is the one dispatch from
 a name to a function, shared by pca and the svdbench harness.
@@ -257,36 +261,51 @@ def _project(a, basis):
 def svd_randomized(a, params, want_u=False, want_v=False):
     """Truncated SVD by random projection and q power iterations.
 
-    Runs q + 1 identical steps, each one pass over A. From an n x 2k
-    basis (random at first) the pass gives the distributed Y = A basis
-    and the replicated W = A^T Y. The QR reduction factors Y = Q_Y R, and
-    B = Q_Y^T A = R^-T W^T is solved from W without forming Q_Y. While
-    iterations remain, the next basis is qr_Q(B^T); after the last,
-    small_svd(B) gives sigma and V, and U = Q_Y U_B = Y (R^-1 U_B). Only
-    the leading k values/vectors are returned; the oversampled half is
-    discarded.
+    Makes q + 1 passes over A. From an n x 2k basis (random at first)
+    each pass gives the distributed Y = A basis and the replicated
+    W = A^T Y. The q power-iteration steps keep W alone and take
+    qr_Q(W) as the next basis; the last step factors Y. Only the leading
+    k values/vectors are returned; the oversampled half is discarded.
 
-    The guard. Each column of the computed W errs by a multiple of
-    u ||A|| ||y_j||, so the error is E D with D = diag(||y_j||), the
-    column norms of R; the QR's backward error in Y is columnwise too.
-    The implicit B carries R^-T D E^T: at most g = ||D R^-1||_2 times the
-    error of Q_Y^T A with an orthonormal Q_Y. g is 1 for orthogonal
-    columns, and on standard-normal data it stays under 2.5 (the first
-    step of a uniform(0, 1) projection; later steps read 1.0). It is of
-    order 1/u when A is rank deficient, and then the implicit B is wrong
-    in its leading digits.
+    Why W alone suffices. A step that factored Y = Q_Y R would take
+    qr_Q(B^T) for B = Q_Y^T A, and B^T = A^T Y R^-1 = W R^-1. R^-1 is
+    upper triangular with a positive diagonal, so qr_Q(W) R_W R^-1 is a
+    QR factorization of W R^-1 with a positive diagonal, and by its
+    uniqueness qr_Q(B^T) = qr_Q(W) in exact arithmetic: orthogonal
+    iteration on A^T A (Golub & Van Loan, sec. 8.2.4). Such a step makes
+    one collective, W's sum-allreduce, and no QR reduction of Y.
 
-    Q_Y stays implicit while g <= RSVD_IMPLICIT_MAX_GROWTH = 8. In a
-    sweep of 20,000 random inputs (float32 and float64, k <= 3,
-    2k < n <= 2k + 9, m < 400, rank 1 to 2k + 1 with flat, log-uniform or
-    geometric spectra, q <= 2), the largest upward error
-    max_i (sigma_i^ - sigma_i) / sigma_1 of a forced implicit B stayed
-    within 0.67 of svdbench verify's rounding term 2 lambda n (u + u64)
-    for every g <= 16, the explicit path's own worst; it first exceeded
-    the term at g = 22.5. Otherwise the step falls back: Q_Y = Y R^-1 by
-    a GEMM, re-orthogonalized once through the QR reduction, and
-    B = Q_Y^T A by one more pass over A. A zero on the diagonal of either
-    R raises DegenerateProjection.
+    The last step. The QR reduction factors Y = Q_Y R, and
+    B = Q_Y^T A = R^-T W^T is solved from W without forming Q_Y.
+    small_svd(B) gives sigma and V, and U = Q_Y U_B = Y (R^-1 U_B).
+
+    The guard acts on the last step only. Each column of the computed W
+    errs by a multiple of u ||A|| ||y_j||, so the error is E D with
+    D = diag(||y_j||), the column norms of R; the QR's backward error in
+    Y is columnwise too. The implicit B carries R^-T D E^T: at most
+    g = ||D R^-1||_2 times the error of Q_Y^T A with an orthonormal Q_Y.
+    g is 1 for orthogonal columns. On standard-normal 2e4 x 50 data at
+    k = 2 it read at most 1.4 at q = 0 with a standard-normal projection
+    and 2.8 with a uniform(0, 1) one, and 1.01 after a power iteration.
+    It is of order 1/u when Y is rank deficient, as for a rank-one A at
+    q = 0, and then the implicit B is wrong in its leading digits. After
+    power iterations the basis is orthonormal, and a rank-one A reads g
+    of order 10, no longer 1/u: 60 to 80 on a 2000 x 20 outer product,
+    1.0 to 10 on a centered 300 x 12 one. Such an input may take either
+    side of the guard.
+
+    Q_Y stays implicit while g <= RSVD_IMPLICIT_MAX_GROWTH = 8. The
+    sweep behind the value ran per step, when each of the q + 1 steps
+    factored Y and solved B from W: over 20,000 random inputs (float32
+    and float64, k <= 3, 2k < n <= 2k + 9, m < 400, rank 1 to 2k + 1
+    with flat, log-uniform or geometric spectra, q <= 2), the largest
+    upward error max_i (sigma_i^ - sigma_i) / sigma_1 with every step's
+    B forced implicit stayed within 0.67 of svdbench verify's rounding
+    term 2 lambda n (u + u64) for every g <= 16, the explicit path's own
+    worst; it first exceeded the term at g = 22.5. Past the guard the
+    last step falls back: Q_Y = Y R^-1 by a GEMM, re-orthogonalized once
+    through the QR reduction, and B = Q_Y^T A by one more pass over A. A
+    zero on the diagonal of either R raises DegenerateProjection.
     """
     _require_tall(a, "svd_randomized")
     n = a.cols
@@ -295,11 +314,9 @@ def svd_randomized(a, params, want_u=False, want_v=False):
         params.seed, 0, n, 2 * params.k, params.projection, a.dtype,
         domain=STREAM_PROJECTION,
     )
-    for step in range(params.q + 1):
-        left = None  # drop the last Y before the pass allocates the next
-        b, left, r = _project(a, basis)
-        if step < params.q:
-            basis = qr_Q(b.T)
+    for _ in range(params.q):
+        basis = qr_Q(require_finite(mult_and_transpose(a, basis)[1], "W = A^T Y"))
+    b, left, r = _project(a, basis)
     sigma, u_b, vt = small_svd(b)
     k = params.k
     result = SvdResult(sigma=require_finite(sigma[:k], "sigma"))

@@ -9,6 +9,8 @@ chunks, and a chunk that ignores the shift, or a centering by a rank-one
 correction of the Gram, shows at column means of 10 and 1e3.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,10 @@ from tallskinny.matrices import conditioned_matrix
 from tallskinny.svd import RsvdParams, route
 
 PARAMS = RsvdParams(k=2, q=2, seed=5)
+# The rank-one case runs with no power iterations, so that its one step
+# takes the fallback. After iterations on W, the last step's growth g on
+# this input falls from 4e4-6e15 to 1.0-10, under the guard in most cells.
+RANK_ONE_PARAMS = replace(PARAMS, q=0)
 WANTS = {"sigma": {}, "u": {"want_u": True}, "v": {"want_v": True}}
 CASES = [
     ("cpsvd", "tall"),
@@ -44,9 +50,9 @@ def data(shape, mean, dtype):
     return (base + mean).astype(dtype)
 
 
-def shifted_and_explicit(full, method, size, want):
+def shifted_and_explicit(full, method, params, size, want):
     """Per rank: (sigma, U block, V) on the shifted and the explicit matrix."""
-    fn = route(method, PARAMS)
+    fn = route(method, params)
 
     def worker(comm):
         a = distribute(comm, full)
@@ -82,10 +88,11 @@ def test_shifted_matches_explicit_centering(monkeypatch, method, shape, want, si
         return original(y, a)
 
     monkeypatch.setattr(svd, "mult_transpose", counted)
-    results = shifted_and_explicit(data(shape, mean, dtype), method, size, WANTS[want])
+    params = RANK_ONE_PARAMS if shape == "rank-one" else PARAMS
+    results = shifted_and_explicit(data(shape, mean, dtype), method, params, size, WANTS[want])
 
     if shape == "rank-one":
-        # Y = A Omega has rank one, so the first step takes the fallback,
+        # Y = A Omega has rank one, so the one step takes the fallback,
         # whose mult_transpose(Q_Y, A) gets the shifted A second.
         assert any(shifted_passes)
     for (s_sigma, s_u, s_v), (e_sigma, e_u, e_v) in results:

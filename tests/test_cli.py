@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import tallskinny
 from tallskinny import bench, dense
 from tallskinny.bench import (
+    ALGOS,
     CSV_HEADER,
     BenchConfig,
     run_bench,
@@ -19,6 +21,7 @@ from tallskinny.bench import (
 )
 from tallskinny.cli import BLAS_THREAD_VARS, main
 from tallskinny.matfile import write_matrix
+from tallskinny.matrices import low_rank_noise_matrix
 
 FAST = ["--rows", "300", "--cols", "10", "--ranks", "2", "--reps", "2"]
 
@@ -203,6 +206,27 @@ class TestVerify:
         assert main(args) == 0
         assert "m=80 n=6" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_input_file_is_what_every_route_checks(self, tmp_path, capsys, algo):
+        # --rows and --cols describe a different matrix; the file's wins,
+        # for rsvd too, which swaps only generated random data for lowrank.
+        path = tmp_path / "in.tskm"
+        write_matrix(path, low_rank_noise_matrix(200, 12, [10.0, 5.0], 0.1, 63))
+        args = ["verify", "--algo", algo, "--ranks", "2", "--rows", "4000",
+                "--cols", "30", "--input", str(path)]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "m=200 n=12" in out and "matrix=input" in out and "PASS" in out
+
+    def test_conditioned_instance_with_input_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "in.tskm"
+        write_matrix(path, np.random.default_rng(64).standard_normal((3000, 20)))
+        args = ["verify", "--algo", "tssvd", "--ranks", "2", "--rows", "4000",
+                "--cols", "30", "--matrix", "cond1e6", "--input", str(path)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "--input" in captured.err and "PASS" not in captured.out
+
     @pytest.mark.parametrize("shape, dtype, message", [
         ((6, 6), np.float64, "rows > cols"),
         ((12, 3), np.float32, "precision"),
@@ -380,6 +404,25 @@ class TestBenchApi:
         assert run_bench(cfg, csv_out, io.StringIO()) == 0
         assert sorted(calls) == [0, 1]
         assert len(parse_csv(csv_out.getvalue())) == 3
+
+    def test_seconds_are_the_max_over_ranks(self, monkeypatch):
+        # Rank 0 roots every collective and returns first; a rep lasts
+        # until its slowest rank is done.
+        compute = bench._compute_sigma
+
+        def slow_rank_one(a, cfg):
+            sigma = compute(a, cfg)
+            if a.comm.rank == 1:
+                time.sleep(0.05)
+            return sigma
+
+        monkeypatch.setattr(bench, "_compute_sigma", slow_rank_one)
+        cfg = BenchConfig(algo="cpsvd", rows=200, cols=8, ranks=2, reps=3)
+        csv_out = io.StringIO()
+        assert run_bench(cfg, csv_out, io.StringIO()) == 0
+        rows = parse_csv(csv_out.getvalue())
+        assert len(rows) == 3
+        assert all(float(r["seconds"]) >= 0.05 for r in rows)
 
     def test_run_verify_stream(self):
         cfg = BenchConfig(algo="tssvd", rows=300, cols=10, ranks=2, reps=1)

@@ -12,6 +12,7 @@ not seen, and is O(n^2) or O(block) per call anyway.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,19 +90,22 @@ def test_pca_without_scores_allocates_no_centered_copy(method, dtype, size):
 def test_rsvd_fallback_holds_one_product_more_than_the_fast_path(
     monkeypatch, dtype, size
 ):
-    # Column means of 10, left uncentered, make Y = A Omega nearly rank one,
-    # so the first step falls back and forms Q_Y explicitly: Y gives way to
-    # Q1 = Y R^-1, and Q1 and Q_Y are the two m x 2k arrays it holds.
+    # Column means of 10, left uncentered, make Y = A Omega nearly rank one
+    # at q = 0, so its one step falls back and forms Q_Y explicitly: Y gives
+    # way to Q1 = Y R^-1, and Q1 and Q_Y are the two m x 2k arrays it holds.
+    # After power iterations on W the last step's Y is well conditioned
+    # (growth 1.0 against 140 at q = 0) and stays on the fast path.
     full = random_rows(3, 0, M, N, "standard-normal", dtype)
     offset = full + dtype(10)
-    fn = route("rsvd", PARAMS)
     fallbacks = []
     mult_transpose = svd.mult_transpose
     monkeypatch.setattr(
         svd, "mult_transpose", lambda q_y, a: fallbacks.append(1) or mult_transpose(q_y, a)
     )
-    fast = traced_peak(full, lambda a: fn(a).sigma, size)
+    fast_fn = route("rsvd", PARAMS)
+    fast = traced_peak(full, lambda a: fast_fn(a).sigma, size)
     assert fallbacks == []
+    fn = route("rsvd", replace(PARAMS, q=0))
     peak = traced_peak(offset, lambda a: fn(a).sigma, size)
     assert len(fallbacks) >= size
     product = M * 2 * K * full.itemsize

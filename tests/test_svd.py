@@ -10,10 +10,11 @@ from tallskinny.dense import (
     NonFiniteInput,
     ShapeError,
     UnsupportedShape,
+    qr_Q,
     qr_R,
     small_svd,
 )
-from tallskinny.distmat import distribute, generate_random
+from tallskinny.distmat import STREAM_PROJECTION, distribute, generate_random, random_rows
 from tallskinny.matrices import conditioned_matrix, low_rank_noise_matrix
 from tallskinny.svd import (
     DegenerateProjection,
@@ -326,8 +327,8 @@ def count_calls(monkeypatch, module, name):
 class TestImplicitGuard:
     """Which side of svd_randomized's guard an input takes.
 
-    The fast path never calls mult_transpose; the fallback calls it once
-    per step on every rank to form B = Q_Y^T A.
+    The fast path never calls mult_transpose; the fallback calls it once,
+    on the last step, on every rank to form B = Q_Y^T A.
     """
 
     @pytest.mark.parametrize("size", [1, 2])
@@ -375,6 +376,80 @@ class TestImplicitGuard:
         assert max_rel_err(fast.sigma, slow.sigma) <= 1e-12
         assert np.max(np.abs(fast.u.local - slow.u.local)) <= 1e-10
         assert np.max(np.abs(fast.v - slow.v)) <= 1e-10
+
+
+def per_step_rsvd(a, params):
+    """(sigma of B, leading k of V) from the per-step loop that factored Y
+    on every step: each basis after the first is qr_Q(B^T), not qr_Q(W)."""
+    basis = random_rows(
+        params.seed, 0, a.cols, 2 * params.k, params.projection, a.dtype,
+        domain=STREAM_PROJECTION,
+    )
+    for step in range(params.q + 1):
+        b, _, _ = svd._project(a, basis)
+        if step < params.q:
+            basis = qr_Q(b.T)
+    sigma, _, vt = small_svd(b)
+    return sigma, vt[: params.k].T
+
+
+class TestStepStructure:
+    """q steps on W alone, then one step that factors Y."""
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_collectives_and_reductions_per_call(self, monkeypatch, q):
+        reductions = count_calls(monkeypatch, svd, "_reduced_r")
+
+        def worker(comm):
+            a = generate_random(comm, 3000, 20, seed=66)
+            before = comm.collective_count
+            svd_randomized(a, RsvdParams(k=3, q=q, seed=67))
+            return comm.collective_count - before
+
+        # One sum-allreduce of W per step, and Y's QR reduction on the last:
+        # _reduced_r runs once on each of the two ranks.
+        assert run_ranks(2, worker) == [q + 2, q + 2]
+        assert len(reductions) == 2
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rank_one_at_q2(self, monkeypatch, dtype, size):
+        passes = count_calls(monkeypatch, svd, "mult_transpose")
+        full = rank_one_matrix(400, 10, 10.0, 62).astype(dtype)
+
+        def worker(comm):
+            return svd_randomized(distribute(comm, full), RsvdParams(k=2, q=2, seed=63)).sigma
+
+        sigma = run_ranks(size, worker)[0]
+        assert len(passes) <= size
+        assert abs(sigma[0] - 10.0) <= 1e-5 * 10.0
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_step_factoring(self, dtype, size, q):
+        # In exact arithmetic qr_Q(W) = qr_Q(W R^-1) = qr_Q(B^T), so both
+        # loops build the same bases and differ by rounding alone. Take
+        # verify's term t = 2 lambda n (u + u64) as the relative backward
+        # error of B: sigma moves by up to t sigma_1, and Davis-Kahan bounds
+        # each right singular vector's change by t sigma_1^2 over its
+        # squared gap to the rest of B's spectrum.
+        full = low_rank_noise_matrix(2000, 16, [10, 8, 6, 5], 1e-2, 68, dtype)
+        params = RsvdParams(k=3, q=q, seed=69)
+
+        def worker(comm):
+            a = distribute(comm, full)
+            got = svd_randomized(a, params, want_v=True)
+            return got.sigma, got.v, *per_step_rsvd(a, params)
+
+        for sigma, v, ref_sigma, ref_v in run_ranks(size, worker):
+            term = verify_tolerance("tssvd", ref_sigma, dtype)[0]
+            assert np.all(np.abs(sigma - ref_sigma[: params.k]) <= term * ref_sigma[0])
+            squares = ref_sigma.astype(np.float64) ** 2
+            gaps = np.abs(squares[:, None] - squares[None, :])
+            gaps += np.diag(np.full(len(squares), np.inf))
+            v_tol = term * squares[0] / gaps.min(axis=1)[: params.k]
+            assert np.all(np.abs(v - ref_v) <= v_tol)
 
 
 @st.composite
