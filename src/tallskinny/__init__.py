@@ -9,11 +9,11 @@ from .comm import (
     CollectiveContractError,
     CollectiveError,
     Communicator,
+    SUM,
     RankFailures,
     ReduceOperator,
     run_ranks,
     solo_communicator,
-    sum_operator,
 )
 from .dense import (
     ConvergenceError,
@@ -67,6 +67,7 @@ __all__ = [
     "RankFailures",
     "ReduceOperator",
     "RsvdParams",
+    "SUM",
     "ShapeError",
     "SvdResult",
     "UnsupportedShape",
@@ -90,7 +91,6 @@ __all__ = [
     "run_ranks",
     "small_svd",
     "solo_communicator",
-    "sum_operator",
     "svd_normal_equations",
     "svd_randomized",
     "svd_tsqr",

@@ -9,8 +9,10 @@ Bare flags (no subcommand) run a benchmark. Exit codes: 0 success,
 1 algorithm failure or verification tolerance breach, 2 bad usage. A
 missing, unreadable, malformed or short --input file is bad usage.
 
-verify checks an --input file's matrix as it is, for every route, and
-ignores --rows and --cols. Without --input it generates the matrix:
+verify bounds each |sigma_i - oracle_i| absolutely: by 2 lambda n u
+sigma_1 for cpsvd and tssvd, by 0.01 sigma_i for rsvd's leading k. It
+checks an --input file's matrix as it is, for every route, and ignores
+--rows and --cols. Without --input it generates the matrix:
 random normal data (for rsvd, whose 1% gate needs a decaying spectrum, a
 low-rank instance instead), or the ill-conditioned instance of
 --matrix cond1e6. That instance is built, never read, so --matrix

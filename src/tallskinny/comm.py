@@ -12,12 +12,14 @@ Payloads are n-sized: for an m x n matrix, no collective carries more
 than n x n values (a crossproduct, an R factor), never anything that
 grows with m. tests/test_payloads.py pins the rule.
 
-Each message up the tree carries the sender's call header (kind, shapes,
-operator) next to its subtree result. The parent compares that header
-with its own before combining and aborts the whole group on any
-disagreement. Every rank waits for the root's result, and a failing rank
-posts a poison message to every peer before raising, so errors surface on
-all ranks instead of deadlocking.
+As with an MPI op, an operator is a name and a combine; the payload
+carries its own shape and dtype, and each combine's output is checked
+against both. Each message up the tree carries the sender's header
+(operator name, payload shape, dtype) next to its subtree result. The
+parent compares that header with its own before combining and aborts the
+whole group on any disagreement. Every rank waits for the root's result,
+and a failing rank posts a poison message to every peer before raising,
+so errors surface on all ranks instead of deadlocking.
 """
 
 import queue
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dense import ShapeError, as_matrix
+from .dense import as_matrix
 
 DEFAULT_TIMEOUT = 120.0
 
@@ -38,7 +40,7 @@ class CollectiveError(RuntimeError):
 
 
 class CollectiveContractError(CollectiveError):
-    """Ranks disagreed on which collective to run or on payload shape."""
+    """Ranks disagreed on the header, or a combine changed shape or dtype."""
 
 
 class RankFailures(RuntimeError):
@@ -53,25 +55,17 @@ class RankFailures(RuntimeError):
 
 @dataclass(frozen=True)
 class ReduceOperator:
-    """Deterministic binary combine over fixed-shape matrix payloads.
+    """A named deterministic binary combine of two payloads.
 
-    combine(lower, higher) must return a matrix of the same shape; the
-    first operand always comes from the lower-rank subtree.
+    combine(lower, higher) must return a matrix of its operands' shape and
+    dtype; the first operand always comes from the lower-rank subtree.
     """
 
     name: str
-    rows: int
-    cols: int
-    dtype: np.dtype
     combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
 
-
-def sum_operator(rows, cols, dtype):
-    return ReduceOperator("sum", rows, cols, np.dtype(dtype), lambda lo, hi: lo + hi)
+SUM = ReduceOperator("sum", np.add)
 
 
 class _Poison:
@@ -113,21 +107,12 @@ class Communicator:
 
     def allreduce_sum(self, local):
         """Elementwise sum of identically shaped matrices over all ranks."""
-        local = as_matrix(local, "local")
-        op = sum_operator(local.shape[0], local.shape[1], local.dtype)
-        return self._allreduce(local, op, ("allreduce_sum", local.shape, str(local.dtype)))
+        return self.allreduce_custom(local, SUM)
 
     def allreduce_custom(self, local, op):
         """Tree fold of op.combine in rank order; every rank gets the result."""
         local = as_matrix(local, "local")
-        if local.shape != op.shape or local.dtype != np.dtype(op.dtype):
-            raise ShapeError(
-                f"allreduce_custom payload {local.shape}/{local.dtype} does not "
-                f"match operator {op.shape}/{np.dtype(op.dtype)}"
-            )
-        return self._allreduce(
-            local, op, ("allreduce_custom", op.name, local.shape, str(local.dtype))
-        )
+        return self._allreduce(local, op, (op.name, local.shape, str(local.dtype)))
 
     def barrier(self):
         """Block until every rank arrives (plumbing; a 1x1 allreduce)."""
@@ -210,11 +195,11 @@ class Communicator:
                             f"{self.rank}: {exc}"
                         )
                     )
-                if acc.shape != op.shape:
+                if acc.shape != local.shape or acc.dtype != local.dtype:
                     self._fail(
                         CollectiveContractError(
-                            f"reduce operator {op.name!r} emitted shape "
-                            f"{acc.shape}, expected {op.shape}"
+                            f"reduce operator {op.name!r} emitted {acc.shape} "
+                            f"{acc.dtype}, expected {local.shape} {local.dtype}"
                         )
                     )
             stride = group

@@ -14,7 +14,7 @@ Y = A b and A^T Y from a single cache-blocked read of the local rows.
 Each of the three is one loop over row chunks, shifted or not.
 
 A centered matrix is implicit. mean_center_columns returns a DistMatrix
-whose `shift` is the n-vector of column means: the matrix is
+whose `shift` is the n-vector of its block's column means: the matrix is
 block - shift, and no m x n centered copy exists. The kernels here
 (crossprod, mult_local, mult_transpose on either argument,
 mult_and_transpose) and dense.tall_R read a shifted block in row chunks,
@@ -237,13 +237,13 @@ def mean_center_columns(a):
     """Subtract global column means; returns (centered, means).
 
     The means take one column-sum allreduce. The centered matrix shares a's
-    rows and carries the means as its shift, so nothing m x n is allocated
-    (unless a is itself shifted: then its centered rows are materialized
-    once and shifted again).
+    block and carries the block's column means as its shift, so nothing
+    m x n is allocated. For a shifted a, a - mean(a) = block - mean(block),
+    and the means are mean(block) - shift.
     """
     if a.global_rows < 1:
         raise UnsupportedShape("mean_center_columns needs at least one row")
-    local = a.local
-    local_sums = local.sum(axis=0, keepdims=True)
-    means = a.comm.allreduce_sum(local_sums)[0] / a.dtype.type(a.global_rows)
-    return DistMatrix(local, a.global_rows, a.row_offset, a.comm, means), means
+    block_sums = a.block.sum(axis=0, keepdims=True)
+    block_means = a.comm.allreduce_sum(block_sums)[0] / a.dtype.type(a.global_rows)
+    means = block_means if a.shift is None else block_means - a.shift
+    return DistMatrix(a.block, a.global_rows, a.row_offset, a.comm, block_means), means

@@ -43,10 +43,9 @@ def write_matrix(path, a):
         fh.write(a.tobytes(order="C"))
 
 
-def read_header(path):
-    """Return (rows, cols, dtype) from a TSKM file header."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
+def _unpack_header(fh, path):
+    """(rows, cols, dtype) from the header at the start of open file fh."""
+    raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise MatrixFileError(f"{path}: truncated header ({len(raw)} bytes)")
     magic, version, precision, m, n = _HEADER.unpack(raw)
@@ -59,11 +58,13 @@ def read_header(path):
     return int(m), int(n), _PRECISION_TO_DTYPE[precision]
 
 
-def read_checked_header(path):
-    """read_header(path), after checking that the file size is at least
-    32 + m * n * itemsize; read_rows checks only the rows it reads."""
-    m, n, dtype = read_header(path)
-    size, need = os.path.getsize(path), _HEADER.size + m * n * dtype.itemsize
+def read_header(path):
+    """Return (rows, cols, dtype) from a TSKM file header, after checking
+    that the file size is at least 32 + m * n * itemsize."""
+    with open(path, "rb") as fh:
+        m, n, dtype = _unpack_header(fh, path)
+        size = os.fstat(fh.fileno()).st_size
+    need = _HEADER.size + m * n * dtype.itemsize
     if size < need:
         raise MatrixFileError(
             f"{path}: truncated payload ({size} bytes; the header promises {need})"
@@ -72,14 +73,15 @@ def read_checked_header(path):
 
 
 def read_rows(path, row_start, row_count):
-    """Read `row_count` contiguous rows starting at `row_start`."""
-    m, n, dtype = read_header(path)
-    if row_start < 0 or row_start + row_count > m:
-        raise MatrixFileError(
-            f"{path}: row range [{row_start}, {row_start + row_count}) outside 0..{m}"
-        )
-    out = np.empty((row_count, n), dtype=dtype)
+    """Read `row_count` contiguous rows starting at `row_start`; the file
+    need hold only those rows."""
     with open(path, "rb") as fh:
+        m, n, dtype = _unpack_header(fh, path)
+        if row_start < 0 or row_start + row_count > m:
+            raise MatrixFileError(
+                f"{path}: row range [{row_start}, {row_start + row_count}) outside 0..{m}"
+            )
+        out = np.empty((row_count, n), dtype=dtype)
         fh.seek(_HEADER.size + row_start * n * dtype.itemsize)
         # Straight into the result: no intermediate bytes object.
         got = fh.readinto(out.reshape(-1).view(np.uint8))

@@ -166,13 +166,13 @@ def svd_normal_equations(a, want_u=False, want_v=False):
     return _truncate_to_kept(a, result, want_u, want_v, vectors)
 
 
-def qr_reduce_operator(n, dtype):
-    """Stack two n x n R factors and emit the R factor of the stack."""
+def _stack_and_factor(lower, higher):
+    """R factor of two stacked n x n R factors. qr_R is looked up at call
+    time, so a tracer that patches svd.qr_R sees the combine."""
+    return qr_R(np.vstack((lower, higher)))
 
-    def combine(lower, higher):
-        return qr_R(np.vstack((lower, higher)))
 
-    return ReduceOperator(f"qr_reduce(n={n})", n, n, np.dtype(dtype), combine)
+QR_REDUCE = ReduceOperator("qr_reduce", _stack_and_factor)
 
 
 def qr_allreduce(comm, r_local):
@@ -190,7 +190,7 @@ def qr_allreduce(comm, r_local):
         raise ShapeError("qr_allreduce input has nonzeros below the diagonal")
     if np.any(np.diag(r_local) < 0):
         raise ShapeError("qr_allreduce input has a negative diagonal entry")
-    r_full = comm.allreduce_custom(r_local, qr_reduce_operator(n, r_local.dtype))
+    r_full = comm.allreduce_custom(r_local, QR_REDUCE)
     return require_finite(r_full, "reduced R factor")
 
 

@@ -218,6 +218,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "m=200 n=12" in out and "matrix=input" in out and "PASS" in out
 
+    def test_zero_singular_value_is_gated(self, tmp_path, capsys, monkeypatch):
+        # A zero column gives the oracle an exact zero sigma, where an error
+        # relative to sigma_i would be 0/0: the absolute bound still holds
+        # tssvd's values to it, and doubled values fail.
+        full = np.random.default_rng(65).standard_normal((400, 6))
+        full[:, -1] = 0
+        path = tmp_path / "in.tskm"
+        write_matrix(path, full)
+
+        def verify(algo):
+            code = main(["verify", "--algo", algo, "--ranks", "2", "--input", str(path)])
+            return code, capsys.readouterr().out
+
+        code, out = verify("tssvd")
+        assert code == 0 and "PASS" in out and "nan" not in out
+        compute = bench._compute_sigma
+        monkeypatch.setattr(bench, "_compute_sigma", lambda a, cfg: 2 * compute(a, cfg))
+        for algo in ("cpsvd", "tssvd"):
+            code, out = verify(algo)
+            assert code == 1 and "FAIL" in out
+
     def test_conditioned_instance_with_input_exits_2(self, tmp_path, capsys):
         path = tmp_path / "in.tskm"
         write_matrix(path, np.random.default_rng(64).standard_normal((3000, 20)))
@@ -255,17 +276,21 @@ class TestVerify:
         assert code == 1 and "FAIL" in out
 
     def test_gate_scales_with_sigma_1_over_sigma_i(self):
-        oracle = np.array([4.0, 2.0, 1.0, 1e-6])
+        # The bound is absolute, 2 lambda n (u + u64) sigma_1 on every value
+        # with lambda = 3, so relative to sigma_i it scales with
+        # sigma_1 / sigma_i, and a zero sigma_i has a bound too.
+        oracle = np.array([4.0, 2.0, 1.0, 1e-6, 0.0])
         tol = verify_tolerance("tssvd", oracle, np.float64)
-        # 2 lambda n (u + u64) with lambda = 3; u + u64 is eps in float64.
-        unit = 6 * 4 * np.finfo(np.float64).eps
-        assert np.allclose(tol, unit * oracle[0] / oracle, rtol=1e-15)
+        # u + u64 is eps in float64.
+        unit = 6 * 5 * np.finfo(np.float64).eps
+        assert np.allclose(tol, unit * oracle[0], rtol=1e-15)
+        assert np.allclose(tol[:4] / oracle[:4], unit * oracle[0] / oracle[:4], rtol=1e-15)
         assert np.array_equal(verify_tolerance("cpsvd", oracle, np.float64), tol)
         f32 = verify_tolerance("tssvd", oracle, np.float32)
         u = (np.finfo(np.float32).eps + np.finfo(np.float64).eps) / 2
-        assert np.allclose(f32, 6 * 4 * u * oracle[0] / oracle)
+        assert np.allclose(f32, 6 * 5 * u * oracle[0])
         assert np.array_equal(verify_tolerance("rsvd", oracle[:2], np.float64),
-                              [1e-2, 1e-2])
+                              [4e-2, 2e-2])
 
     @pytest.mark.parametrize("dtype, flat", [(np.float64, 1e-12), (np.float32, 1e-4)])
     def test_gate_on_sigma_1_no_looser_than_flat_table(self, dtype, flat):
@@ -273,7 +298,7 @@ class TestVerify:
         # the flat per-precision table it replaced, and it does not grow
         # with the rows.
         oracle = np.linspace(2.0, 1.0, 250)
-        assert verify_tolerance("tssvd", oracle, dtype)[0] <= flat
+        assert verify_tolerance("tssvd", oracle, dtype)[0] / oracle[0] <= flat
 
     def test_cpsvd_fails_tolerance_on_conditioned_instance(self, capsys):
         args = ["verify", "--algo", "cpsvd", "--rows", "600", "--cols", "30",

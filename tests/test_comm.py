@@ -7,17 +7,16 @@ import pytest
 from tallskinny.comm import (
     CollectiveContractError,
     CollectiveError,
+    SUM,
     RankFailures,
     ReduceOperator,
     run_ranks,
     solo_communicator,
-    sum_operator,
 )
 from tallskinny.dense import qr_R
 
 
-def max_operator(rows, cols, dtype=np.float64):
-    return ReduceOperator("max", rows, cols, np.dtype(dtype), np.maximum)
+MAX = ReduceOperator("max", np.maximum)
 
 
 class TestAllreduceSum:
@@ -97,32 +96,40 @@ class TestAllreduceSum:
 
 class TestAllreduceCustom:
     def test_elementwise_max(self):
-        op = max_operator(1, 1)
-        out = run_ranks(4, lambda c: c.allreduce_custom(np.array([[float(c.rank)]]), op))
+        out = run_ranks(4, lambda c: c.allreduce_custom(np.array([[float(c.rank)]]), MAX))
         for got in out:
             assert np.array_equal(got, [[3.0]])
 
     def test_solo_identity(self):
         comm = solo_communicator()
-        got = comm.allreduce_custom(np.eye(2), max_operator(2, 2))
+        got = comm.allreduce_custom(np.eye(2), MAX)
         assert np.array_equal(got, np.eye(2))
 
     def test_noncommutative_order_is_rank_order(self):
         # combine(lower, higher) concatenated as a string-in-matrix stand-in:
         # encode rank r as 10^r and keep a left-fold checksum 10*lo + hi.
-        op = ReduceOperator(
-            "fold", 1, 1, np.dtype(np.float64), lambda lo, hi: 10 * lo + hi
-        )
+        op = ReduceOperator("fold", lambda lo, hi: 10 * lo + hi)
         out = run_ranks(4, lambda c: c.allreduce_custom(np.array([[float(c.rank)]]), op))
         # tree: ((0,1),(2,3)) -> 10*(10*0+1) + (10*2+3)
         assert np.array_equal(out[0], [[10 * 1 + 23.0]])
 
-    def test_payload_shape_must_match_operator(self):
-        def worker(comm):
-            return comm.allreduce_custom(np.ones((2, 2)), max_operator(3, 3))
+    @pytest.mark.parametrize("combine, emitted", [
+        (lambda lo, hi: np.vstack((lo, hi)), "(4, 2) float64"),
+        (lambda lo, hi: (lo + hi).astype(np.float32), "(2, 2) float32"),
+    ], ids=["shape", "dtype"])
+    def test_combine_must_keep_payload_shape_and_dtype(self, combine, emitted):
+        op = ReduceOperator("bad", combine)
 
-        with pytest.raises(RankFailures):
-            run_ranks(2, worker, timeout=10)
+        def worker(comm):
+            return comm.allreduce_custom(np.ones((2, 2)), op)
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(3, worker, timeout=10)
+        failures = info.value.failures
+        assert set(failures) == {0, 1, 2}
+        assert all(isinstance(exc, CollectiveError) for exc in failures.values())
+        detected = [e for e in failures.values() if isinstance(e, CollectiveContractError)]
+        assert detected and all(emitted in str(e) for e in detected)
 
     def test_qr_reducer_associative_on_samples(self):
         rng = np.random.default_rng(23)
@@ -139,7 +146,7 @@ class TestErrorPropagation:
         def worker(comm):
             if comm.rank == 0:
                 return comm.allreduce_sum(np.ones((1, 1)))
-            return comm.allreduce_custom(np.ones((1, 1)), max_operator(1, 1))
+            return comm.allreduce_custom(np.ones((1, 1)), MAX)
 
         with pytest.raises(RankFailures) as info:
             run_ranks(2, worker, timeout=10)
@@ -162,7 +169,7 @@ class TestErrorPropagation:
         def bad_combine(lo, hi):
             raise ValueError("deliberate")
 
-        op = ReduceOperator("bad", 1, 1, np.dtype(np.float64), bad_combine)
+        op = ReduceOperator("bad", bad_combine)
 
         def worker(comm):
             return comm.allreduce_custom(np.ones((1, 1)), op)
@@ -217,7 +224,7 @@ class TestSequencing:
     def test_mixed_collectives_under_fast_thread_switching(self):
         # More ranks than cores and a tiny switch interval shuffle the
         # arrival order of tree messages across consecutive collectives.
-        fold = ReduceOperator("fold", 1, 1, np.dtype(np.float64), lambda lo, hi: 2 * lo + hi)
+        fold = ReduceOperator("fold", lambda lo, hi: 2 * lo + hi)
 
         def worker(comm):
             out = []
@@ -247,7 +254,7 @@ class TestSequencing:
 
     def test_operator_name_mismatch_detected(self):
         def worker(comm):
-            op = max_operator(1, 1) if comm.rank == 0 else sum_operator(1, 1, np.float64)
+            op = MAX if comm.rank == 0 else SUM
             return comm.allreduce_custom(np.ones((1, 1)), op)
 
         with pytest.raises(RankFailures):

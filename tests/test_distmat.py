@@ -28,7 +28,6 @@ from tallskinny.distmat import (
 )
 from tallskinny.matfile import (
     MatrixFileError,
-    read_checked_header,
     read_header,
     read_matrix,
     read_rows,
@@ -391,6 +390,37 @@ class TestMeanCenter:
         assert np.max(np.abs(full.mean(axis=0))) <= 1e-13
 
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_centering_a_centered_matrix(self, size):
+        rng = np.random.default_rng(31)
+        full = rng.standard_normal((60, 4)) + np.array([10.0, -3.0, 1e3, 0.5])
+
+        def worker(comm):
+            centered, means = mean_center_columns(distribute(comm, full))
+            again, again_means = mean_center_columns(centered)
+            assert again.block is centered.block
+            return centered.local, again.local, means, again_means
+
+        for once, twice, means, again_means in run_ranks(size, worker):
+            assert np.max(np.abs(twice - once)) <= 1e-12
+            assert np.max(np.abs(again_means)) <= 1e-12
+            assert np.allclose(means, full.mean(axis=0), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_centering_a_centered_matrix_allocates_no_copy(self, dtype):
+        full = random_rows(32, 0, 20_000, 50, "standard-normal", dtype)
+        a = distribute(solo_communicator(), full)
+        centered, _ = mean_center_columns(a)
+        tracemalloc.start()
+        try:
+            mean_center_columns(centered)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The column sums, the means and the new shift: a few n-vectors.
+        assert peak <= 64 * 50 * 8 < a.block.nbytes
+
+
 class TestGatherDistribute:
     """The per-rank blocks, stacked in rank order, are the full matrix."""
 
@@ -488,11 +518,11 @@ class TestMatrixFile:
         path = tmp_path / "t.tskm"
         write_matrix(path, np.ones((4, 3), dtype=dtype))
         full = 32 + 4 * 3 * np.dtype(dtype).itemsize
-        assert read_checked_header(path) == (4, 3, np.dtype(dtype))
+        assert read_header(path) == (4, 3, np.dtype(dtype))
         with open(path, "r+b") as fh:
             fh.truncate(full - 1)
         with pytest.raises(MatrixFileError, match="truncated payload"):
-            read_checked_header(path)
+            read_header(path)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_read_holds_one_copy_of_the_block(self, tmp_path, dtype):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tallskinny.comm import run_ranks, solo_communicator
-from tallskinny.distmat import distribute, generate_random
+from tallskinny.distmat import distribute, generate_random, mean_center_columns
 from tallskinny.pca import pca
 from tallskinny.svd import ParameterError, RsvdParams
 
@@ -131,3 +131,26 @@ class TestPca:
         means = run_ranks(4, worker)
         for other in means[1:]:
             assert np.array_equal(means[0], other)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_centered_input_matches_raw_input(self, method, size):
+        # Centering a centered matrix recenters its block against the
+        # block's own means, the shift it already carries, so pca sees the
+        # same matrix bit for bit; the means it reports are zero.
+        params = RsvdParams(k=2, q=1, seed=41) if method == "rsvd" else None
+        full = np.random.default_rng(41).standard_normal((60, 6)) + 50.0
+
+        def worker(comm):
+            a = distribute(comm, full)
+            raw = pca(a, method=method, want_scores=True, params=params)
+            centered = pca(
+                mean_center_columns(a)[0], method=method, want_scores=True, params=params
+            )
+            return raw, centered
+
+        for raw, centered in run_ranks(size, worker):
+            assert np.array_equal(centered.sdev, raw.sdev)
+            assert np.array_equal(centered.rotation, raw.rotation)
+            assert np.array_equal(centered.scores.local, raw.scores.local)
+            assert np.all(centered.means == 0)
