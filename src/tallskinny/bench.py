@@ -225,7 +225,7 @@ def run_verify(cfg, matrix_kind, out):
     full = _verify_input(cfg, matrix_kind)
     sigma = run_ranks(cfg.ranks, lambda c: _compute_sigma(distribute(c, full), cfg))[0]
     oracle = np.linalg.svd(full.astype(np.float64, copy=False), compute_uv=False)
-    count = len(sigma) if cfg.algo == "rsvd" else len(oracle)
+    count = len(sigma)
     error = np.abs(sigma[:count] - oracle[:count])
     tolerance = verify_tolerance(cfg.algo, oracle[:count], full.dtype)
     worst = int(np.argmax(error - tolerance))

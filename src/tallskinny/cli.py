@@ -1,6 +1,6 @@
 """svdbench: benchmark and verify the distributed SVD algorithms.
 
-Two subcommands share one flag set:
+Two subcommands share one flag set; run adds --reps and --out, verify --matrix:
 
     svdbench run    --algo tssvd --rows 100000 --cols 250 --ranks 4 ...
     svdbench verify --algo cpsvd --rows 5000 --cols 50 --ranks 4 ...
@@ -43,39 +43,39 @@ def build_parser():
         prog="svdbench",
         description="Benchmark distributed tall/skinny SVD algorithms.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--algo", required=True, choices=ALGOS)
+    shared.add_argument("--rows", type=int, default=BenchConfig.rows,
+                        help="global row count m (default %(default)s)")
+    shared.add_argument("--cols", type=int, default=BenchConfig.cols,
+                        help="column count n (default %(default)s)")
+    shared.add_argument("--precision", choices=tuple(PRECISIONS),
+                        default=BenchConfig.precision)
+    shared.add_argument("--ranks", type=int, default=BenchConfig.ranks,
+                        help="in-process rank count p")
+    shared.add_argument("--k", type=int, default=BenchConfig.k,
+                        help="rsvd truncation rank")
+    shared.add_argument("--q", type=int, default=BenchConfig.q,
+                        help="rsvd power iterations")
+    shared.add_argument("--seed", type=int, default=BenchConfig.seed,
+                        help="data seed")
+    shared.add_argument("--input", dest="input_path", default=None, metavar="FILE",
+                        help="read the matrix from a TSKM binary file")
+    shared.add_argument("--equal-bytes", action="store_true",
+                        help="halve the rows for f64 so byte counts match f32")
     sub = parser.add_subparsers(dest="command")
-    for name, help_text in (
-        ("run", "time the singular-value computation, emit CSV"),
-        ("verify", "compare an algorithm against an f64 SVD of the full matrix"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--algo", required=True, choices=ALGOS)
-        p.add_argument("--rows", type=int, default=BenchConfig.rows,
-                       help="global row count m (default %(default)s)")
-        p.add_argument("--cols", type=int, default=BenchConfig.cols,
-                       help="column count n (default %(default)s)")
-        p.add_argument("--precision", choices=tuple(PRECISIONS),
-                       default=BenchConfig.precision)
-        p.add_argument("--ranks", type=int, default=BenchConfig.ranks,
-                       help="in-process rank count p")
-        p.add_argument("--k", type=int, default=BenchConfig.k,
-                       help="rsvd truncation rank")
-        p.add_argument("--q", type=int, default=BenchConfig.q,
-                       help="rsvd power iterations")
-        p.add_argument("--seed", type=int, default=BenchConfig.seed,
-                       help="data seed")
-        p.add_argument("--reps", type=int, default=BenchConfig.reps,
-                       help="repetitions per run")
-        p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-        p.add_argument("--input", dest="input_path", default=None, metavar="FILE",
-                       help="read the matrix from a TSKM binary file")
-        p.add_argument("--equal-bytes", action="store_true",
-                       help="halve the rows for f64 so byte counts match f32")
-        if name == "verify":
-            p.add_argument("--matrix", choices=("random", "cond1e6"),
-                           default="random",
-                           help="verification input: random normal data or the "
-                                "built-in ill-conditioned instance")
+    run = sub.add_parser("run", parents=[shared],
+                         help="time the singular-value computation, emit CSV")
+    run.add_argument("--reps", type=int, default=BenchConfig.reps,
+                     help="repetitions per run")
+    run.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    verify = sub.add_parser(
+        "verify", parents=[shared],
+        help="compare an algorithm against an f64 SVD of the full matrix",
+    )
+    verify.add_argument("--matrix", choices=("random", "cond1e6"), default="random",
+                        help="verification input: random normal data or the "
+                             "built-in ill-conditioned instance")
     return parser
 
 
@@ -111,8 +111,9 @@ def _reexec_with(threads):
 
 
 def _config_from(args):
-    """The BenchConfig whose fields the flags (dest names) fill."""
-    return BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig)})
+    """The BenchConfig the flags fill by dest name; unflagged fields keep defaults."""
+    names = {f.name for f in fields(BenchConfig)}
+    return BenchConfig(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def main(argv=None):

@@ -31,8 +31,8 @@ sum-allreduce. Only the last pass factors Y = Q_Y R by the QR reduction,
 and B = Q_Y^T A = R^-T W^T follows from W, so Q_Y stays implicit as
 Y R^-1 and A is not read a second time. A guard on R's column-scaled
 condition sends an ill-conditioned Y (a rank-deficient A, say) to a
-fallback that forms Q_Y, re-orthogonalizes it once and reads A again
-for B.
+fallback that factors Q1 = Y R^-1 = Q_Y R2 and reads A again for B;
+there Q_Y stays implicit as Q1 R2^-1.
 
 The two full-spectrum routes recover a distributed U from
 A V inv(Sigma) when asked; the randomized one uses U = Q_Y U_B.
@@ -104,8 +104,8 @@ class RsvdParams:
     seed: int = 0
 
     def validate(self, n):
-        if self.k < 1 or self.k >= n:
-            raise ParameterError(f"rsvd needs 1 <= k < n, got k={self.k}, n={n}")
+        if self.k < 1:
+            raise ParameterError(f"rsvd needs k >= 1, got k={self.k}")
         if 2 * self.k > n:
             raise ParameterError(
                 f"rsvd needs 2k <= n for the n x 2k projection, got k={self.k}, n={n}"
@@ -216,9 +216,9 @@ def svd_tsqr(a, want_u=False, want_v=False):
 
 
 # Largest error growth g = ||D R^-1||_2 (D: R's column norms) at which
-# svd_randomized keeps Q_Y implicit. The derivation and the sweep behind
+# svd_randomized solves B from W. The derivation and the sweep behind
 # the value are in svd_randomized's docstring.
-RSVD_IMPLICIT_MAX_GROWTH = 8.0
+RSVD_IMPLICIT_MAX_GROWTH = 4.0
 
 
 def _reduced_r(y):
@@ -243,19 +243,18 @@ def _implicit_ok(r):
 
 
 def _project(a, basis):
-    """(B, Y or Q_Y, R or None): B = Q_Y^T A for Y = A basis = Q_Y R.
+    """(B, left, R): B = Q_Y^T A for Y = A basis, with Q_Y = left R^-1.
 
-    The second and third values give Q_Y: Y R^-1 when R is returned, on
-    the fast path, and the explicit Q_Y itself otherwise. The fallback
-    holds two m x 2k arrays at a time: Y gives way to Q1 = Y R^-1.
+    left and R are Y and its factor on the fast path, and Q1 = Y R^-1 and
+    its factor R2 in the fallback, where Y gives way to Q1.
     """
     y, w = mult_and_transpose(a, basis)
     r = _reduced_r(y)
     if _implicit_ok(r):
         return np.linalg.solve(r.T, w.T), y, r
-    y = mult_local(y, np.linalg.inv(r))
-    q_y = mult_local(y, np.linalg.inv(_reduced_r(y)))
-    return mult_transpose(q_y, a), q_y, None
+    y = mult_local(y, np.linalg.inv(r))  # Q1: Y's buffer is released
+    r = _reduced_r(y)
+    return np.linalg.solve(r.T, mult_transpose(y, a)), y, r
 
 
 def svd_randomized(a, params, want_u=False, want_v=False):
@@ -294,18 +293,18 @@ def svd_randomized(a, params, want_u=False, want_v=False):
     1.0 to 10 on a centered 300 x 12 one. Such an input may take either
     side of the guard.
 
-    Q_Y stays implicit while g <= RSVD_IMPLICIT_MAX_GROWTH = 8. The
-    sweep behind the value ran per step, when each of the q + 1 steps
-    factored Y and solved B from W: over 20,000 random inputs (float32
-    and float64, k <= 3, 2k < n <= 2k + 9, m < 400, rank 1 to 2k + 1
-    with flat, log-uniform or geometric spectra, q <= 2), the largest
-    upward error max_i (sigma_i^ - sigma_i) / sigma_1 with every step's
-    B forced implicit stayed within 0.67 of svdbench verify's rounding
-    term 2 lambda n (u + u64) for every g <= 16, the explicit path's own
-    worst; it first exceeded the term at g = 22.5. Past the guard the
-    last step falls back: Q_Y = Y R^-1 by a GEMM, re-orthogonalized once
-    through the QR reduction, and B = Q_Y^T A by one more pass over A. A
-    zero on the diagonal of either R raises DegenerateProjection.
+    B is solved from W while g <= RSVD_IMPLICIT_MAX_GROWTH = 4. Forced on
+    the last step of 80,000 random inputs (float32 and float64, k <= 3,
+    2k < n <= 2k + 9, m < 400, p <= 3, q <= 2, rank 1 to 2k + 1, flat,
+    log-uniform or geometric spectra), that path erred upward by at most
+    0.87 of svdbench verify's rounding term 2 lambda n (u + u64) sigma_1
+    for g <= 6; it first exceeded the term at g = 6.4 (float32, rank one,
+    q = 1). Past the guard the last step factors twice, as CholQR2 does
+    (Yamamoto et al., ETNA 2015): Q1 = Y R^-1 = Q_Y R2, B = R2^-T Q1^T A
+    by one more pass over A, and U = Q1 (R2^-1 U_B). This B errs as an
+    explicit Q_Y^T A would, by multiples of ||R2^-1||, and in 1366 of
+    4000 draws that fell back g2 = ||D2 R2^-1||_2 had median 1.0 and max
+    9.9. A zero on the diagonal of either R raises DegenerateProjection.
     """
     _require_tall(a, "svd_randomized")
     n = a.cols
@@ -321,8 +320,7 @@ def svd_randomized(a, params, want_u=False, want_v=False):
     k = params.k
     result = SvdResult(sigma=require_finite(sigma[:k], "sigma"))
     if want_u:
-        u_b = u_b[:, :k] if r is None else np.linalg.solve(r, u_b[:, :k])
-        result.u = mult_local(left, u_b)
+        result.u = mult_local(left, np.linalg.solve(r, u_b[:, :k]))
     if want_v:
         result.v = vt[:k].T
     return result

@@ -93,7 +93,7 @@ def test_shifted_matches_explicit_centering(monkeypatch, method, shape, want, si
 
     if shape == "rank-one":
         # Y = A Omega has rank one, so the one step takes the fallback,
-        # whose mult_transpose(Q_Y, A) gets the shifted A second.
+        # whose mult_transpose(Q1, A) gets the shifted A second.
         assert any(shifted_passes)
     for (s_sigma, s_u, s_v), (e_sigma, e_u, e_v) in results:
         if method == "rsvd" and shape != "rank-one":

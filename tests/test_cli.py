@@ -122,8 +122,7 @@ class TestRun:
         write_matrix(path, np.ones((40, 5)))
         with open(path, "r+b") as fh:
             fh.truncate(32 + 39 * 5 * 8)
-        args = [command, "--algo", "tssvd", "--ranks", "2", "--reps", "1",
-                "--input", str(path)]
+        args = [command, "--algo", "tssvd", "--ranks", "2", "--input", str(path)]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "truncated payload" in err
@@ -163,6 +162,15 @@ class TestUsageErrors:
         assert main(args) == 2
         assert path.read_text() == "earlier results\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--reps"])
+    def test_verify_rejects_run_only_flags(self, tmp_path, flag):
+        path = tmp_path / "verify.txt"
+        value = str(path) if flag == "--out" else "7"
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--algo", "tssvd", *FAST[:6], flag, value])
+        assert info.value.code == 2
+        assert not path.exists()
+
     def test_no_arguments_prints_help(self, capsys):
         assert main([]) == 2
         assert "svdbench" in capsys.readouterr().out
@@ -171,19 +179,19 @@ class TestUsageErrors:
 class TestVerify:
     def test_tssvd_passes(self, capsys):
         args = ["verify", "--algo", "tssvd", "--rows", "1000", "--cols", "20",
-                "--ranks", "4", "--reps", "1"]
+                "--ranks", "4"]
         assert main(args) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_cpsvd_passes(self, capsys):
         args = ["verify", "--algo", "cpsvd", "--rows", "1000", "--cols", "20",
-                "--ranks", "4", "--reps", "1"]
+                "--ranks", "4"]
         assert main(args) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_rsvd_passes(self, capsys):
         args = ["verify", "--algo", "rsvd", "--rows", "1000", "--cols", "20",
-                "--ranks", "2", "--reps", "1", "--k", "2", "--q", "2"]
+                "--ranks", "2", "--k", "2", "--q", "2"]
         assert main(args) == 0
         assert "PASS" in capsys.readouterr().out
 

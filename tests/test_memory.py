@@ -91,8 +91,8 @@ def test_rsvd_fallback_holds_one_product_more_than_the_fast_path(
     monkeypatch, dtype, size
 ):
     # Column means of 10, left uncentered, make Y = A Omega nearly rank one
-    # at q = 0, so its one step falls back and forms Q_Y explicitly: Y gives
-    # way to Q1 = Y R^-1, and Q1 and Q_Y are the two m x 2k arrays it holds.
+    # at q = 0, so its one step falls back: Y gives way to Q1 = Y R^-1, and
+    # Y and Q1 are the two m x 2k arrays it holds; Q_Y is never formed.
     # After power iterations on W the last step's Y is well conditioned
     # (growth 1.0 against 140 at q = 0) and stays on the fast path.
     full = random_rows(3, 0, M, N, "standard-normal", dtype)

@@ -57,8 +57,8 @@ def test_svdbench_run_and_verify(payload_sizes, method):
 
 def _rsvd_rank_deficient(comm):
     # Rank one: the one step of svd_randomized takes its fallback, which
-    # adds the re-orthogonalizing R and B = Q_Y^T A to the W and R of the
-    # fast path.
+    # adds the re-orthogonalizing R2 and Q1^T A to the W and R of the fast
+    # path.
     rng = np.random.default_rng(52)
     full = np.outer(rng.standard_normal(M), rng.standard_normal(N))
     a = distribute(comm, full)

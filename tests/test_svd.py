@@ -328,7 +328,8 @@ class TestImplicitGuard:
     """Which side of svd_randomized's guard an input takes.
 
     The fast path never calls mult_transpose; the fallback calls it once,
-    on the last step, on every rank to form B = Q_Y^T A.
+    on the last step, on every rank to form Q1^T A, from which it solves
+    B = Q_Y^T A = R2^-T Q1^T A. Both keep Q_Y implicit as left R^-1.
     """
 
     @pytest.mark.parametrize("size", [1, 2])
@@ -366,6 +367,31 @@ class TestImplicitGuard:
         monkeypatch.setattr(svd, "RSVD_IMPLICIT_MAX_GROWTH", np.finfo(np.float64).max)
         forced = svd_randomized(a, params).sigma
         assert abs(forced[0] - 10.0) > 0.01 * 10.0
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fallback_keeps_q_y_implicit(self, monkeypatch, dtype, size):
+        # A rank-one A at q = 0 falls back, and _project returns the fast
+        # path's form: an upper-triangular R with Q_Y = left R^-1. The
+        # second factorization leaves that Q_Y orthonormal to rounding
+        # however ill-conditioned Y was (observed: 4.4 eps).
+        full = rank_one_matrix(400, 10, 10.0, 62).astype(dtype)
+        params = RsvdParams(k=2, q=0, seed=63)
+        basis = random_rows(
+            params.seed, 0, 10, 4, params.projection, dtype, domain=STREAM_PROJECTION
+        )
+
+        def project(comm):
+            _, left, r = svd._project(distribute(comm, full), basis)
+            assert r is not None and np.array_equal(r, np.triu(r))
+            return svd.mult_local(left, np.linalg.inv(r)).local
+
+        q_y = np.vstack(run_ranks(size, project)).astype(np.float64)
+        assert np.max(np.abs(q_y.T @ q_y - np.eye(4))) <= 40 * np.finfo(dtype).eps
+
+        products = count_calls(monkeypatch, svd, "mult_local")
+        run_ranks(size, lambda comm: svd_randomized(distribute(comm, full), params).sigma)
+        assert len(products) == size
 
     def test_fallback_agrees_with_fast_path(self, monkeypatch):
         a = generate_random(solo_communicator(), 2000, 16, seed=64)
