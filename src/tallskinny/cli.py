@@ -18,13 +18,15 @@ low-rank instance instead), or the ill-conditioned instance of
 --matrix cond1e6. That instance is built, never read, so --matrix
 cond1e6 with --input is bad usage.
 
-Run as a program with no *_NUM_THREADS variable set, svdbench gives each
-rank its share of the cores: it re-executes itself once with
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
-max(1, cores // ranks), where that is below the core count. Rank threads
-each call BLAS, and with the library's default of one BLAS thread per core
-the two levels oversubscribe the cores. A variable the user set is left
-as it is.
+Each rank owns a share of the cores, max(1, cores // ranks)
+(comm.core_share), and generates its rows on that many threads. The
+share also sets the BLAS threads: run as a program with no *_NUM_THREADS
+variable set, svdbench re-executes itself once with OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS set to the share, where that is below
+the core count. Rank threads each call BLAS, and with the library's
+default of one BLAS thread per core the two levels oversubscribe the
+cores. A variable the user set is left as it is, and sets the BLAS
+threads alone. run's summary prints both counts.
 """
 
 import argparse
@@ -36,6 +38,7 @@ from pathlib import Path
 
 from . import dense
 from .bench import ALGOS, PRECISIONS, BenchConfig, ConfigError, run_bench, run_verify
+from .comm import core_share
 
 
 def build_parser():
@@ -76,16 +79,12 @@ def build_parser():
     verify.add_argument("--matrix", choices=("random", "cond1e6"), default="random",
                         help="verification input: random normal data or the "
                              "built-in ill-conditioned instance")
+    for command in (run, verify):
+        command.set_defaults(subparser=command)
     return parser
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _cores():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def blas_threads(ranks, environ):
@@ -94,13 +93,13 @@ def blas_threads(ranks, environ):
     A *_NUM_THREADS variable in `environ` is the user's choice: the first
     of BLAS_THREAD_VARS that is set gives the count, and with none of them
     set the library's default of one thread per core holds. Otherwise each
-    rank gets max(1, cores // ranks), which needs setting only when it is
-    below that default.
+    rank gets its core share, comm.core_share(ranks), which needs setting
+    only when it is below that default.
     """
-    cores = _cores()
+    cores = core_share(1)
     if any(name.endswith("_NUM_THREADS") for name in environ):
         return next((environ[v] for v in BLAS_THREAD_VARS if v in environ), cores), False
-    threads = max(1, cores // max(1, ranks))
+    threads = core_share(ranks)
     return threads, threads < cores
 
 
@@ -122,7 +121,11 @@ def main(argv=None):
     if argv and argv[0] not in ("run", "verify", "-h", "--help"):
         argv.insert(0, "run")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # A subcommand hands the flags it does not know back to the top-level
+    # parser, whose usage line would hide which subcommand refused them.
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command is None:
         parser.print_help()
         return 2
@@ -141,6 +144,9 @@ def main(argv=None):
         human_out = sys.stderr if args.out is None else sys.stdout
         code = run_bench(cfg, csv_out, human_out)
         print(f"  BLAS threads per rank: {threads}", file=human_out)
+        if cfg.input_path is None:
+            print(f"  generation threads per rank: {core_share(cfg.ranks)}",
+                  file=human_out)
         print(f"  row-pass chunk: {dense.PASS_CHUNK_BYTES / 1024:g} KiB", file=human_out)
         if args.out is not None:
             Path(args.out).write_text(csv_out.getvalue())

@@ -22,6 +22,7 @@ and a failing rank posts a poison message to every peer before raising,
 so errors surface on all ranks instead of deadlocking.
 """
 
+import os
 import queue
 import threading
 import time
@@ -208,6 +209,21 @@ class Communicator:
                 self._send(dst, seq, "bc", acc)
             return acc
         return np.array(self._recv(seq, "bc", 0), copy=True)
+
+
+def core_share(ranks):
+    """Cores each of `ranks` in-process ranks owns: max(1, cores // ranks).
+
+    The cores are this process's affinity mask where the platform has one,
+    else os.cpu_count(). The CLI sizes each rank's BLAS by this share and
+    random generation sizes its thread count by it, so the two levels of
+    threads never ask for more cores than the machine gives.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, cores // max(1, ranks))
 
 
 def solo_communicator():

@@ -5,7 +5,11 @@ Row counts are balanced: the first (m mod p) ranks get one extra row, so
 the layout is a pure function of (m, p). Random generation splits the
 global rows into fixed blocks of ROW_BLOCK rows and draws each block from
 its own counter-based stream keyed on (seed, block index), which makes the
-assembled matrix bitwise independent of the rank count.
+assembled matrix bitwise independent of the rank count. For the same
+reason a range's blocks may be drawn on several threads: each block's
+bits depend only on its key, not on which thread draws it or when, and
+each thread writes only its blocks' rows of the result, so the result is
+bitwise the same for every thread count.
 
 The two multiply patterns: distributed times replicated stays local and
 distributed-transpose times distributed is a local product plus one
@@ -24,6 +28,7 @@ uncentered. An unshifted matrix's `local` is its block, and only
 crossprod (dense.gram) has a path of its own for it.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +36,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import matfile
-from .comm import Communicator
+from .comm import Communicator, core_share
 from .dense import (
     ShapeError,
     UnsupportedShape,
@@ -107,37 +112,62 @@ def _block_stream(seed, block, domain):
     return Generator(Philox(key=key, counter=counter))
 
 
-def random_rows(seed, row_start, row_count, n, dist, dtype, domain=STREAM_DATA):
+def random_rows(seed, row_start, row_count, n, dist, dtype, domain=STREAM_DATA,
+                threads=None):
     """Rows [row_start, row_start + row_count) of the global random matrix.
 
-    A stream is sequential, so a range that starts inside a block draws
-    that block up to the range's end and keeps the tail.
+    The range splits into one piece per ROW_BLOCK it touches, each drawn
+    from its own stream straight into its rows of the result. A stream is
+    sequential, so a piece that starts inside a block draws that block up
+    to the piece's end and keeps the tail. The pieces are drawn on up to
+    `threads` threads (default: comm.core_share(1), the whole machine);
+    numpy's generator fills release the GIL, so they overlap. A one-piece
+    range starts no thread. The result is bitwise the same for every
+    thread count.
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}; expected {DISTRIBUTIONS}")
     dtype = np.dtype(dtype)
     out = np.empty((row_count, n), dtype=dtype)
-    row, stop = row_start, row_start + row_count
+
+    # (stream block, rows of it to skip, first row in out, rows to take)
+    pieces, row, stop = [], row_start, row_start + row_count
     while row < stop:
         block, skip = divmod(row, ROW_BLOCK)
         take = min(stop - row, ROW_BLOCK - skip)
+        pieces.append((block, skip, row - row_start, take))
+        row += take
+
+    def draw(piece):
+        block, skip, first, take = piece
         gen = _block_stream(seed, block, domain)
         fill = gen.standard_normal if dist == "standard-normal" else gen.random
-        dest = out[row - row_start : row - row_start + take]
+        dest = out[first : first + take]
         if skip:
             dest[:] = fill((skip + take, n), dtype=dtype)[skip:]
         else:
             fill(dtype=dtype, out=dest)
-        row += take
+
+    workers = min(len(pieces), core_share(1) if threads is None else threads)
+    if workers <= 1:
+        for piece in pieces:
+            draw(piece)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(draw, pieces))  # re-raises a piece's exception
     return out
 
 
 def generate_random(comm, m, n, dist="standard-normal", seed=0, dtype=np.float64):
-    """Distributed m x n random matrix, reproducible across rank counts."""
+    """Distributed m x n random matrix, reproducible across rank counts.
+
+    Each rank draws its rows on its share of the cores, comm.core_share.
+    """
     if m < n or n < 1:
         raise UnsupportedShape(f"generate_random needs m >= n >= 1, got {m}x{n}")
     offset, count = block_range(m, comm.size, comm.rank)
-    local = random_rows(seed, offset, count, n, dist, dtype)
+    local = random_rows(seed, offset, count, n, dist, dtype,
+                        threads=core_share(comm.size))
     return DistMatrix(local, m, offset, comm)
 
 

@@ -40,7 +40,8 @@ def write_matrix(path, a):
     m, n = a.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, a.dtype.itemsize, m, n))
-        fh.write(a.tobytes(order="C"))
+        # Straight from the array's buffer: no intermediate bytes object.
+        fh.write(a.reshape(-1).view(np.uint8))
 
 
 def _unpack_header(fh, path):

@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .comm import ReduceOperator
+from .comm import ReduceOperator, core_share
 from .dense import (
     ShapeError,
     UnsupportedShape,
@@ -311,7 +311,7 @@ def svd_randomized(a, params, want_u=False, want_v=False):
     params.validate(n)
     basis = random_rows(
         params.seed, 0, n, 2 * params.k, params.projection, a.dtype,
-        domain=STREAM_PROJECTION,
+        domain=STREAM_PROJECTION, threads=core_share(a.comm.size),
     )
     for _ in range(params.q):
         basis = qr_Q(require_finite(mult_and_transpose(a, basis)[1], "W = A^T Y"))

@@ -171,6 +171,23 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert not path.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify", "--out", "verify.txt"),
+        ("run", "--matrix", "cond1e6"),
+    ])
+    def test_unknown_flag_prints_its_subcommands_usage(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        # The flag belongs to the other subcommand, so the top-level parser
+        # would accept it; the refusal must come with this subcommand's usage.
+        value = str(tmp_path / value) if flag == "--out" else value
+        with pytest.raises(SystemExit) as info:
+            main([command, "--algo", "tssvd", *FAST[:6], flag, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: svdbench {command} ")
+        assert f"unrecognized arguments: {flag} {value}" in err
+
     def test_no_arguments_prints_help(self, capsys):
         assert main([]) == 2
         assert "svdbench" in capsys.readouterr().out
@@ -390,6 +407,21 @@ class TestBlasThreads:
         err = capsys.readouterr().err
         assert "BLAS threads per rank: 2" in err
         assert f"row-pass chunk: {dense.PASS_CHUNK_BYTES / 1024:g} KiB" in err
+
+    def test_generation_threads_follow_the_core_share_alone(
+        self, program, monkeypatch, capsys, tmp_path
+    ):
+        # A user's BLAS setting does not move the generation threads.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert program("--rows", "60", "--cols", "4", "--ranks", "2", "--reps", "1") == 0
+        err = capsys.readouterr().err
+        assert "BLAS threads per rank: 3" in err
+        assert "generation threads per rank: 2" in err
+        # A run that reads its matrix generates nothing.
+        path = tmp_path / "a.tskm"
+        write_matrix(path, np.ones((60, 4)))
+        assert program("--rows", "60", "--cols", "4", "--input", str(path), "--reps", "1") == 0
+        assert "generation threads" not in capsys.readouterr().err
 
     def test_reexeced_program_keeps_its_csv(self):
         # End to end, on this machine's cores: with the variables stripped

@@ -1,8 +1,15 @@
+import hashlib
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tallskinny import distmat
 from tallskinny.comm import run_ranks, solo_communicator
 from tallskinny.dense import (
     PASS_CHUNK_BYTES,
@@ -96,6 +103,116 @@ class TestGeneration:
         data = random_rows(7, 0, 4, 3, "standard-normal", np.float64, domain=0)
         proj = random_rows(7, 0, 4, 3, "standard-normal", np.float64, domain=1)
         assert not np.array_equal(data, proj)
+
+    # sha256 of the assembled generate_random(m, n, dist, seed=2024) bytes,
+    # pinned from the sequential generator. Rank boundaries at p = 3 fall
+    # inside a ROW_BLOCK for both shapes. The bits are numpy's Philox and
+    # its fills, so a numpy release that changed its streams would show
+    # here first.
+    GOLDEN = {
+        (2 * ROW_BLOCK + 5, 3, "standard-normal", np.float32):
+            "48c59f9ce9acb66b7d370599d7de79bf191f7da2b85e9532c07bddbd629c137b",
+        (2 * ROW_BLOCK + 5, 3, "standard-normal", np.float64):
+            "de68b05cbb38cdb8766e73892e6bafc3cf95a60a45a16c84b2ba480eba1bc802",
+        (2 * ROW_BLOCK + 5, 3, "uniform01", np.float32):
+            "c12df9a9b5f6fbdcf0ad31b345a3caac3e046d61505148d4ab9cfee2fba14a3a",
+        (2 * ROW_BLOCK + 5, 3, "uniform01", np.float64):
+            "f1ad670f9165a906f1c7095a6817a0331e6cb02273e146140af5fb3bf63b3d8b",
+        (5 * ROW_BLOCK + 1234, 7, "standard-normal", np.float32):
+            "18f680c777420f2482c404767a8333eff0173133fe12241cbd67e2fb1f9740ab",
+        (5 * ROW_BLOCK + 1234, 7, "standard-normal", np.float64):
+            "66b28cf47f1f9395c8ad24c6c74b5eaf040c70fb8686641abba08648ea5d9e89",
+        (5 * ROW_BLOCK + 1234, 7, "uniform01", np.float32):
+            "dca4fc7f7e72298f7c21f6b7aff1a7f7e92820f182fb42529e584ee24024f800",
+        (5 * ROW_BLOCK + 1234, 7, "uniform01", np.float64):
+            "9a2513374bab6c7b380393bc1cd71740a3785a4ae973757883301450fb94dc36",
+    }
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("m, n, dist, dtype", list(GOLDEN))
+    def test_golden_bits(self, m, n, dist, dtype, size):
+        blocks = run_ranks(size, lambda c: generate_random(c, m, n, dist, 2024, dtype).local)
+        digest = hashlib.sha256(np.vstack(blocks).tobytes()).hexdigest()
+        assert digest == self.GOLDEN[(m, n, dist, dtype)]
+
+
+class TestThreadedGeneration:
+    """random_rows draws a range's ROW_BLOCK pieces on up to `threads` threads."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 3 * ROW_BLOCK),
+        st.integers(0, 3 * ROW_BLOCK),
+        st.integers(1, 4),
+        st.sampled_from(["standard-normal", "uniform01"]),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(2, 8),
+    )
+    def test_every_thread_count_draws_the_same_bits(
+        self, start, count, n, dist, dtype, threads
+    ):
+        # Starts and counts range over block interiors and boundaries, and
+        # count 0 is the empty range.
+        one = random_rows(11, start, count, n, dist, dtype, threads=1)
+        many = random_rows(11, start, count, n, dist, dtype, threads=threads)
+        assert many.shape == (count, n) and many.dtype == dtype
+        assert np.array_equal(one, many)
+
+    def test_more_threads_than_cores_under_frequent_switches(self):
+        # Each piece writes only its own rows of the shared result; a
+        # thread that wrote outside them, or a piece drawn twice or not at
+        # all, would change the bits.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = random_rows(23, 100, 16 * ROW_BLOCK, 3, "standard-normal",
+                               np.float32, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        one = random_rows(23, 100, 16 * ROW_BLOCK, 3, "standard-normal", np.float32,
+                          threads=1)
+        assert np.array_equal(one, many)
+
+    def test_one_piece_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert random_rows(3, 5, ROW_BLOCK - 5, 4, "uniform01", np.float64, threads=8).shape == (
+            ROW_BLOCK - 5, 4
+        )
+        assert random_rows(3, 0, 10, 4, "standard-normal", np.float32).shape == (10, 4)
+        # The same guard catches a draw that does start one.
+        with pytest.raises(AssertionError, match="thread was started"):
+            random_rows(3, 5, ROW_BLOCK, 4, "uniform01", np.float64, threads=2)
+
+    def test_helper_thread_exception_reaches_caller(self, monkeypatch):
+        stream = distmat._block_stream
+
+        def failing(seed, block, domain):
+            if block == 3:
+                raise RuntimeError("block 3 failed")
+            return stream(seed, block, domain)
+
+        monkeypatch.setattr(distmat, "_block_stream", failing)
+        with pytest.raises(RuntimeError, match="block 3 failed"):
+            random_rows(5, 0, 6 * ROW_BLOCK, 2, "standard-normal", np.float64, threads=4)
+
+    @pytest.mark.parametrize("size, workers", [(1, 4), (2, 2), (3, None), (4, None)])
+    def test_generate_random_draws_on_the_core_share(self, monkeypatch, size, workers):
+        # On 4 cores each rank gets max(1, 4 // size) threads; one thread
+        # needs no pool.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        pools = []
+
+        class Recording(distmat.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(distmat, "ThreadPoolExecutor", Recording)
+        run_ranks(size, lambda c: generate_random(c, 8 * ROW_BLOCK, 2, seed=1))
+        assert pools == ([] if workers is None else [workers] * size)
 
 
 class TestCrossprod:
@@ -536,6 +653,19 @@ class TestMatrixFile:
             tracemalloc.stop()
         assert np.all(block == 1)
         assert peak <= 1.1 * block.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_write_holds_no_copy_of_the_array(self, tmp_path, dtype):
+        a = np.ones((20_000, 50), dtype=dtype)
+        path = tmp_path / "big.tskm"
+        tracemalloc.start()
+        try:
+            write_matrix(path, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * a.nbytes
+        assert np.array_equal(read_matrix(path), a)
 
     def test_distributed_read_matches_full(self, tmp_path):
         rng = np.random.default_rng(56)
