@@ -72,6 +72,8 @@ class BenchConfig:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.input_path is None:
             m, n = self.effective_rows(), self.cols
+        elif self.equal_bytes:
+            raise ConfigError("--equal-bytes sets the generated rows; it cannot take --input")
         else:
             # Checked here in the calling thread, so that a missing,
             # unreadable, bad or short file is a ConfigError before any

@@ -16,17 +16,18 @@ checks an --input file's matrix as it is, for every route, and ignores
 random normal data (for rsvd, whose 1% gate needs a decaying spectrum, a
 low-rank instance instead), or the ill-conditioned instance of
 --matrix cond1e6. That instance is built, never read, so --matrix
-cond1e6 with --input is bad usage.
+cond1e6 with --input is bad usage. So is --equal-bytes with --input: it
+halves generated rows, and a file's rows are fixed.
 
 Each rank owns a share of the cores, max(1, cores // ranks)
 (comm.core_share), and generates its rows on that many threads. The
-share also sets the BLAS threads: run as a program with no *_NUM_THREADS
-variable set, svdbench re-executes itself once with OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS set to the share, where that is below
-the core count. Rank threads each call BLAS, and with the library's
+share also sets the BLAS threads: run as a program with none of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set, svdbench
+re-executes itself once with all three set to the share, where that is
+below the core count. Rank threads each call BLAS, and with the library's
 default of one BLAS thread per core the two levels oversubscribe the
-cores. A variable the user set is left as it is, and sets the BLAS
-threads alone. run's summary prints both counts.
+cores. One of the three that the user set is left as it is, and sets the
+BLAS threads alone. run's summary prints both counts.
 """
 
 import argparse
@@ -90,17 +91,17 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def blas_threads(ranks, environ):
     """(BLAS threads per rank, whether svdbench must set them).
 
-    A *_NUM_THREADS variable in `environ` is the user's choice: the first
-    of BLAS_THREAD_VARS that is set gives the count, and with none of them
-    set the library's default of one thread per core holds. Otherwise each
-    rank gets its core share, comm.core_share(ranks), which needs setting
-    only when it is below that default.
+    The first of BLAS_THREAD_VARS set in `environ` is the user's choice
+    and gives the count; other *_NUM_THREADS variables do not count.
+    Otherwise each rank gets its core share, comm.core_share(ranks), which
+    needs setting only when it is below the library's default of one
+    thread per core.
     """
-    cores = core_share(1)
-    if any(name.endswith("_NUM_THREADS") for name in environ):
-        return next((environ[v] for v in BLAS_THREAD_VARS if v in environ), cores), False
+    for name in BLAS_THREAD_VARS:
+        if name in environ:
+            return environ[name], False
     threads = core_share(ranks)
-    return threads, threads < cores
+    return threads, threads < core_share(1)
 
 
 def _reexec_with(threads):

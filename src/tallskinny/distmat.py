@@ -116,45 +116,38 @@ def random_rows(seed, row_start, row_count, n, dist, dtype, domain=STREAM_DATA,
                 threads=None):
     """Rows [row_start, row_start + row_count) of the global random matrix.
 
-    The range splits into one piece per ROW_BLOCK it touches, each drawn
-    from its own stream straight into its rows of the result. A stream is
-    sequential, so a piece that starts inside a block draws that block up
-    to the piece's end and keeps the tail. The pieces are drawn on up to
-    `threads` threads (default: comm.core_share(1), the whole machine);
-    numpy's generator fills release the GIL, so they overlap. A one-piece
-    range starts no thread. The result is bitwise the same for every
-    thread count.
+    Each ROW_BLOCK the range touches is drawn from its own stream
+    straight into its rows of the result. A stream is sequential, so a
+    block first draws and drops its rows before the range (none when the
+    range starts on the block's first row); numpy carries a half-used
+    32-bit word from one fill to the next, so the two fills give the bits
+    of one. The blocks are drawn on up to `threads` threads (default:
+    comm.core_share(1), the whole machine); numpy's generator fills
+    release the GIL, so they overlap. A one-block range starts no thread.
+    The result is bitwise the same for every thread count.
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}; expected {DISTRIBUTIONS}")
     dtype = np.dtype(dtype)
     out = np.empty((row_count, n), dtype=dtype)
+    stop = row_start + row_count
+    blocks = range(row_start // ROW_BLOCK, -(-stop // ROW_BLOCK))
 
-    # (stream block, rows of it to skip, first row in out, rows to take)
-    pieces, row, stop = [], row_start, row_start + row_count
-    while row < stop:
-        block, skip = divmod(row, ROW_BLOCK)
-        take = min(stop - row, ROW_BLOCK - skip)
-        pieces.append((block, skip, row - row_start, take))
-        row += take
-
-    def draw(piece):
-        block, skip, first, take = piece
+    def draw(block):
+        start = block * ROW_BLOCK
+        first, last = max(row_start, start), min(stop, start + ROW_BLOCK)
         gen = _block_stream(seed, block, domain)
         fill = gen.standard_normal if dist == "standard-normal" else gen.random
-        dest = out[first : first + take]
-        if skip:
-            dest[:] = fill((skip + take, n), dtype=dtype)[skip:]
-        else:
-            fill(dtype=dtype, out=dest)
+        fill((first - start, n), dtype=dtype)  # the block's rows before the range
+        fill(dtype=dtype, out=out[first - row_start : last - row_start])
 
-    workers = min(len(pieces), core_share(1) if threads is None else threads)
+    workers = min(len(blocks), core_share(1) if threads is None else threads)
     if workers <= 1:
-        for piece in pieces:
-            draw(piece)
+        for block in blocks:
+            draw(block)
     else:
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(draw, pieces))  # re-raises a piece's exception
+            list(pool.map(draw, blocks))  # re-raises a block's exception
     return out
 
 

@@ -85,6 +85,17 @@ class TestRun:
         assert main([*args[:-1], "--precision", "f32", "--equal-bytes"]) == 0
         assert parse_csv(capsys.readouterr().out)[0]["m"] == "400"
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_equal_bytes_with_input_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "in.tskm"
+        write_matrix(path, np.random.default_rng(65).standard_normal((400, 10)))
+        args = [command, "--algo", "tssvd", "--ranks", "2", "--input", str(path),
+                "--equal-bytes"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "--equal-bytes" in captured.err and "--input" in captured.err
+        assert captured.out == ""
+
     def test_float32_run(self, capsys):
         assert main(["run", "--algo", "tssvd", "--precision", "f32", *FAST]) == 0
         assert parse_csv(capsys.readouterr().out)[0]["precision"] == "f32"
@@ -400,6 +411,15 @@ class TestBlasThreads:
         assert program("--rows", "60", "--cols", "4", "--ranks", "2", "--reps", "1") == 0
         assert program.calls == []
         assert "BLAS threads per rank: 3" in capsys.readouterr().err
+
+    def test_other_thread_variables_do_not_count(self, program, monkeypatch):
+        # NUMEXPR_NUM_THREADS sets no BLAS threads: the ranks still split
+        # the cores.
+        monkeypatch.setenv("NUMEXPR_NUM_THREADS", "4")
+        assert program("--rows", "60", "--cols", "4", "--ranks", "2", "--reps", "1") == "exec"
+        env = program.calls[0]
+        assert [env[v] for v in BLAS_THREAD_VARS] == ["2"] * 3
+        assert env["NUMEXPR_NUM_THREADS"] == "4"
 
     def test_library_call_never_reexecs(self, program, capsys):
         assert main(["run", "--algo", "cpsvd", "--rows", "60", "--cols", "4", "--ranks", "2"]) == 0

@@ -198,6 +198,19 @@ class TestThreadedGeneration:
         with pytest.raises(RuntimeError, match="block 3 failed"):
             random_rows(5, 0, 6 * ROW_BLOCK, 2, "standard-normal", np.float64, threads=4)
 
+    def test_range_inside_a_block_allocates_only_the_dropped_rows(self):
+        # The first block's 1000 rows before the range are drawn and
+        # dropped; every row of the range is drawn in place, so no
+        # block-sized temporary exists beside the result.
+        tracemalloc.start()
+        try:
+            out = random_rows(7, ROW_BLOCK + 1000, 3 * ROW_BLOCK, 50, "standard-normal",
+                              np.float64, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1000 * 50 * 8 + 64 * 1024
+
     @pytest.mark.parametrize("size, workers", [(1, 4), (2, 2), (3, None), (4, None)])
     def test_generate_random_draws_on_the_core_share(self, monkeypatch, size, workers):
         # On 4 cores each rank gets max(1, 4 // size) threads; one thread
