@@ -14,7 +14,7 @@ float32 input in float64 (on a float64 copy, cast back at the end), so a
 float32 Householder QR costs what a float64 one does. And np.linalg.qr
 holds the GIL while it factors, unlike matmul, cholesky, inv and svd, so
 two rank threads calling it run one after the other. tall_R, the local R
-factor of a tall block, is therefore a Cholesky QR2 of GEMMs and n x n
+factor of a rank's block, is therefore a Cholesky QR2 of GEMMs and n x n
 factorizations, with qr_R (Householder) as its fallback and reference.
 
 Passes that read a block against a small replicated factor walk its rows
@@ -101,10 +101,10 @@ def _tall(a):
 PASS_CHUNK_BYTES = 1 << 19
 # Fewest rows per chunk, per column of the factor the chunk is multiplied
 # by. Against an n x n factor each chunk's GEMM must be tall enough to run
-# at full speed: on the 1e4-row blocks of 2e4 x 250 float64 at two ranks,
-# tall_R took 109-111 ms with 131-row (256 KiB) chunks against 98-103 ms
-# unchunked, and 98-105 ms with chunks of about 1000 rows. A narrow factor
-# (rsvd's n x 2k) never reaches this floor.
+# at full speed: at 2e4 x 250 float64, one BLAS thread, the byte rule's
+# 262-row chunks in place of the floor's 1000 made tssvd 4% slower at one
+# and two ranks, and pca with scores 6-7% slower by cpsvd or tssvd. A
+# narrow factor (rsvd's n x 2k) never reaches this floor.
 PASS_CHUNK_MIN_ROWS_PER_COL = 4
 
 
@@ -141,11 +141,11 @@ def gram(a, shift=None):
     """a^T a, or (a - shift)^T (a - shift) summed over row chunks.
 
     The unshifted Gram is one product, which numpy computes as a symmetric
-    rank-k update (a chunked one took 10-16% longer in float32 at
-    1e5 x 50, and 0.420 ms against 0.394 ms at 1e5 x 4 float64, one BLAS
-    thread): the one fork from the chunk loop that the timings keep. The
-    shifted one adds up the chunks' products, each a symmetric rank-k
-    update too, so either result is exactly symmetric.
+    rank-k update: the one fork from the chunk loop that the timings keep.
+    In 512 KiB chunks, one BLAS thread, it took 4-6% longer alone at
+    1e5 x 50 and 1e4 x 250, and cpsvd 0-7% longer per op. The shifted one
+    adds up the chunks' products, each a symmetric rank-k update too, so
+    either result is exactly symmetric.
     """
     if shift is None:
         return a.T @ a
@@ -206,9 +206,15 @@ def tall_R(a, shift=None):
     back. The contracts are qr_R's: exact zeros below the diagonal and a
     nonnegative diagonal (here a product of two positive Cholesky
     diagonals). With a shift both Grams read a's chunks through row_chunks,
-    and the fallback factors an explicit a - shift.
+    and the fallback factors an explicit a - shift. A block of fewer rows
+    than columns (a rank's, once ranks outnumber m / n) has a singular
+    Gram: it gets qr_R of a - shift stacked on zero rows up to n x n, so
+    R^T R = (a - shift)^T (a - shift) at any height.
     """
-    a = _tall(a)
+    a = as_matrix(a)
+    if a.shape[0] < a.shape[1]:
+        pad = ((0, a.shape[1] - a.shape[0]), (0, 0))
+        return qr_R(np.pad(a if shift is None else a - shift, pad))
     r = _cholesky_qr2(a, shift)
     if r is not None:
         return r

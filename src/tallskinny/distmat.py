@@ -21,11 +21,16 @@ A centered matrix is implicit. mean_center_columns returns a DistMatrix
 whose `shift` is the n-vector of its block's column means: the matrix is
 block - shift, and no m x n centered copy exists. The kernels here
 (crossprod, mult_local, mult_transpose on either argument,
-mult_and_transpose) and dense.tall_R read a shifted block in row chunks,
-each centered into one reused buffer by dense.row_chunks. Any other reader
-gets `local`, which is block - shift materialized: slower, never
-uncentered. An unshifted matrix's `local` is its block, and only
-crossprod (dense.gram) has a path of its own for it.
+mult_and_transpose) and dense.tall_R read a block, shifted or not, in row
+chunks through dense.row_chunks, each centered into one reused buffer.
+The only other reads of a whole block are:
+- the unshifted one-shot dense.gram, which allocates n x n;
+- mean_center_columns' column sums, which allocate n;
+- tall_R's Householder fallback: np.linalg.qr factors a float64 copy of
+  the block (centered first when shifted), so m x n;
+- tall_R on a block shorter than n, which copies its fewer than n rows.
+No module here reads `local`; it serves callers outside the package, the
+tests and perfbench.
 """
 
 from concurrent.futures import ThreadPoolExecutor

@@ -194,22 +194,10 @@ def qr_allreduce(comm, r_local):
     return require_finite(r_full, "reduced R factor")
 
 
-def _local_r_padded(a):
-    """R factor of a's local rows: tall_R, or qr_R of a block shorter than
-    n rows after zero-padding it to n x n."""
-    rows, n = a.block.shape
-    if rows < n:
-        padded = np.zeros((n, n), dtype=a.dtype)
-        padded[:rows] = a.local
-        return qr_R(padded)
-    return tall_R(a.block, a.shift)
-
-
 def svd_tsqr(a, want_u=False, want_v=False):
     """Sigma (and factors) via the distributed QR reduction."""
     _require_tall(a, "svd_tsqr")
-    r_local = _local_r_padded(a)
-    r_full = qr_allreduce(a.comm, r_local)
+    r_full = qr_allreduce(a.comm, tall_R(a.block, a.shift))
     sigma, _, vt = small_svd(r_full)
     result = SvdResult(sigma=require_finite(sigma, "sigma"))
     return _truncate_to_kept(a, result, want_u, want_v, vt.T)
@@ -223,7 +211,7 @@ RSVD_IMPLICIT_MAX_GROWTH = 4.0
 
 def _reduced_r(y):
     """R factor of a distributed Y; DegenerateProjection on a zero diagonal."""
-    r = qr_allreduce(y.comm, _local_r_padded(y))
+    r = qr_allreduce(y.comm, tall_R(y.block, y.shift))
     if np.any(np.diag(r) == 0):
         raise DegenerateProjection(
             "projection produced an exactly singular R; retry with a new seed"

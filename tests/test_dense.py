@@ -209,9 +209,22 @@ class TestTallR:
         assert first_factor_cond(a) < CHOLQR_MAX_COND / 10
         assert not falls_back(a)
 
-    def test_wide_rejected(self):
-        with pytest.raises(UnsupportedShape, match="tall"):
-            tall_R(np.ones((2, 3)))
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [0, 1, 4])
+    def test_short_block_is_zero_padded(self, rows, dtype, shifted):
+        # Fewer rows than n = 5: qr_R of the block's rows on zero rows.
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((rows, 5)).astype(dtype)
+        shift = rng.standard_normal(5).astype(dtype) if shifted else None
+        x = a if shift is None else a - shift
+        r = tall_R(a, shift)
+        assert r.dtype == dtype
+        assert np.array_equal(r, qr_R(np.vstack((x, np.zeros((5 - rows, 5), dtype)))))
+        assert np.all(np.tril(r, -1) == 0) and np.all(np.diag(r) >= 0)
+        gram = x.T.astype(np.float64) @ x
+        tol = 100 * np.finfo(dtype).eps * max(1.0, np.max(np.abs(gram)))
+        assert np.max(np.abs(r.T.astype(np.float64) @ r - gram)) <= tol
 
 
 class TestSolveTriangularRight:

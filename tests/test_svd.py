@@ -293,6 +293,26 @@ class TestRandomized:
         recon = (u * sigma) @ v.T
         assert np.linalg.norm(full - recon) <= 1e-6 * np.linalg.norm(full)
 
+    @pytest.mark.parametrize("q", [0, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "m, n, leading, k, size",
+        [
+            (10, 6, [10, 5], 2, 4),  # Y's blocks of 3, 3, 2, 2 rows, 2k = 4 cols
+            (5, 3, [10], 1, 8),  # three ranks get 0 rows
+        ],
+        ids=["short", "empty"],
+    )
+    def test_short_local_blocks(self, m, n, leading, k, size, dtype, q):
+        full = low_rank_noise_matrix(m, n, leading, 1e-6, seed=17, dtype=dtype)
+        oracle = np.linalg.svd(full.astype(np.float64), compute_uv=False)[:k]
+
+        def worker(comm):
+            return svd_randomized(distribute(comm, full), RsvdParams(k=k, q=q, seed=18)).sigma
+
+        sigma = run_ranks(size, worker)[0]
+        assert np.all(np.abs(sigma - oracle) <= verify_tolerance("rsvd", oracle, dtype))
+
     def test_oversampling_must_fit(self):
         a = generate_random(solo_communicator(), 20, 5, seed=1)
         with pytest.raises(ParameterError, match="2k"):
