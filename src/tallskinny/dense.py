@@ -14,8 +14,10 @@ float32 input in float64 (on a float64 copy, cast back at the end), so a
 float32 Householder QR costs what a float64 one does. And np.linalg.qr
 holds the GIL while it factors, unlike matmul, cholesky, inv and svd, so
 two rank threads calling it run one after the other. tall_R, the local R
-factor of a rank's block, is therefore a Cholesky QR2 of GEMMs and n x n
-factorizations, with qr_R (Householder) as its fallback and reference.
+factor of a rank's block, is therefore a Cholesky QR of GEMMs and n x n
+factorizations, in three bands of the first factor's condition number:
+one pass where it already meets the error bound of two, Cholesky QR2
+above that, and qr_R (Householder), the reference, as the fallback.
 
 Passes that read a block against a small replicated factor walk its rows
 in chunks of chunk_rows(block, factor columns) through row_chunks: tall_R's
@@ -186,46 +188,68 @@ CHOLQR_MAX_DEFECT = 0.5
 # verify's 6 n (u + u64) sigma_1. Above it the error grew with kappa, to
 # 28 n (u + u64) sigma_1 at kappa = 1e7 in float64.
 CHOLQR_MAX_COND = 1e4
+# Largest 2-norm condition number of R1 = chol(A^T A)^T at which tall_R
+# returns R1 after one Cholesky QR pass. In the rounding model of svdbench
+# verify's gate (bench.verify_tolerance), forming the Gram and factoring
+# it are n steps that each add at most lambda u ||A||^2, so
+# R1^T R1 = A^T A + E with ||E|| <= lambda n u ||A||^2. By Weyl,
+# sigma_i(R1)^2 moves by at most ||E||, so sigma_i by at most
+# ||E|| / (2 sigma_min(A)) <= lambda n u sigma_1 kappa / 2. Across ranks
+# A^T A = sum_r A_r^T A_r, and lambda_min is concave, so
+# sigma_min(A)^2 >= sum_r sigma_min(A_r)^2: when every rank's kappa_r is
+# at most tau, sum_r ||A_r||^2 <= tau^2 sigma_min(A)^2, and the summed
+# errors move sigma_i by at most lambda n u (tau^2 / 2) sigma_1. tau =
+# sqrt(2) holds that to lambda n u sigma_1, the first stage's share of the
+# gate 2 lambda n u sigma_1, as CholQR2's two passes are credited with.
+# Its loss of orthogonality, of order kappa^2 u, is then what the second
+# pass would repair (Yamamoto et al., ETNA 2015), and the pass is skipped.
+CHOLQR_ONE_PASS_MAX_COND = np.sqrt(2.0)
 
 
 def tall_R(a, shift=None):
-    """qr_R's factor of a - shift by Cholesky QR2, falling back to qr_R.
+    """qr_R's factor of a - shift by one or two Cholesky QR passes, or qr_R.
 
-    Two passes R_i = chol(X^T X)^T: the first on a, the second on
-    Q1 = a R1^-1, and R = R2 R1. Q1 is never formed whole: the second
-    pass walks a in chunks of chunk_rows(a, n) rows, multiplies each by
-    the n x n inverse into one reused chunk buffer and adds the chunk's
-    Q1_c^T Q1_c into G2 while it is still in cache. Beyond its input the
-    kernel holds one chunk (two with a shift) and a few n x n arrays.
-    Each step is a GEMM or an n x n LAPACK call, and all of them release
-    the GIL. The input selects the fallback to Householder qr_R: a Cholesky
-    factorization fails, R1's condition estimate exceeds
-    CHOLQR_MAX_COND (then before the GEMM), or G2 = Q1^T Q1 is further
-    from I than CHOLQR_MAX_DEFECT. Both tests fail on NaN, and a non-finite
-    entry anywhere in a reaches R1, so every non-finite intermediate falls
-    back. The contracts are qr_R's: exact zeros below the diagonal and a
-    nonnegative diagonal (here a product of two positive Cholesky
-    diagonals). With a shift both Grams read a's chunks through row_chunks,
-    and the fallback factors an explicit a - shift. A block of fewer rows
-    than columns (a rank's, once ranks outnumber m / n) has a singular
-    Gram: it gets qr_R of a - shift stacked on zero rows up to n x n, so
-    R^T R = (a - shift)^T (a - shift) at any height.
+    The first pass is R1 = chol(X^T X)^T on X = a - shift. Three bands of
+    R1's condition number kappa_2 pick the rest. Up to
+    CHOLQR_ONE_PASS_MAX_COND, R1 is the factor. Above it, Cholesky QR2
+    takes a second pass on Q1 = X R1^-1 and returns R = R2 R1. Q1 is never
+    formed whole: the second pass walks a in chunks of chunk_rows(a, n)
+    rows, multiplies each by the n x n inverse into one reused chunk
+    buffer and adds the chunk's Q1_c^T Q1_c into G2 while it is still in
+    cache. Beyond its input the kernel holds one chunk (two with a shift)
+    and a few n x n arrays. Each step is a GEMM or an n x n LAPACK call,
+    and all of them release the GIL. The last band falls back to
+    Householder qr_R: a Cholesky factorization fails, R1's condition
+    estimate exceeds CHOLQR_MAX_COND (then before the GEMM), or
+    G2 = Q1^T Q1 is further from I than CHOLQR_MAX_DEFECT. Every test
+    fails on NaN, and a non-finite entry anywhere in a reaches R1, so every
+    non-finite intermediate falls back. The contracts are qr_R's: exact
+    zeros below the diagonal and a nonnegative diagonal (here one positive
+    Cholesky diagonal or the product of two). With a shift both Grams read
+    a's chunks through row_chunks, and the fallback factors an explicit
+    a - shift. A block of fewer rows than columns (a rank's, once ranks
+    outnumber m / n) has a singular Gram: it gets qr_R of a - shift
+    stacked on zero rows up to n x n, so R^T R = (a - shift)^T (a - shift)
+    at any height.
     """
     a = as_matrix(a)
     if a.shape[0] < a.shape[1]:
         pad = ((0, a.shape[1] - a.shape[0]), (0, 0))
         return qr_R(np.pad(a if shift is None else a - shift, pad))
-    r = _cholesky_qr2(a, shift)
+    r = _cholesky_qr(a, shift)
     if r is not None:
         return r
     return qr_R(a if shift is None else a - shift)
 
 
-def _cholesky_qr2(a, shift):
-    """tall_R's CholQR2 factor of a - shift, or None where it must fall back."""
+def _cholesky_qr(a, shift):
+    """tall_R's one- or two-pass factor of a - shift, or None to fall back."""
     try:
         with np.errstate(all="ignore"):
-            r1 = np.linalg.cholesky(gram(a, shift)).T
+            g1 = gram(a, shift)
+            r1 = np.linalg.cholesky(g1).T
+            if _one_pass_suffices(g1, r1):
+                return np.triu(r1)
             r1_inv = np.linalg.inv(r1)
             if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
                 return None
@@ -237,6 +261,21 @@ def _cholesky_qr2(a, shift):
     if not defect <= CHOLQR_MAX_DEFECT:
         return None
     return np.triu(r2 @ r1)
+
+
+def _one_pass_suffices(g1, r1):
+    """kappa_2(R1) <= CHOLQR_ONE_PASS_MAX_COND, from R1^T R1 = G1; NaN: False.
+
+    A triangle's diagonal entries are its eigenvalues, so their ratio is
+    at most kappa_2(R1): a block whose ratio already exceeds the bound
+    (an ill-conditioned or column-scaled one) skips the eigenvalues of G1,
+    and so does an infinite diagonal.
+    """
+    diag = np.diag(r1)
+    if not diag.max() <= CHOLQR_ONE_PASS_MAX_COND * diag.min() < np.inf:
+        return False
+    lam = np.linalg.eigvalsh(g1)
+    return bool(lam[-1] <= CHOLQR_ONE_PASS_MAX_COND**2 * lam[0])
 
 
 def _gram_of_product(a, x, shift):

@@ -7,20 +7,24 @@ fast, but forming A^T A squares the condition number.
 svd_tsqr: communication-avoiding QR. Each rank reduces its block to an R
 factor; a custom allreduce stacks R factors two at a time and
 re-factors, yielding R of the full matrix, whose local SVD gives sigma
-and V. The local factor comes from dense.tall_R, a Cholesky QR2 built
+and V. The local factor comes from dense.tall_R, a Cholesky QR built
 from GEMMs and n x n LAPACK calls that release the GIL, so rank threads
-overlap. Its second pass streams the block in cache-sized row chunks, so
-beyond its block a rank holds one chunk and a few n x n arrays, never an
-m x n intermediate. It falls back to Householder qr_R when a Cholesky
-fails, an intermediate is not finite, the first factor's condition
-estimate exceeds 1e4 (beyond which the GEMM against its inverse loses
-accuracy; at n = 50 from a condition number of about 3e3), or the first
-pass leaves Q1 too far from orthonormal. The 2n x n reduce combine and
-blocks shorter than n rows stay on qr_R. cpsvd's Gram is n x n too, so
-neither full-spectrum route allocates anything the height of the block
-when only sigma is asked for, or when pca asks for V without scores:
-the centered matrix pca passes in is its input block plus a shift (the
-column means), which every pass over the rows subtracts chunk by chunk.
+overlap. It takes one of three bands by the block's condition number.
+Up to sqrt(2) one pass already meets the error bound of two, and the
+block is read once; standard-normal blocks, as the benchmarks draw them,
+are here. Above it Cholesky QR2 adds a second pass, which streams the
+block in cache-sized row chunks, so beyond its block a rank holds one
+chunk and a few n x n arrays, never an m x n intermediate. Last, it
+falls back to Householder qr_R when a Cholesky fails, an intermediate is
+not finite, the first factor's condition estimate exceeds 1e4 (beyond
+which the GEMM against its inverse loses accuracy; at n = 50 from a
+condition number of about 3e3), or the first pass leaves Q1 too far from
+orthonormal. The 2n x n reduce combine and blocks shorter than n rows
+stay on qr_R. cpsvd's Gram is n x n too, so neither full-spectrum route
+allocates anything the height of the block when only sigma is asked
+for, or when pca asks for V without scores: the centered matrix pca
+passes in is its input block plus a shift (the column means), which
+every pass over the rows subtracts chunk by chunk.
 
 svd_randomized: truncated SVD by random projection with q power
 iterations, in q + 1 passes over A. Each pass reads the local rows once,
@@ -287,12 +291,17 @@ def svd_randomized(a, params, want_u=False, want_v=False):
     log-uniform or geometric spectra), that path erred upward by at most
     0.87 of svdbench verify's rounding term 2 lambda n (u + u64) sigma_1
     for g <= 6; it first exceeded the term at g = 6.4 (float32, rank one,
-    q = 1). Past the guard the last step factors twice, as CholQR2 does
-    (Yamamoto et al., ETNA 2015): Q1 = Y R^-1 = Q_Y R2, B = R2^-T Q1^T A
-    by one more pass over A, and U = Q1 (R2^-1 U_B). This B errs as an
-    explicit Q_Y^T A would, by multiples of ||R2^-1||, and in 1366 of
-    4000 draws that fell back g2 = ||D2 R2^-1||_2 had median 1.0 and max
-    9.9. A zero on the diagonal of either R raises DegenerateProjection.
+    q = 1). Y's R may come from one Cholesky QR pass (dense.tall_R), so
+    48,000 more such inputs were swept with the path forced: at g <= 4 it
+    erred upward by at most 0.58 of the term, as with two passes on every
+    Y, and by at most 0.45 on the 4,821 whose Y took one pass on every
+    rank; the term was first exceeded at g = 9.5. Past the guard the last
+    step factors twice, as CholQR2 does (Yamamoto et al., ETNA 2015):
+    Q1 = Y R^-1 = Q_Y R2, B = R2^-T Q1^T A by one more pass over A, and
+    U = Q1 (R2^-1 U_B). This B errs as an explicit Q_Y^T A would, by
+    multiples of ||R2^-1||, and in 1366 of 4000 draws that fell back
+    g2 = ||D2 R2^-1||_2 had median 1.0 and max 9.9. A zero on the
+    diagonal of either R raises DegenerateProjection.
     """
     _require_tall(a, "svd_randomized")
     n = a.cols

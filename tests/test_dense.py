@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tallskinny.dense import (
     ShapeError,
     UnsupportedShape,
     chunk_rows,
+    gram,
     qr_Q,
     qr_R,
     small_svd,
@@ -17,6 +20,7 @@ from tallskinny.dense import (
     sym_eigen,
     tall_R,
 )
+from tallskinny.distmat import random_rows
 from tallskinny.matrices import conditioned_matrix
 
 
@@ -115,35 +119,107 @@ def falls_back(a):
     return r.dtype == a.dtype and np.array_equal(r, qr_R(a), equal_nan=True)
 
 
+def takes_second_pass(a, shift=None):
+    """tall_R(a, shift) runs Cholesky QR2's second, chunked pass."""
+    with mock.patch.object(
+        dense, "_gram_of_product", wraps=dense._gram_of_product
+    ) as second:
+        tall_R(a, shift)
+    return second.called
+
+
+def one_pass_factor(a, shift=None):
+    """R1 of the first Cholesky QR pass, as tall_R returns it."""
+    return np.triu(np.linalg.cholesky(gram(a, shift)).T)
+
+
+def assert_matches_householder(a, kappa=1.0):
+    """tall_R(a) is Cholesky QR's, and within kappa sqrt(m) n u ||a|| of qr_R(a)."""
+    r = tall_R(a)
+    assert not falls_back(a)
+    assert r.dtype == a.dtype
+    assert np.count_nonzero(np.tril(r, -1)) == 0 and np.all(np.diag(r) > 0)
+    # R with a positive diagonal is unique, and moves with a by up to
+    # kappa times a's perturbation.
+    m, n = a.shape
+    u = np.finfo(a.dtype).eps / 2
+    diff = r.astype(np.float64) - qr_R(a)
+    bound = kappa * np.sqrt(m) * n * u * np.linalg.norm(a, 2)
+    assert np.linalg.norm(diff, 2) <= bound
+
+
+def chunk_boundary_rows(rows, n, dtype):
+    """Block heights just short of, on, or just past a chunk boundary."""
+    chunk = chunk_rows(np.empty((0, n), dtype), n)
+    return {"chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
+            "2chunk+1": 2 * chunk + 1}[rows]
+
+
 class TestTallR:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cholqr2_matches_householder(self, dtype):
+        # Standard-normal input takes tall_R's one pass; the kappa = 10
+        # case below takes both.
         a = np.random.default_rng(11).standard_normal((2000, 12)).astype(dtype)
-        r = tall_R(a)
-        assert not falls_back(a)
-        assert r.dtype == dtype
-        assert np.count_nonzero(np.tril(r, -1)) == 0 and np.all(np.diag(r) > 0)
-        # R with a positive diagonal is unique, and a is well conditioned.
-        m, n = a.shape
-        u = np.finfo(dtype).eps / 2
-        diff = r.astype(np.float64) - qr_R(a)
-        assert np.linalg.norm(diff, 2) <= np.sqrt(m) * n * u * np.linalg.norm(a, 2)
+        assert_matches_householder(a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cholqr2_second_pass_matches_householder(self, dtype):
+        # kappa = 10 is past the one-pass bound that standard-normal
+        # blocks meet, so both Cholesky QR passes run.
+        a = conditioned_matrix(2000, 12, 10.0, 11, dtype)
+        assert takes_second_pass(a)
+        assert_matches_householder(a, kappa=10.0)
 
     @pytest.mark.parametrize("rows", ["chunk-1", "chunk", "chunk+1", "2chunk+1"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunk_boundaries_match_householder(self, dtype, rows):
+        m = chunk_boundary_rows(rows, 12, dtype)
+        a = np.random.default_rng(16).standard_normal((m, 12)).astype(dtype)
+        assert_matches_householder(a)
+
+    @pytest.mark.parametrize("rows", ["chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_second_pass_chunk_boundaries_match_householder(self, dtype, rows):
         # The second pass walks the rows in chunks; blocks that end just
         # short of, on, or just past a chunk boundary lose no rows.
-        n = 12
-        chunk = chunk_rows(np.empty((0, n), dtype), n)
-        m = {"chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
-             "2chunk+1": 2 * chunk + 1}[rows]
-        a = np.random.default_rng(16).standard_normal((m, n)).astype(dtype)
-        r = tall_R(a)
-        assert not falls_back(a)
-        u = np.finfo(dtype).eps / 2
-        diff = r.astype(np.float64) - qr_R(a)
-        assert np.linalg.norm(diff, 2) <= np.sqrt(m) * n * u * np.linalg.norm(a, 2)
+        m = chunk_boundary_rows(rows, 12, dtype)
+        a = conditioned_matrix(m, 12, 10.0, 16, dtype)
+        assert takes_second_pass(a)
+        assert_matches_householder(a, kappa=10.0)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kappa", [1.0, 1.2, 1.4, 1.43, 2.0])
+    def test_one_pass_up_to_the_bound(self, kappa, dtype, shifted):
+        # kappa_2 <= sqrt(2): R is the first pass's Cholesky factor itself.
+        # Past it, Cholesky QR2 takes its second pass.
+        a = conditioned_matrix(500, 8, kappa, 17, dtype)
+        shift = None
+        if shifted:
+            shift = np.random.default_rng(17).standard_normal(8).astype(dtype)
+            a = a + shift
+        one_pass = kappa <= np.sqrt(2)
+        assert takes_second_pass(a, shift) != one_pass
+        r = tall_R(a, shift)
+        assert r.dtype == dtype
+        assert np.array_equal(r, one_pass_factor(a, shift)) == one_pass
+
+    def test_diagonal_ratio_skips_the_eigenvalues(self):
+        # A triangle's diagonal ratio bounds its kappa_2 from below, so a
+        # block whose ratio exceeds the bound needs no eigvalsh; a block
+        # that passes the ratio gets the exact kappa_2 from eigvalsh.
+        scaled = np.random.default_rng(18).standard_normal((2000, 50))
+        scaled[:, 3] *= 2
+        near = conditioned_matrix(2000, 50, 1.5, 18, np.float64)
+        for a, eigenvalues in ((scaled, False), (near, True)):
+            diag = np.diag(one_pass_factor(a))
+            assert (diag.max() / diag.min() <= np.sqrt(2)) == eigenvalues
+            with mock.patch.object(
+                np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh
+            ) as eigvalsh:
+                assert takes_second_pass(a)
+            assert eigvalsh.called == eigenvalues
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rank_deficient_block_falls_back(self, dtype):
@@ -202,12 +278,21 @@ class TestTallR:
         monkeypatch.setattr(dense, "CHOLQR_MAX_COND", np.inf)
         assert not falls_back(a)
 
-    def test_benchmark_shapes_take_cholqr2(self):
-        # Standard-normal blocks, as the routes see them, stay far inside
-        # the condition bound even at n = 250.
-        a = np.random.default_rng(15).standard_normal((20_000, 250))
-        assert first_factor_cond(a) < CHOLQR_MAX_COND / 10
-        assert not falls_back(a)
+    def test_benchmark_shapes_take_one_pass(self):
+        # Standard-normal blocks as the benchmark's ranks hold them: the
+        # halves of 1e5 x 50 (kappa about 1.06), 2e4 x 250 (1.24) and its
+        # halves (1.37) are all within the one-pass bound.
+        blocks = [
+            random_rows(15, start, 50_000, 50, "standard-normal", dtype)
+            for start in (0, 50_000)
+            for dtype in (np.float32, np.float64)
+        ] + [
+            random_rows(15, start, rows, 250, "standard-normal", np.float64)
+            for start, rows in ((0, 20_000), (0, 10_000), (10_000, 10_000))
+        ]
+        for a in blocks:
+            assert np.array_equal(tall_R(a), one_pass_factor(a))
+            assert not takes_second_pass(a)
 
     @pytest.mark.parametrize("shifted", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -5,9 +5,10 @@ column signs match R. Eigen and SVD: descending values, the sign rule
 (each vector's largest-magnitude entry is positive) and zero u columns at
 sigma = 0. Inputs cover float32 and float64, m >= n with m == n and n == 1,
 negative leading entries, and zero or repeated columns. The local R kernel
-tall_R (Cholesky QR2 or its Householder fallback) also gets a sweep over
-the condition number, where its singular values must meet the bound
-svdbench verify applies, as qr_R's do.
+tall_R (Cholesky QR or its Householder fallback) also gets a sweep over
+the condition number, across its one-pass, two-pass and Householder
+bands, where its singular values must meet the bound svdbench verify
+applies, as qr_R's do.
 """
 
 import math
@@ -46,9 +47,13 @@ def tall_matrices(draw):
 
 
 # Condition numbers swept per precision, f64 up to 1e7 and f32 up to 1e6:
-# both cross the few thousand where tall_R hands over to qr_R.
-KAPPA_SWEEP = [(np.float64, k) for k in (1.0, 1e1, 1e3, 1e5, 1e7)] + [
-    (np.float32, k) for k in (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
+# both cross sqrt(2), where tall_R's one Cholesky QR pass gives way to two,
+# and the few thousand where it hands over to qr_R.
+NEAR_ONE_PASS_BOUND = (1.2, 1.40, 1.43, 2.0)
+KAPPA_SWEEP = [
+    (np.float64, k) for k in (1.0, *NEAR_ONE_PASS_BOUND, 1e1, 1e3, 1e5, 1e7)
+] + [
+    (np.float32, k) for k in (1.0, *NEAR_ONE_PASS_BOUND, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 ]
 
 
@@ -134,7 +139,16 @@ def check_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
     want = np.linalg.svd(f64(a), compute_uv=False)
     # verify's gate: |d sigma_i| <= 2 lambda n (u + u64) sigma_1.
     bound = verify_tolerance("tssvd", want, dtype)
-    for r in (qr_R(a), tall_R(a)):
+    with mock.patch.object(
+        dense, "_gram_of_product", wraps=dense._gram_of_product
+    ) as second:
+        r_chol = tall_R(a)
+    # One pass up to kappa = sqrt(2), two just past it.
+    if kappa <= 1.40:
+        assert not second.called
+    elif kappa <= 2 and shape[1] > 1:
+        assert second.called
+    for r in (qr_R(a), r_chol):
         assert r.dtype == a.dtype
         assert np.count_nonzero(np.tril(r, -1)) == 0
         assert np.all(np.diag(r) >= 0)

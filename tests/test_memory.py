@@ -17,10 +17,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tallskinny import svd
+from tallskinny import dense, svd
 from tallskinny.comm import run_ranks
 from tallskinny.dense import chunk_rows
 from tallskinny.distmat import distribute, random_rows
+from tallskinny.matrices import conditioned_matrix
 from tallskinny.pca import pca
 from tallskinny.svd import RsvdParams, route
 
@@ -53,6 +54,15 @@ def sigma_only_bound(full, method, size):
     return bound
 
 
+def pca_bound(full, method, size):
+    # Beyond the sigma-only route: one centering buffer per rank (tall_R's
+    # second pass holds it next to its product chunk), and the means, V and
+    # the rotation, each at most n x n.
+    return sigma_only_bound(full, method, size) + size * (
+        chunk_bytes(full) + SLACK * N * N * 8
+    )
+
+
 def check(peak, bound, full, what):
     assert peak <= bound, f"{what}: peak {peak} B, bound {bound} B, input {full.nbytes} B"
     # An m x n temporary does not fit under the bound.
@@ -76,13 +86,34 @@ def test_pca_without_scores_allocates_no_centered_copy(method, dtype, size):
     full = random_rows(3, 0, M, N, "standard-normal", dtype) + dtype(10)
     params = PARAMS if method == "rsvd" else None
     peak = traced_peak(full, lambda a: pca(a, method=method, params=params).sdev, size)
-    # Beyond the sigma-only route: one centering buffer per rank (tall_R's
-    # second pass holds it next to its product chunk), and the means, V and
-    # the rotation, each at most n x n.
-    bound = sigma_only_bound(full, method, size) + size * (
-        chunk_bytes(full) + SLACK * N * N * 8
+    check(peak, pca_bound(full, method, size), full, f"pca {method} p={size}")
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("centered", [False, True])
+def test_tssvd_second_pass_allocates_no_block_sized_array(
+    monkeypatch, centered, dtype, size
+):
+    # Standard-normal blocks take tall_R's one pass. At kappa = 10 every
+    # rank's block runs Cholesky QR2's chunked second pass, shifted when
+    # pca centers it.
+    full = conditioned_matrix(M, N, 10.0, 3, dtype)
+    second_passes = []
+    second_pass = dense._gram_of_product
+    monkeypatch.setattr(
+        dense, "_gram_of_product",
+        lambda *args: second_passes.append(1) or second_pass(*args),
     )
-    check(peak, bound, full, f"pca {method} p={size}")
+    if centered:
+        full = full + dtype(10)
+        peak = traced_peak(full, lambda a: pca(a, method="tssvd").sdev, size)
+        bound = pca_bound(full, "tssvd", size)
+    else:
+        peak = traced_peak(full, lambda a: svd.svd_tsqr(a).sigma, size)
+        bound = sigma_only_bound(full, "tssvd", size)
+    assert len(second_passes) == size
+    check(peak, bound, full, f"tssvd second pass, centered={centered} p={size}")
 
 
 @pytest.mark.parametrize("size", [1, 2])

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tallskinny import svd
+from tallskinny import dense, svd
 from tallskinny.bench import verify_tolerance
 from tallskinny.comm import RankFailures, run_ranks, solo_communicator
 from tallskinny.dense import (
@@ -531,6 +533,52 @@ def test_rsvd_never_exceeds_sigma_beyond_rounding(case, size):
 
     sigma = run_ranks(size, worker)[0]
     assert np.all(sigma <= oracle[:k] + bound[:k])
+
+
+@st.composite
+def one_pass_blocks(draw):
+    """(A, p): p blocks of equal height, each with kappa_2 <= sqrt(2).
+
+    Each block is s_r U_r diag(d_r) V_r^T with its own scale s_r (1e-2 to
+    1e2), its own right basis V_r and its own d_r, log-spaced over a
+    ratio kappa_r <= 1.40: the blocks weigh A's columns differently, and
+    A's singular values spread over the blocks' scales.
+    """
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(n + 1, 10 * n))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(p):
+        kappa = draw(st.floats(1.0, 1.40))
+        scale = 10.0 ** draw(st.floats(-2, 2))
+        left, _ = np.linalg.qr(rng.standard_normal((rows, n)))
+        right, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        values = scale * np.logspace(0, -np.log10(kappa), n)
+        blocks.append(((left * values) @ right.T).astype(dtype))
+    return blocks, dtype
+
+
+@given(one_pass_blocks())
+@settings(max_examples=100)
+def test_tssvd_from_one_pass_blocks_within_verify_tolerance(case):
+    # Every rank's R comes from one Cholesky QR pass. The per-rank errors
+    # add up, and the bound behind CHOLQR_ONE_PASS_MAX_COND holds their
+    # sum to the first stage's share of verify's gate, whatever the
+    # blocks' relative scales.
+    blocks, dtype = case
+    full = np.vstack(blocks)
+    for block in blocks:
+        local = np.linalg.svd(block.astype(np.float64), compute_uv=False)
+        assert local[0] <= np.sqrt(2) * local[-1]
+    oracle = np.linalg.svd(full.astype(np.float64), compute_uv=False)
+    with mock.patch.object(
+        dense, "_gram_of_product", wraps=dense._gram_of_product
+    ) as second:
+        sigma = run_ranks(len(blocks), lambda comm: svd_tsqr(distribute(comm, full)).sigma)[0]
+    assert not second.called
+    assert np.all(np.abs(sigma - oracle) <= verify_tolerance("tssvd", oracle, dtype))
 
 
 class TestRecoverU:
