@@ -19,6 +19,7 @@ from .dense import (
     ConvergenceError,
     NonFiniteInput,
     ShapeError,
+    UnsupportedDtype,
     UnsupportedShape,
     qr_Q,
     qr_R,
@@ -70,6 +71,7 @@ __all__ = [
     "SUM",
     "ShapeError",
     "SvdResult",
+    "UnsupportedDtype",
     "UnsupportedShape",
     "block_range",
     "block_rows",

@@ -58,8 +58,8 @@ class RankFailures(RuntimeError):
 class ReduceOperator:
     """A named deterministic binary combine of two payloads.
 
-    combine(lower, higher) must return a matrix of its operands' shape and
-    dtype; the first operand always comes from the lower-rank subtree.
+    combine(lower, higher) must return an ndarray of its operands' shape
+    and dtype; the first operand always comes from the lower-rank subtree.
     """
 
     name: str
@@ -67,6 +67,11 @@ class ReduceOperator:
 
 
 SUM = ReduceOperator("sum", np.add)
+
+
+def _layout(x):
+    """'shape dtype' of an array; the type name of anything else."""
+    return f"{x.shape} {x.dtype}" if isinstance(x, np.ndarray) else type(x).__name__
 
 
 class _Poison:
@@ -196,11 +201,10 @@ class Communicator:
                             f"{self.rank}: {exc}"
                         )
                     )
-                if acc.shape != local.shape or acc.dtype != local.dtype:
+                if _layout(acc) != _layout(local):
                     self._fail(
                         CollectiveContractError(
-                            f"reduce operator {op.name!r} emitted {acc.shape} "
-                            f"{acc.dtype}, expected {local.shape} {local.dtype}"
+                            f"reduce op {op.name!r} emitted {_layout(acc)}, not {_layout(local)}"
                         )
                     )
             stride = group
@@ -238,10 +242,12 @@ def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
     the surviving results are discarded and RankFailures carries every
     rank's exception. A rank that raises outside a collective poisons its
     peers as a failing collective does, so none of them waits for it until
-    the timeout.
+    the timeout. A size below 1, or a timeout (seconds per wait) outside
+    (0, threading.TIMEOUT_MAX], raises ValueError before any rank starts:
+    a larger one, inf included, overflows the queue's wait.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    if size < 1 or not 0 < timeout <= threading.TIMEOUT_MAX:
+        raise ValueError(f"need size >= 1 and 0 < timeout <= TIMEOUT_MAX, got {size=}, {timeout=}")
     world = _World(size, timeout=timeout)
     results = [None] * size
     failures = {}

@@ -41,6 +41,10 @@ class UnsupportedShape(ShapeError):
     """Shape is valid in general but outside the tall/skinny scope."""
 
 
+class UnsupportedDtype(TypeError):
+    """Complex input: the routes factor real matrices only."""
+
+
 class ConvergenceError(RuntimeError):
     """LAPACK could not factor the input (for example, it holds NaN or Inf)."""
 
@@ -65,10 +69,16 @@ def _lapack(routine, *args, **kwargs):
 
 
 def as_matrix(a, name="a"):
-    """Coerce to a 2-d float32/float64 array; other dtypes go to float64."""
+    """Coerce to a 2-d float32/float64 array; other real dtypes go to float64.
+
+    A complex array raises UnsupportedDtype rather than losing its
+    imaginary part to the cast.
+    """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ShapeError(f"{name} must be 2-d, got ndim={a.ndim}")
+    if a.dtype.kind == "c":
+        raise UnsupportedDtype(f"{name} is complex ({a.dtype}); only real input is supported")
     if a.dtype not in (np.float32, np.float64):
         a = a.astype(np.float64)
     return a

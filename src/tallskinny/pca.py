@@ -46,7 +46,7 @@ def pca(a, method="tssvd", ncomp=None, want_scores=False, params=None):
         )
 
     centered, means = mean_center_columns(a)
-    result = solve(centered, want_v=True)
+    result = solve(centered)
 
     scale = np.sqrt(a.global_rows - 1)
     sdev = result.sigma[:ncomp] / result.sigma.dtype.type(scale)

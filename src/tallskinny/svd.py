@@ -21,10 +21,10 @@ which the GEMM against its inverse loses accuracy; at n = 50 from a
 condition number of about 3e3), or the first pass leaves Q1 too far from
 orthonormal. The 2n x n reduce combine and blocks shorter than n rows
 stay on qr_R. cpsvd's Gram is n x n too, so neither full-spectrum route
-allocates anything the height of the block when only sigma is asked
-for, or when pca asks for V without scores: the centered matrix pca
-passes in is its input block plus a shift (the column means), which
-every pass over the rows subtracts chunk by chunk.
+allocates anything the height of the block for sigma and V, which is all
+pca asks for without scores: the centered matrix pca passes in is its
+input block plus a shift (the column means), which every pass over the
+rows subtracts chunk by chunk.
 
 svd_randomized: truncated SVD by random projection with q power
 iterations, in q + 1 passes over A. Each pass reads the local rows once,
@@ -38,8 +38,10 @@ condition sends an ill-conditioned Y (a rank-deficient A, say) to a
 fallback that factors Q1 = Y R^-1 = Q_Y R2 and reads A again for B;
 there Q_Y stays implicit as Q1 R2^-1.
 
-The two full-spectrum routes recover a distributed U from
-A V inv(Sigma) when asked; the randomized one uses U = Q_Y U_B.
+Every route returns sigma and the replicated V, which its n x n
+decomposition computes anyway; U is the one optional factor, an extra
+pass over the rows. The two full-spectrum routes recover a distributed U
+from A V inv(Sigma) when asked; the randomized one uses U = Q_Y U_B.
 
 The first reduced value of each route (the crossproduct, the W of each
 rsvd power iteration, or the R factor qr_allreduce returns) and the
@@ -91,11 +93,12 @@ class DegenerateProjection(RuntimeError):
 
 @dataclass
 class SvdResult:
-    """sigma descending and nonnegative; u distributed, v replicated."""
+    """sigma descending and nonnegative; v replicated, n x len(sigma); u
+    distributed, present only when asked for."""
 
     sigma: np.ndarray
+    v: np.ndarray
     u: Optional[DistMatrix] = None
-    v: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -150,24 +153,25 @@ def recover_U(a, v, sigma):
     return mult_local(a, scaled)
 
 
-def _truncate_to_kept(a, result, want_u, want_v, v_full):
-    """Attach factors, shrinking sigma/v consistently if U drops columns:
-    sigma is descending, so U keeps a prefix of them, U.cols long."""
-    if want_u:
-        result.u = recover_U(a, v_full, result.sigma)
-        result.sigma = result.sigma[: result.u.cols]
-        v_full = v_full[:, : result.u.cols]
-    if want_v:
-        result.v = v_full
-    return result
+def _full_spectrum_result(a, sigma, v, want_u):
+    """SvdResult(sigma, v), with U = A V inv(Sigma) when want_u is set.
+
+    U drops the columns whose sigma is at or below the rank tolerance;
+    sigma is descending, so U keeps a prefix of them, U.cols long, and
+    sigma and v keep the same prefix.
+    """
+    if not want_u:
+        return SvdResult(sigma, v)
+    u = recover_U(a, v, sigma)
+    return SvdResult(sigma[: u.cols], v[:, : u.cols], u)
 
 
-def svd_normal_equations(a, want_u=False, want_v=False):
-    """Sigma (and factors) from the eigendecomposition of A^T A."""
+def svd_normal_equations(a, want_u=False):
+    """Sigma and V (and U) from the eigendecomposition of A^T A."""
     _require_tall(a, "svd_normal_equations")
     values, vectors = sym_eigen(crossprod(a))
-    result = SvdResult(sigma=require_finite(np.sqrt(np.maximum(values, 0)), "sigma"))
-    return _truncate_to_kept(a, result, want_u, want_v, vectors)
+    sigma = require_finite(np.sqrt(np.maximum(values, 0)), "sigma")
+    return _full_spectrum_result(a, sigma, vectors, want_u)
 
 
 def _stack_and_factor(lower, higher):
@@ -198,13 +202,12 @@ def qr_allreduce(comm, r_local):
     return require_finite(r_full, "reduced R factor")
 
 
-def svd_tsqr(a, want_u=False, want_v=False):
-    """Sigma (and factors) via the distributed QR reduction."""
+def svd_tsqr(a, want_u=False):
+    """Sigma and V (and U) via the distributed QR reduction."""
     _require_tall(a, "svd_tsqr")
     r_full = qr_allreduce(a.comm, tall_R(a.block, a.shift))
     sigma, _, vt = small_svd(r_full)
-    result = SvdResult(sigma=require_finite(sigma, "sigma"))
-    return _truncate_to_kept(a, result, want_u, want_v, vt.T)
+    return _full_spectrum_result(a, require_finite(sigma, "sigma"), vt.T, want_u)
 
 
 # Largest error growth g = ||D R^-1||_2 (D: R's column norms) at which
@@ -249,14 +252,15 @@ def _project(a, basis):
     return np.linalg.solve(r.T, mult_transpose(y, a)), y, r
 
 
-def svd_randomized(a, params, want_u=False, want_v=False):
+def svd_randomized(a, params, want_u=False):
     """Truncated SVD by random projection and q power iterations.
 
     Makes q + 1 passes over A. From an n x 2k basis (random at first)
     each pass gives the distributed Y = A basis and the replicated
     W = A^T Y. The q power-iteration steps keep W alone and take
     qr_Q(W) as the next basis; the last step factors Y. Only the leading
-    k values/vectors are returned; the oversampled half is discarded.
+    k values and right vectors (and left ones, with want_u) are returned;
+    the oversampled half is discarded.
 
     Why W alone suffices. A step that factored Y = Q_Y R would take
     qr_Q(B^T) for B = Q_Y^T A, and B^T = A^T Y R^-1 = W R^-1. R^-1 is
@@ -315,12 +319,9 @@ def svd_randomized(a, params, want_u=False, want_v=False):
     b, left, r = _project(a, basis)
     sigma, u_b, vt = small_svd(b)
     k = params.k
-    result = SvdResult(sigma=require_finite(sigma[:k], "sigma"))
-    if want_u:
-        result.u = mult_local(left, np.linalg.solve(r, u_b[:, :k]))
-    if want_v:
-        result.v = vt[:k].T
-    return result
+    sigma = require_finite(sigma[:k], "sigma")
+    u = mult_local(left, np.linalg.solve(r, u_b[:, :k])) if want_u else None
+    return SvdResult(sigma, vt[:k].T, u)
 
 
 ROUTES = {
@@ -331,7 +332,7 @@ ROUTES = {
 
 
 def route(method, params=None):
-    """The SVD route named `method`, as a function of (a, want_u, want_v).
+    """The SVD route named `method`, as a function of (a, want_u).
 
     method is one of ROUTES; rsvd comes bound to `params`, which must be
     its RsvdParams. The other routes ignore `params`.

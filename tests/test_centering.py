@@ -3,10 +3,11 @@
 mean_center_columns returns a DistMatrix that shares its input's rows and
 carries the column means as a shift; the chunked kernels subtract the
 shift chunk by chunk. Each route run on it must agree with the same route
-run on a DistMatrix of the explicitly centered block. The chunk size is
-cut to 1 KiB so that every pass over a few hundred rows spans several
-chunks, and a chunk that ignores the shift, or a centering by a rank-one
-correction of the Gram, shows at column means of 10 and 1e3.
+run on a DistMatrix of the explicitly centered block, and so must pca,
+which centers its input itself. The chunk size is cut to 1 KiB so that
+every pass over a few hundred rows spans several chunks, and a chunk that
+ignores the shift, or a centering by a rank-one correction of the Gram,
+shows at column means of 10 and 1e3.
 """
 
 from dataclasses import replace
@@ -20,6 +21,7 @@ from tallskinny.dense import qr_R
 from tallskinny.comm import run_ranks
 from tallskinny.distmat import DistMatrix, distribute, mean_center_columns
 from tallskinny.matrices import conditioned_matrix
+from tallskinny.pca import pca
 from tallskinny.svd import RsvdParams, route
 
 PARAMS = RsvdParams(k=2, q=2, seed=5)
@@ -27,7 +29,10 @@ PARAMS = RsvdParams(k=2, q=2, seed=5)
 # takes the fallback. After iterations on W, the last step's growth g on
 # this input falls from 4e4-6e15 to 1.0-10, under the guard in most cells.
 RANK_ONE_PARAMS = replace(PARAMS, q=0)
-WANTS = {"sigma": {}, "u": {"want_u": True}, "v": {"want_v": True}}
+# What a cell compares: the route's sigma and V, the same with U, or pca's
+# sdev and rotation (its V) against the explicit route's sigma and V,
+# scaled as pca scales them.
+WANTS = ("sigma", "u", "v")
 CASES = [
     ("cpsvd", "tall"),
     ("cpsvd", "short"),
@@ -61,8 +66,12 @@ def shifted_and_explicit(full, method, params, size, want):
         explicit = DistMatrix(a.local - means, a.global_rows, a.row_offset, comm)
         out = []
         for x in (shifted, explicit):
-            res = fn(x, **want)
+            res = fn(x, want_u=want == "u")
             out.append((res.sigma, None if res.u is None else res.u.local, res.v))
+        if want == "v":
+            got = pca(a, method, params=params)
+            scale = got.sdev.dtype.type(np.sqrt(a.global_rows - 1))
+            out = [(got.sdev, None, got.rotation), (out[1][0] / scale, None, out[1][2])]
         return out
 
     return run_ranks(size, worker)
@@ -76,7 +85,7 @@ def assert_close(got, want, tol, what):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("mean", [0.0, 10.0, 1e3])
 @pytest.mark.parametrize("size", [1, 2, 3])
-@pytest.mark.parametrize("want", sorted(WANTS))
+@pytest.mark.parametrize("want", WANTS)
 @pytest.mark.parametrize("method, shape", CASES)
 def test_shifted_matches_explicit_centering(monkeypatch, method, shape, want, size, mean, dtype):
     monkeypatch.setattr(dense, "PASS_CHUNK_BYTES", 1024)
@@ -89,7 +98,7 @@ def test_shifted_matches_explicit_centering(monkeypatch, method, shape, want, si
 
     monkeypatch.setattr(svd, "mult_transpose", counted)
     params = RANK_ONE_PARAMS if shape == "rank-one" else PARAMS
-    results = shifted_and_explicit(data(shape, mean, dtype), method, params, size, WANTS[want])
+    results = shifted_and_explicit(data(shape, mean, dtype), method, params, size, want)
 
     if shape == "rank-one":
         # Y = A Omega has rank one, so the one step takes the fallback,
@@ -100,9 +109,9 @@ def test_shifted_matches_explicit_centering(monkeypatch, method, shape, want, si
             # The fused passes read the same chunk values in the same order.
             assert np.array_equal(s_sigma, e_sigma)
             assert s_u is None or np.array_equal(s_u, e_u)
-            assert s_v is None or np.array_equal(s_v, e_v)
+            assert np.array_equal(s_v, e_v)
             continue
-        assert s_sigma.shape == e_sigma.shape
+        assert s_sigma.shape == e_sigma.shape and s_v.shape == e_v.shape
         # Both sides hold the same centered values and differ by rounding
         # alone. Take verify's term t = 2 lambda n (u + u64) as the
         # relative backward error, so A^T A moves by up to t sigma_1^2.
@@ -112,16 +121,15 @@ def test_shifted_matches_explicit_centering(monkeypatch, method, shape, want, si
         term = verify_tolerance("tssvd", e_sigma, dtype)[0] / e_sigma[0]
         if shape == "rank-one":
             assert_close(s_sigma, e_sigma, term * e_sigma[0], "sigma")
-            for s_f, e_f in ((s_u, e_u), (s_v, e_v)):
-                if s_f is not None:
-                    assert_close(s_f[:, 0], e_f[:, 0], 2 * term, "leading vector")
+            assert_close(s_v[:, 0], e_v[:, 0], 2 * term, "leading V vector")
+            if s_u is not None:
+                assert_close(s_u[:, 0], e_u[:, 0], 2 * term, "leading U vector")
             continue
         assert_close(s_sigma, e_sigma, verify_tolerance(method, e_sigma, dtype), "sigma")
         squares = e_sigma.astype(np.float64) ** 2
         gaps = np.abs(squares[:, None] - squares[None, :]) + np.diag(np.full(len(squares), np.inf))
         v_tol = term * squares[0] / gaps.min(axis=1)
-        if s_v is not None:
-            assert_close(s_v, e_v, v_tol, "V")
+        assert_close(s_v, e_v, v_tol, "V")
         if s_u is not None:
             assert_close(s_u, e_u, 2 * v_tol * e_sigma[0] / e_sigma, "U")
 

@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 
 import numpy as np
@@ -116,7 +117,9 @@ class TestAllreduceCustom:
     @pytest.mark.parametrize("combine, emitted", [
         (lambda lo, hi: np.vstack((lo, hi)), "(4, 2) float64"),
         (lambda lo, hi: (lo + hi).astype(np.float32), "(2, 2) float32"),
-    ], ids=["shape", "dtype"])
+        (lambda lo, hi: (lo + hi).tolist(), "emitted list"),
+        (lambda lo, hi: float((lo + hi).sum()), "emitted float"),
+    ], ids=["shape", "dtype", "list", "float"])
     def test_combine_must_keep_payload_shape_and_dtype(self, combine, emitted):
         op = ReduceOperator("bad", combine)
 
@@ -164,6 +167,14 @@ class TestErrorPropagation:
             run_ranks(2, worker, timeout=0.5)
         assert 0 in info.value.failures
         assert isinstance(info.value.failures[0], CollectiveError)
+
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e300, 0, -1, float("nan")])
+    def test_timeout_out_of_range_starts_no_rank(self, monkeypatch, timeout):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        with pytest.raises(ValueError, match="timeout"):
+            run_ranks(2, lambda comm: None, timeout=timeout)
+        assert started == []
 
     def test_failing_reduce_operator_poisons_peers(self):
         def bad_combine(lo, hi):

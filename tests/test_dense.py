@@ -10,7 +10,9 @@ from tallskinny.dense import (
     ConvergenceError,
     NonFiniteInput,
     ShapeError,
+    UnsupportedDtype,
     UnsupportedShape,
+    as_matrix,
     chunk_rows,
     gram,
     qr_Q,
@@ -25,6 +27,14 @@ from tallskinny.matrices import conditioned_matrix
 
 
 class TestQr:
+    @pytest.mark.parametrize("factor", [as_matrix, qr_R, qr_Q])
+    def test_complex_input_rejected(self, factor):
+        # A cast to float64 would drop the imaginary part and factor the
+        # real part alone, a plausible wrong answer.
+        a = np.eye(4, 2) + 1j * np.ones((4, 2))
+        with pytest.raises(UnsupportedDtype, match="complex"):
+            factor(a)
+
     def test_identity(self):
         assert np.array_equal(qr_R(np.eye(4)), np.eye(4))
         assert np.array_equal(qr_Q(np.eye(4)), np.eye(4))

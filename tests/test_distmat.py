@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tallskinny import distmat
-from tallskinny.comm import run_ranks, solo_communicator
+from tallskinny.comm import RankFailures, run_ranks, solo_communicator
 from tallskinny.dense import (
     PASS_CHUNK_BYTES,
     ShapeError,
+    UnsupportedDtype,
     UnsupportedShape,
     chunk_rows,
     sym_eigen,
@@ -587,6 +588,15 @@ class TestGatherDistribute:
         for got in (np.vstack([d for d, _ in blocks]), np.vstack([r for _, r in blocks])):
             assert got.dtype == full.dtype
             assert np.array_equal(got.view(bits), full.view(bits))
+
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_complex_rejected_on_every_rank(self, dtype):
+        full = np.ones((6, 2), dtype=dtype)
+        with pytest.raises(RankFailures) as info:
+            run_ranks(3, distribute, full)
+        assert sorted(info.value.failures) == [0, 1, 2]
+        assert all(isinstance(e, UnsupportedDtype) for e in info.value.failures.values())
 
 
 class TestPartitionInvariance:

@@ -11,6 +11,7 @@ from tallskinny.comm import RankFailures, run_ranks, solo_communicator
 from tallskinny.dense import (
     NonFiniteInput,
     ShapeError,
+    UnsupportedDtype,
     UnsupportedShape,
     qr_Q,
     qr_R,
@@ -81,7 +82,7 @@ class TestNormalEquations:
     def test_factors_orthonormal(self):
         def worker(comm):
             a = generate_random(comm, 60, 6, seed=1)
-            res = svd_normal_equations(a, want_u=True, want_v=True)
+            res = svd_normal_equations(a, want_u=True)
             return res.sigma, res.u.local, res.v
 
         out = run_ranks(2, worker)
@@ -202,7 +203,7 @@ class TestTsqr:
     def test_reconstruction_full_rank(self):
         def worker(comm):
             a = generate_random(comm, 300, 20, seed=16)
-            res = svd_tsqr(a, want_u=True, want_v=True)
+            res = svd_tsqr(a, want_u=True)
             return res.sigma, res.u.local, res.v
 
         out = run_ranks(4, worker)
@@ -283,7 +284,7 @@ class TestRandomized:
 
         def worker(comm):
             a = distribute(comm, full)
-            res = svd_randomized(a, RsvdParams(k=3, q=2, seed=11), want_u=True, want_v=True)
+            res = svd_randomized(a, RsvdParams(k=3, q=2, seed=11), want_u=True)
             return res.sigma, res.u.local, res.v
 
         out = run_ranks(2, worker)
@@ -418,9 +419,9 @@ class TestImplicitGuard:
     def test_fallback_agrees_with_fast_path(self, monkeypatch):
         a = generate_random(solo_communicator(), 2000, 16, seed=64)
         params = RsvdParams(k=3, q=1, seed=65)
-        fast = svd_randomized(a, params, want_u=True, want_v=True)
+        fast = svd_randomized(a, params, want_u=True)
         monkeypatch.setattr(svd, "RSVD_IMPLICIT_MAX_GROWTH", 0.0)
-        slow = svd_randomized(a, params, want_u=True, want_v=True)
+        slow = svd_randomized(a, params, want_u=True)
         assert max_rel_err(fast.sigma, slow.sigma) <= 1e-12
         assert np.max(np.abs(fast.u.local - slow.u.local)) <= 1e-10
         assert np.max(np.abs(fast.v - slow.v)) <= 1e-10
@@ -487,7 +488,7 @@ class TestStepStructure:
 
         def worker(comm):
             a = distribute(comm, full)
-            got = svd_randomized(a, params, want_v=True)
+            got = svd_randomized(a, params)
             return got.sigma, got.v, *per_step_rsvd(a, params)
 
         for sigma, v, ref_sigma, ref_v in run_ranks(size, worker):
@@ -602,7 +603,7 @@ class TestRecoverU:
     def test_orthonormal_on_well_conditioned(self):
         def worker(comm):
             a = generate_random(comm, 120, 8, seed=21)
-            res = svd_tsqr(a, want_v=True)
+            res = svd_tsqr(a)
             return recover_U(a, res.v, res.sigma).local
 
         u = np.vstack(run_ranks(3, worker))
@@ -665,10 +666,18 @@ class TestDeterminism:
             assert np.array_equal(a, b)
 
 
-class TestFactorFlags:
-    """The flags pick which factors come back; they change nothing else."""
+def rank_deficient_full():
+    """200 x 6 with a zero column and a repeated one: two singular values
+    at or near zero, below the rank tolerance."""
+    full = np.random.default_rng(44).standard_normal((200, 6))
+    full[:, 4] = 0
+    full[:, 5] = full[:, 0]
+    return full
 
-    FLAGS = [(False, True), (True, False), (True, True)]
+
+class TestFactorFlags:
+    """Every route returns sigma and V; want_u adds U and changes nothing
+    else, apart from dropping the columns U drops."""
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
@@ -677,14 +686,9 @@ class TestFactorFlags:
 
         def worker(comm):
             a = generate_random(comm, 2000, 60, seed=40)
-            bare = solve(a).sigma
-            return [
-                np.array_equal(solve(a, want_u=u, want_v=v).sigma, bare)
-                for u, v in self.FLAGS
-            ]
+            return np.array_equal(solve(a, want_u=True).sigma, solve(a).sigma)
 
-        for same in run_ranks(size, worker):
-            assert all(same)
+        assert all(run_ranks(size, worker))
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
@@ -694,31 +698,77 @@ class TestFactorFlags:
         def worker(comm):
             a = generate_random(comm, 500, 12, seed=42)
             before = a.local.copy()
-            for u, v in [(False, False)] + self.FLAGS:
-                solve(a, want_u=u, want_v=v)
+            for want_u in (False, True):
+                solve(a, want_u=want_u)
             return np.array_equal(a.local.view(np.uint64), before.view(np.uint64))
+
+        assert all(run_ranks(size, worker))
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_v_comes_back_with_one_column_per_sigma(self, method, size):
+        # rank_deficient_full has rank 4, so rsvd's 2k columns of Y fit.
+        k = 2
+        solve = route(method, RsvdParams(k=k, seed=45))
+
+        def worker(comm):
+            a = distribute(comm, rank_deficient_full())
+            return [(len(res.sigma), res.v.shape) for res in (solve(a), solve(a, want_u=True))]
+
+        # rsvd returns its leading k; the others all n, or U's columns.
+        bare_cols = k if method == "rsvd" else 6
+        for (bare_len, bare_shape), (u_len, u_shape) in run_ranks(size, worker):
+            assert bare_len == bare_cols and bare_shape == (6, bare_cols)
+            assert u_shape == (6, u_len)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_v_with_u_is_a_prefix_of_v_alone(self, method, size):
+        solve = route(method, RsvdParams(k=2, seed=46))
+
+        def worker(comm):
+            a = distribute(comm, rank_deficient_full())
+            with_u = solve(a, want_u=True)
+            return np.array_equal(with_u.v, solve(a).v[:, : with_u.u.cols])
 
         assert all(run_ranks(size, worker))
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd"])
     def test_rank_deficient_keeps_factors_consistent(self, method, size):
-        # A zero column and a repeated one put two singular values at or
-        # near zero; those below the rank tolerance leave U, and sigma and
-        # V must drop them too.
-        full = np.random.default_rng(44).standard_normal((200, 6))
-        full[:, 4] = 0
-        full[:, 5] = full[:, 0]
+        # The two values below the rank tolerance leave U, and sigma and V
+        # must drop them too.
+        full = rank_deficient_full()
         solve = route(method)
 
         def worker(comm):
             a = distribute(comm, full)
-            res = solve(a, want_u=True, want_v=True)
+            res = solve(a, want_u=True)
             return res.sigma, res.u.cols, res.v.shape[1], solve(a).sigma
 
         for sigma, u_cols, v_cols, bare in run_ranks(size, worker):
             assert len(sigma) == u_cols == v_cols < full.shape[1]
             assert np.array_equal(sigma, bare[: len(sigma)])
+
+
+class TestComplexInput:
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_raises_on_every_rank(self, method, size):
+        # Cast to float64, this matrix would give the real part's
+        # sigma_1 = 15.50, not its own 22.27.
+        rng = np.random.default_rng(30)
+        full = rng.standard_normal((200, 5)) + 1j * rng.standard_normal((200, 5))
+        solve = route(method, RsvdParams(k=2, seed=31))
+
+        def worker(comm):
+            return solve(distribute(comm, full)).sigma
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(size, worker)
+        assert sorted(info.value.failures) == list(range(size))
+        for exc in info.value.failures.values():
+            assert isinstance(exc, UnsupportedDtype)
 
 
 class TestNonFiniteInput:
