@@ -17,7 +17,9 @@ two rank threads calling it run one after the other. tall_R, the local R
 factor of a rank's block, is therefore a Cholesky QR of GEMMs and n x n
 factorizations, in three bands of the first factor's condition number:
 one pass where it already meets the error bound of two, Cholesky QR2
-above that, and qr_R (Householder), the reference, as the fallback.
+above that, and qr_R (Householder), the reference, as the fallback. One
+test decides the one-pass band: the exact kappa_2 of the first factor,
+from one eigvalsh of the n x n Gram.
 
 Passes that read a block against a small replicated factor walk its rows
 in chunks of chunk_rows(block, factor columns) through row_chunks: tall_R's
@@ -220,15 +222,17 @@ def tall_R(a, shift=None):
     """qr_R's factor of a - shift by one or two Cholesky QR passes, or qr_R.
 
     The first pass is R1 = chol(X^T X)^T on X = a - shift. Three bands of
-    R1's condition number kappa_2 pick the rest. Up to
-    CHOLQR_ONE_PASS_MAX_COND, R1 is the factor. Above it, Cholesky QR2
-    takes a second pass on Q1 = X R1^-1 and returns R = R2 R1. Q1 is never
-    formed whole: the second pass walks a in chunks of chunk_rows(a, n)
-    rows, multiplies each by the n x n inverse into one reused chunk
-    buffer and adds the chunk's Q1_c^T Q1_c into G2 while it is still in
-    cache. Beyond its input the kernel holds one chunk (two with a shift)
-    and a few n x n arrays. Each step is a GEMM or an n x n LAPACK call,
-    and all of them release the GIL. The last band falls back to
+    R1's condition number kappa_2 pick the rest. One test decides the
+    first: the eigenvalues of X^T X, from one eigvalsh, are the squares of
+    R1's singular values, and where lambda_max is finite and at most
+    CHOLQR_ONE_PASS_MAX_COND^2 lambda_min, R1 is the factor. Above it,
+    Cholesky QR2 takes a second pass on Q1 = X R1^-1 and returns
+    R = R2 R1. Q1 is never formed whole: the second pass walks a in chunks
+    of chunk_rows(a, n) rows, multiplies each by the n x n inverse into
+    one reused chunk buffer and adds the chunk's Q1_c^T Q1_c into G2 while
+    it is still in cache. Beyond its input the kernel holds one chunk (two
+    with a shift) and a few n x n arrays. Each step is a GEMM or an n x n
+    LAPACK call, and all of them release the GIL. The last band falls back to
     Householder qr_R: a Cholesky factorization fails, R1's condition
     estimate exceeds CHOLQR_MAX_COND (then before the GEMM), or
     G2 = Q1^T Q1 is further from I than CHOLQR_MAX_DEFECT. Every test
@@ -258,7 +262,8 @@ def _cholesky_qr(a, shift):
         with np.errstate(all="ignore"):
             g1 = gram(a, shift)
             r1 = np.linalg.cholesky(g1).T
-            if _one_pass_suffices(g1, r1):
+            lam = np.linalg.eigvalsh(g1)
+            if lam[-1] <= CHOLQR_ONE_PASS_MAX_COND**2 * lam[0] < np.inf:
                 return np.triu(r1)
             r1_inv = np.linalg.inv(r1)
             if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
@@ -271,21 +276,6 @@ def _cholesky_qr(a, shift):
     if not defect <= CHOLQR_MAX_DEFECT:
         return None
     return np.triu(r2 @ r1)
-
-
-def _one_pass_suffices(g1, r1):
-    """kappa_2(R1) <= CHOLQR_ONE_PASS_MAX_COND, from R1^T R1 = G1; NaN: False.
-
-    A triangle's diagonal entries are its eigenvalues, so their ratio is
-    at most kappa_2(R1): a block whose ratio already exceeds the bound
-    (an ill-conditioned or column-scaled one) skips the eigenvalues of G1,
-    and so does an infinite diagonal.
-    """
-    diag = np.diag(r1)
-    if not diag.max() <= CHOLQR_ONE_PASS_MAX_COND * diag.min() < np.inf:
-        return False
-    lam = np.linalg.eigvalsh(g1)
-    return bool(lam[-1] <= CHOLQR_ONE_PASS_MAX_COND**2 * lam[0])
 
 
 def _gram_of_product(a, x, shift):

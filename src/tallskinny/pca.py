@@ -31,7 +31,10 @@ def pca(a, method="tssvd", ncomp=None, want_scores=False, params=None):
     rows with the means as a shift, and the SVD's passes and the scores
     center each row chunk as they read it. Without scores a rank allocates
     no more than its route does for sigma alone, plus a chunk and a few
-    n x n arrays; the scores are an m x ncomp output.
+    n x n arrays; the scores are an m x ncomp output. The centering and the
+    route run with floating-point warnings quieted, as the routes' own
+    blocks are (see svd): on Inf input the centering computes Inf - Inf,
+    and the route's check raises NonFiniteInput.
     """
     if a.global_rows < 2:
         raise ParameterError(f"pca needs at least 2 rows, got {a.global_rows}")
@@ -45,8 +48,9 @@ def pca(a, method="tssvd", ncomp=None, want_scores=False, params=None):
             f"rsvd computes only k={params.k} components, ncomp={ncomp} requested"
         )
 
-    centered, means = mean_center_columns(a)
-    result = solve(centered)
+    with np.errstate(all="ignore"):
+        centered, means = mean_center_columns(a)
+        result = solve(centered)
 
     scale = np.sqrt(a.global_rows - 1)
     sdev = result.sigma[:ncomp] / result.sigma.dtype.type(scale)

@@ -49,6 +49,16 @@ returned sigma are checked for NaN and Inf. A reduced value is bitwise
 the same on every rank, so every rank raises NonFiniteInput together,
 with no extra message.
 
+Each route computes sigma and V inside one np.errstate(all="ignore")
+block, and pca.pca takes its centering into one too. Non-finite input or
+an overflow would otherwise warn on its way to a check (Inf - Inf in a
+centered chunk, Inf times 0 in a product), and with warnings as errors
+one rank would fail with a RuntimeWarning and its peers with a
+CollectiveError, not NonFiniteInput. Quieting them is safe because the
+block returns nothing unchecked: sigma is checked as it leaves, and V
+comes from the same checked n x n factorization. U and pca's scores are
+products after the block, with the warnings left on.
+
 ROUTES names them cpsvd, tssvd and rsvd; route() is the one dispatch from
 a name to a function, shared by pca and the svdbench harness.
 """
@@ -73,6 +83,7 @@ from .dense import (
     tall_R,
 )
 from .distmat import (
+    DISTRIBUTIONS,
     STREAM_PROJECTION,
     DistMatrix,
     crossprod,
@@ -119,6 +130,10 @@ class RsvdParams:
             )
         if self.q < 0:
             raise ParameterError(f"rsvd needs q >= 0, got q={self.q}")
+        if self.projection not in DISTRIBUTIONS:
+            raise ParameterError(
+                f"unknown projection {self.projection!r}; expected one of {DISTRIBUTIONS}"
+            )
 
 
 def _require_tall(a, who):
@@ -169,8 +184,9 @@ def _full_spectrum_result(a, sigma, v, want_u):
 def svd_normal_equations(a, want_u=False):
     """Sigma and V (and U) from the eigendecomposition of A^T A."""
     _require_tall(a, "svd_normal_equations")
-    values, vectors = sym_eigen(crossprod(a))
-    sigma = require_finite(np.sqrt(np.maximum(values, 0)), "sigma")
+    with np.errstate(all="ignore"):
+        values, vectors = sym_eigen(crossprod(a))
+        sigma = require_finite(np.sqrt(np.maximum(values, 0)), "sigma")
     return _full_spectrum_result(a, sigma, vectors, want_u)
 
 
@@ -205,8 +221,9 @@ def qr_allreduce(comm, r_local):
 def svd_tsqr(a, want_u=False):
     """Sigma and V (and U) via the distributed QR reduction."""
     _require_tall(a, "svd_tsqr")
-    r_full = qr_allreduce(a.comm, tall_R(a.block, a.shift))
-    sigma, _, vt = small_svd(r_full)
+    with np.errstate(all="ignore"):
+        r_full = qr_allreduce(a.comm, tall_R(a.block, a.shift))
+        sigma, _, vt = small_svd(r_full)
     return _full_spectrum_result(a, require_finite(sigma, "sigma"), vt.T, want_u)
 
 
@@ -306,6 +323,11 @@ def svd_randomized(a, params, want_u=False):
     multiples of ||R2^-1||, and in 1366 of 4000 draws that fell back
     g2 = ||D2 R2^-1||_2 had median 1.0 and max 9.9. A zero on the
     diagonal of either R raises DegenerateProjection.
+
+    Like cpsvd's crossproduct, W = A^T Y holds sigma_1^2-sized values, so
+    float32 input with sigma_1 above about 1.8e19 overflows it. With
+    q >= 1 the first W's check then raises NonFiniteInput on every rank,
+    where tssvd factors the same input.
     """
     _require_tall(a, "svd_randomized")
     n = a.cols
@@ -314,10 +336,11 @@ def svd_randomized(a, params, want_u=False):
         params.seed, 0, n, 2 * params.k, params.projection, a.dtype,
         domain=STREAM_PROJECTION, threads=core_share(a.comm.size),
     )
-    for _ in range(params.q):
-        basis = qr_Q(require_finite(mult_and_transpose(a, basis)[1], "W = A^T Y"))
-    b, left, r = _project(a, basis)
-    sigma, u_b, vt = small_svd(b)
+    with np.errstate(all="ignore"):
+        for _ in range(params.q):
+            basis = qr_Q(require_finite(mult_and_transpose(a, basis)[1], "W = A^T Y"))
+        b, left, r = _project(a, basis)
+        sigma, u_b, vt = small_svd(b)
     k = params.k
     sigma = require_finite(sigma[:k], "sigma")
     u = mult_local(left, np.linalg.solve(r, u_b[:, :k])) if want_u else None

@@ -1,3 +1,4 @@
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from tallskinny.dense import (
 )
 from tallskinny.distmat import STREAM_PROJECTION, distribute, generate_random, random_rows
 from tallskinny.matrices import conditioned_matrix, low_rank_noise_matrix
+from tallskinny.pca import pca
 from tallskinny.svd import (
     DegenerateProjection,
     ParameterError,
@@ -327,6 +329,22 @@ class TestRandomized:
             svd_randomized(a, RsvdParams(k=0, q=0))
         with pytest.raises(ParameterError):
             svd_randomized(a, RsvdParams(k=2, q=-1))
+
+    def test_unknown_projection(self):
+        params = RsvdParams(k=2, q=1, projection="gaussian")
+        with pytest.raises(ParameterError, match="projection"):
+            params.validate(10)
+
+        def worker(comm, solve):
+            return solve(generate_random(comm, 40, 10, seed=1))
+
+        for solve in (partial(svd_randomized, params=params),
+                      partial(pca, method="rsvd", params=params)):
+            with pytest.raises(RankFailures) as info:
+                run_ranks(2, worker, solve)
+            assert sorted(info.value.failures) == [0, 1]
+            for exc in info.value.failures.values():
+                assert isinstance(exc, ParameterError)
 
     def test_zero_matrix_degenerate_projection(self):
         a = distribute(solo_communicator(), np.zeros((30, 6)))
@@ -772,43 +790,58 @@ class TestComplexInput:
 
 
 class TestNonFiniteInput:
-    """One NaN or Inf entry must fail every rank, never yield a sigma."""
+    """One NaN or Inf entry must fail every rank, never yield a sigma.
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("size", [1, 2])
+    These run with warnings as errors: a floating-point warning raised on
+    the way to the check would fail a rank with the wrong error.
+    """
+
+    @staticmethod
+    def assert_every_rank_raises(size, bad, solve):
+        # One bad entry, in float32 and in float64.
+        for dtype in (np.float32, np.float64):
+            full = np.random.default_rng(27).standard_normal((1000, 20)).astype(dtype)
+            full[123, 7] = bad
+            with pytest.raises(RankFailures) as info:
+                run_ranks(size, lambda comm: solve(distribute(comm, full)))
+            assert sorted(info.value.failures) == list(range(size)), dtype
+            for exc in info.value.failures.values():
+                assert isinstance(exc, NonFiniteInput), (dtype, exc)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size", [1, 2, 3])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
     def test_raises_on_every_rank(self, method, size, bad):
-        full = np.random.default_rng(27).standard_normal((1000, 20))
-        full[123, 7] = bad
-        solve = route(method, RsvdParams(k=2, seed=28))
+        self.assert_every_rank_raises(size, bad, route(method, RsvdParams(k=2, seed=28)))
 
-        def worker(comm):
-            return solve(distribute(comm, full)).sigma
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_pca_raises_on_every_rank(self, method, size, bad):
+        # Centering an Inf column computes Inf - Inf before the route's check.
+        solve = partial(pca, method=method, want_scores=True,
+                        params=RsvdParams(k=2, seed=28))
+        self.assert_every_rank_raises(size, bad, solve)
 
-        with pytest.raises(RankFailures) as info:
-            run_ranks(size, worker)
-        assert sorted(info.value.failures) == list(range(size))
-        for exc in info.value.failures.values():
-            assert isinstance(exc, NonFiniteInput)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("size", [1, 2])
     def test_float32_gram_overflow(self, size):
-        # (1e20)^2 overflows float32, so only the crossproduct route fails.
-        # TSQR's local CholQR2 overflows in its Gram too, but then falls back
-        # to Householder QR, which never squares an entry: sigma stays finite.
+        # (1e20)^2 overflows float32, so the routes that form sigma_1^2-sized
+        # values fail: cpsvd's crossproduct and rsvd's W = A^T Y. TSQR's local
+        # CholQR2 overflows in its Gram too, but then falls back to
+        # Householder QR, which never squares an entry: sigma stays finite.
         full = np.random.default_rng(29).standard_normal((500, 10)).astype(np.float32)
         full[:, 3] *= np.float32(1e20)
+        params = RsvdParams(k=2, seed=28)
 
         def worker(comm, method):
-            return route(method)(distribute(comm, full)).sigma
+            return route(method, params)(distribute(comm, full)).sigma
 
-        with pytest.raises(RankFailures) as info:
-            run_ranks(size, worker, "cpsvd")
-        assert sorted(info.value.failures) == list(range(size))
-        for exc in info.value.failures.values():
-            assert isinstance(exc, NonFiniteInput)
+        for method in ("cpsvd", "rsvd"):
+            with pytest.raises(RankFailures) as info:
+                run_ranks(size, worker, method)
+            assert sorted(info.value.failures) == list(range(size))
+            for exc in info.value.failures.values():
+                assert isinstance(exc, NonFiniteInput)
         sigma = run_ranks(size, worker, "tssvd")[0]
         want = np.linalg.svd(full.astype(np.float64), compute_uv=False)
         assert np.all(np.isfinite(sigma))
