@@ -1,12 +1,19 @@
 """Rank/size communicator with deterministic tree collectives.
 
 One `Communicator` class serves every group size. The ranks of a group
-share a `_World` of queue mailboxes, one thread per rank under `run_ranks`;
+share a `_World` of FIFO queues, one thread per rank under `run_ranks`;
 `solo_communicator()` is a group of size 1. Reductions run over a fixed
 binary tree in rank order, and the root then sends the result to every
 rank, so repeated runs with the same size are bitwise identical. The
 custom reduce operator is treated as non-commutative everywhere:
 combine(lower-rank subtree, higher-rank subtree), always.
+
+Each tree edge has its own queue. At level j (stride 2^j) rank d hears
+only from rank d + 2^j, on its level-j queue, and its broadcast queue
+hears only from rank 0. Each sender posts once per collective, in
+collective order, so the next message in a queue is always the one the
+current collective waits for: a receive is one blocking get, and no
+message carries a tag to be matched or waits in a side buffer.
 
 Payloads are n-sized: for an m x n matrix, no collective carries more
 than n x n values (a crossproduct, an R factor), never anything that
@@ -18,14 +25,14 @@ against both. Each message up the tree carries the sender's header
 (operator name, payload shape, dtype) next to its subtree result. The
 parent compares that header with its own before combining and aborts the
 whole group on any disagreement. Every rank waits for the root's result,
-and a failing rank posts a poison message to every peer before raising,
-so errors surface on all ranks instead of deadlocking.
+and a failing rank posts a poison message into every queue of every peer
+before raising, so errors surface on all ranks, at whatever tree level
+or broadcast they block, instead of deadlocking.
 """
 
 import os
 import queue
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,12 +90,21 @@ class _Poison:
 
 
 class _World:
-    """Shared mailbox state for one in-process rank group."""
+    """The queues of one in-process rank group.
+
+    inboxes[d][j] is rank d's queue for tree level j, fed only by rank
+    d + 2^j; inboxes[d][-1] is its broadcast queue, fed only by rank 0.
+    Each feeder posts once per collective, in collective order, so a
+    queue's next message is the one its owner waits for and needs no
+    matching. A group of p ranks has ceil(log2 p) levels, so
+    p (ceil(log2 p) + 1) queues.
+    """
 
     def __init__(self, size, timeout=DEFAULT_TIMEOUT):
         self.size = size
         self.timeout = timeout
-        self.inboxes = [queue.SimpleQueue() for _ in range(size)]
+        boxes = (size - 1).bit_length() + 1
+        self.inboxes = [[queue.SimpleQueue() for _ in range(boxes)] for _ in range(size)]
 
 
 class Communicator:
@@ -104,7 +120,6 @@ class Communicator:
         self.rank = rank
         self.size = world.size
         self._seq = 0
-        self._pending = []
 
     @property
     def collective_count(self):
@@ -126,44 +141,33 @@ class Communicator:
 
     # -- point-to-point plumbing ------------------------------------------
 
-    def _send(self, dst, seq, kind, payload):
-        self._world.inboxes[dst].put((seq, kind, self.rank, payload))
+    def _send(self, dst, box, payload):
+        self._world.inboxes[dst][box].put(payload)
 
     def _poison_peers(self, exc):
+        poison = _Poison(self.rank, str(exc))
         for dst in range(self.size):
             if dst != self.rank:
-                self._world.inboxes[dst].put(_Poison(self.rank, str(exc)))
+                for inbox in self._world.inboxes[dst]:
+                    inbox.put(poison)
 
     def _fail(self, exc):
         self._poison_peers(exc)
         raise exc
 
-    def _recv(self, seq, kind, src):
-        for idx, msg in enumerate(self._pending):
-            if msg[:3] == (seq, kind, src):
-                return self._pending.pop(idx)[3]
-        deadline = time.monotonic() + self._world.timeout
-        inbox = self._world.inboxes[self.rank]
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self._fail(
-                    CollectiveError(
-                        f"rank {self.rank} timed out after {self._world.timeout}s "
-                        f"waiting for ({kind}, seq {seq}) from rank {src}"
-                    )
+    def _recv(self, box, src, seq):
+        try:
+            msg = self._world.inboxes[self.rank][box].get(timeout=self._world.timeout)
+        except queue.Empty:
+            self._fail(
+                CollectiveError(
+                    f"rank {self.rank} timed out after {self._world.timeout}s waiting "
+                    f"for ({'bc' if box == -1 else 'red'}, seq {seq}) from rank {src}"
                 )
-            try:
-                msg = inbox.get(timeout=remaining)
-            except queue.Empty:
-                continue
-            if isinstance(msg, _Poison):
-                raise CollectiveError(
-                    f"collective aborted by rank {msg.src}: {msg.text}"
-                )
-            if msg[:3] == (seq, kind, src):
-                return msg[3]
-            self._pending.append(msg)
+            )
+        if isinstance(msg, _Poison):
+            raise CollectiveError(f"collective aborted by rank {msg.src}: {msg.text}")
+        return msg
 
     # -- the one collective -------------------------------------------------
 
@@ -176,15 +180,14 @@ class Communicator:
         seq = self._seq
         self._seq += 1
         acc = local.copy()
-        stride = 1
-        while stride < self.size:
-            group = stride * 2
-            if self.rank % group == stride:
-                self._send(self.rank - stride, seq, "red", (header, acc))
+        for level in range((self.size - 1).bit_length()):
+            stride = 1 << level
+            if self.rank % (2 * stride) == stride:
+                self._send(self.rank - stride, level, (header, acc))
                 break
-            if self.rank % group == 0 and self.rank + stride < self.size:
-                src = self.rank + stride
-                their_header, other = self._recv(seq, "red", src)
+            src = self.rank + stride
+            if self.rank % (2 * stride) == 0 and src < self.size:
+                their_header, other = self._recv(level, src, seq)
                 if their_header != header:
                     self._fail(
                         CollectiveContractError(
@@ -207,12 +210,11 @@ class Communicator:
                             f"reduce op {op.name!r} emitted {_layout(acc)}, not {_layout(local)}"
                         )
                     )
-            stride = group
         if self.rank == 0:
             for dst in range(1, self.size):
-                self._send(dst, seq, "bc", acc)
+                self._send(dst, -1, acc)
             return acc
-        return np.array(self._recv(seq, "bc", 0), copy=True)
+        return np.array(self._recv(-1, 0, seq), copy=True)
 
 
 def core_share(ranks):

@@ -1,5 +1,6 @@
 """PCA on distributed data: center columns, run an SVD, scale and project."""
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,8 +42,8 @@ def pca(a, method="tssvd", ncomp=None, want_scores=False, params=None):
     solve = route(method, params)
     if ncomp is None:
         ncomp = params.k if method == "rsvd" else a.cols
-    if not 1 <= ncomp <= a.cols:
-        raise ParameterError(f"ncomp must be in 1..{a.cols}, got {ncomp}")
+    if not isinstance(ncomp, numbers.Integral) or not 1 <= ncomp <= a.cols:
+        raise ParameterError(f"ncomp must be an integer in 1..{a.cols}, got {ncomp!r}")
     if method == "rsvd" and ncomp > params.k:
         raise ParameterError(
             f"rsvd computes only k={params.k} components, ncomp={ncomp} requested"

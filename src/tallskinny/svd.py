@@ -63,6 +63,7 @@ ROUTES names them cpsvd, tssvd and rsvd; route() is the one dispatch from
 a name to a function, shared by pca and the svdbench harness.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -122,6 +123,9 @@ class RsvdParams:
     seed: int = 0
 
     def validate(self, n):
+        for name, value in (("k", self.k), ("q", self.q)):
+            if not isinstance(value, numbers.Integral):
+                raise ParameterError(f"rsvd needs an integer {name}, got {name}={value!r}")
         if self.k < 1:
             raise ParameterError(f"rsvd needs k >= 1, got k={self.k}")
         if 2 * self.k > n:
@@ -243,13 +247,20 @@ def _reduced_r(y):
     return r
 
 
-def _implicit_ok(r):
-    """True when g = ||D R^-1||_2 <= RSVD_IMPLICIT_MAX_GROWTH.
+def _implicit_ok(r, w):
+    """True when W is finite and g = ||D R^-1||_2 <= RSVD_IMPLICIT_MAX_GROWTH.
 
     g is 1 / sigma_min(R D^-1), the reciprocal of the smallest singular
-    value of Y with its columns scaled to unit norm.
+    value of Y with its columns scaled to unit norm. Each column of R is
+    first divided by its largest |entry|, so its norm cannot overflow
+    where R itself is finite; g does not change under column scaling,
+    and _reduced_r leaves no zero column. W is replicated, so every rank
+    takes the same branch.
     """
-    unit_columns = r / np.linalg.norm(r, axis=0)
+    if not np.all(np.isfinite(w)):
+        return False
+    scaled = r / np.max(np.abs(r), axis=0)
+    unit_columns = scaled / np.linalg.norm(scaled, axis=0)
     smallest = np.linalg.svd(unit_columns, compute_uv=False)[-1]
     return smallest * RSVD_IMPLICIT_MAX_GROWTH >= 1
 
@@ -262,7 +273,7 @@ def _project(a, basis):
     """
     y, w = mult_and_transpose(a, basis)
     r = _reduced_r(y)
-    if _implicit_ok(r):
+    if _implicit_ok(r, w):
         return np.linalg.solve(r.T, w.T), y, r
     y = mult_local(y, np.linalg.inv(r))  # Q1: Y's buffer is released
     r = _reduced_r(y)
@@ -327,7 +338,8 @@ def svd_randomized(a, params, want_u=False):
     Like cpsvd's crossproduct, W = A^T Y holds sigma_1^2-sized values, so
     float32 input with sigma_1 above about 1.8e19 overflows it. With
     q >= 1 the first W's check then raises NonFiniteInput on every rank,
-    where tssvd factors the same input.
+    where tssvd factors the same input. At q = 0 an overflowing W sends
+    the last step to the fallback, whose B = R2^-T Q1^T A stays finite.
     """
     _require_tall(a, "svd_randomized")
     n = a.cols

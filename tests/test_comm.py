@@ -167,6 +167,9 @@ class TestErrorPropagation:
             run_ranks(2, worker, timeout=0.5)
         assert 0 in info.value.failures
         assert isinstance(info.value.failures[0], CollectiveError)
+        assert str(info.value.failures[0]) == (
+            "rank 0 timed out after 0.5s waiting for (red, seq 0) from rank 1"
+        )
 
     @pytest.mark.parametrize("timeout", [float("inf"), 1e300, 0, -1, float("nan")])
     def test_timeout_out_of_range_starts_no_rank(self, monkeypatch, timeout):
@@ -204,6 +207,25 @@ class TestErrorPropagation:
         assert isinstance(info.value.failures[0], ValueError)
         assert isinstance(info.value.failures[1], CollectiveError)
         assert "rank 0" in str(info.value.failures[1])
+
+    @pytest.mark.parametrize("raising", [1, 2, 3, 4])
+    def test_peers_blocked_at_every_tree_level_wake_at_once(self, raising):
+        # In a five-rank tree rank 0 waits on levels 0, 1 and 2, rank 2 on
+        # level 0 and the others on the broadcast: whichever rank raises,
+        # each peer learns of it long before the timeout.
+        def worker(comm):
+            if comm.rank == raising:
+                raise ValueError("deliberate, before the collective")
+            return comm.allreduce_sum(np.ones((1, 1)))
+
+        start = time.monotonic()
+        with pytest.raises(RankFailures) as info:
+            run_ranks(5, worker, timeout=30)
+        assert time.monotonic() - start < 1.0
+        assert set(info.value.failures) == {0, 1, 2, 3, 4}
+        for rank, exc in info.value.failures.items():
+            if rank != raising:
+                assert isinstance(exc, CollectiveError)
 
 
 class TestSequencing:
@@ -262,6 +284,27 @@ class TestSequencing:
             values = [float(r + i) for r in range(5)]
             want += [sum(values), fold_tree(values)]
         assert all(got == want for got in results)
+
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_every_inbox_is_empty_after_a_run(self, size):
+        # Each receive takes the one message its queue holds for that
+        # collective; a stray or misrouted message would be left behind.
+        fold = ReduceOperator("fold", lambda lo, hi: 2 * lo + hi)
+
+        def worker(comm):
+            for i in range(30):
+                x = np.array([[float(comm.rank + i)]])
+                comm.allreduce_sum(x)
+                comm.allreduce_custom(x, fold)
+            return comm._world
+
+        def queues(inboxes):
+            if isinstance(inboxes, list):
+                return [q for item in inboxes for q in queues(item)]
+            return [inboxes]
+
+        world = run_ranks(size, worker)[0]
+        assert all(q.empty() for q in queues(world.inboxes))
 
     def test_operator_name_mismatch_detected(self):
         def worker(comm):

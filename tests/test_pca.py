@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tallskinny.comm import run_ranks, solo_communicator
+from tallskinny.comm import RankFailures, run_ranks, solo_communicator
 from tallskinny.distmat import distribute, generate_random, mean_center_columns
 from tallskinny.pca import pca
 from tallskinny.svd import ParameterError, RsvdParams
@@ -122,6 +122,18 @@ class TestPca:
         a = generate_random(solo_communicator(), 30, 4, seed=39)
         with pytest.raises(ParameterError, match="ncomp"):
             pca(a, method="tssvd", ncomp=5)
+
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_non_integer_ncomp_rejected_on_every_rank(self, method):
+        def worker(comm):
+            a = generate_random(comm, 40, 6, seed=39)
+            return pca(a, method=method, ncomp=2.5, params=RsvdParams(k=3))
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(2, worker)
+        assert sorted(info.value.failures) == [0, 1]
+        for exc in info.value.failures.values():
+            assert isinstance(exc, ParameterError) and "ncomp" in str(exc)
 
     def test_means_replicated_across_ranks(self):
         def worker(comm):

@@ -346,6 +346,27 @@ class TestRandomized:
             for exc in info.value.failures.values():
                 assert isinstance(exc, ParameterError)
 
+    @pytest.mark.parametrize("k, q", [(2.5, 1), (2, 1.5), (2.0, 1)])
+    def test_non_integer_k_or_q_rejected(self, k, q):
+        params = RsvdParams(k=k, q=q)
+        with pytest.raises(ParameterError, match="integer"):
+            params.validate(10)
+
+        def worker(comm):
+            return svd_randomized(generate_random(comm, 40, 10, seed=1), params)
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(2, worker)
+        assert sorted(info.value.failures) == [0, 1]
+        for exc in info.value.failures.values():
+            assert isinstance(exc, ParameterError)
+
+    def test_numpy_integer_k_and_q_accepted(self):
+        params = RsvdParams(k=np.int64(2), q=np.int32(1))
+        params.validate(10)
+        a = generate_random(solo_communicator(), 40, 10, seed=1)
+        assert len(svd_randomized(a, params).sigma) == 2
+
     def test_zero_matrix_degenerate_projection(self):
         a = distribute(solo_communicator(), np.zeros((30, 6)))
         with pytest.raises(DegenerateProjection, match="seed"):
@@ -433,6 +454,36 @@ class TestImplicitGuard:
         products = count_calls(monkeypatch, svd, "mult_local")
         run_ranks(size, lambda comm: svd_randomized(distribute(comm, full), params).sigma)
         assert len(products) == size
+
+    def test_large_finite_w_stays_implicit(self, monkeypatch):
+        # In float32 the column norms of R overflow past about 1.8e19
+        # while W = A^T Y is still finite: the guard takes the fast path.
+        full = np.random.default_rng(0).standard_normal((500, 10)).astype(np.float32)
+        params = RsvdParams(k=2, q=0)
+        scale = np.float32(2.0**58)
+
+        def worker(comm, x):
+            return svd_randomized(distribute(comm, x), params).sigma
+
+        plain = run_ranks(2, worker, full)[0]
+        passes = count_calls(monkeypatch, svd, "mult_transpose")
+        scaled = run_ranks(2, worker, full * scale)[0]
+        assert passes == []
+        oracle = np.linalg.svd(full.astype(np.float64), compute_uv=False)
+        bound = verify_tolerance("tssvd", oracle, np.float32)[:2]
+        assert np.all(np.abs(scaled / scale - plain) <= bound)
+
+    def test_overflowing_w_falls_back(self, monkeypatch):
+        full = np.random.default_rng(0).standard_normal((500, 10)).astype(np.float32)
+        scaled = full * np.float32(2.0**63)
+        passes = count_calls(monkeypatch, svd, "mult_transpose")
+
+        def worker(comm):
+            return svd_randomized(distribute(comm, scaled), RsvdParams(k=2, q=0)).sigma
+
+        sigma = run_ranks(2, worker)[0]
+        assert len(passes) == 2
+        assert np.all(np.isfinite(sigma))
 
     def test_fallback_agrees_with_fast_path(self, monkeypatch):
         a = generate_random(solo_communicator(), 2000, 16, seed=64)
