@@ -30,6 +30,8 @@ before raising, so errors surface on all ranks, at whatever tree level
 or broadcast they block, instead of deadlocking.
 """
 
+import numbers
+import operator
 import os
 import queue
 import threading
@@ -244,12 +246,15 @@ def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
     the surviving results are discarded and RankFailures carries every
     rank's exception. A rank that raises outside a collective poisons its
     peers as a failing collective does, so none of them waits for it until
-    the timeout. A size below 1, or a timeout (seconds per wait) outside
+    the timeout. A size that is not an integer >= 1 (numpy integers
+    count), or a timeout (seconds per wait) outside
     (0, threading.TIMEOUT_MAX], raises ValueError before any rank starts:
     a larger one, inf included, overflows the queue's wait.
     """
-    if size < 1 or not 0 < timeout <= threading.TIMEOUT_MAX:
-        raise ValueError(f"need size >= 1 and 0 < timeout <= TIMEOUT_MAX, got {size=}, {timeout=}")
+    if (not isinstance(size, numbers.Integral) or size < 1
+            or not 0 < timeout <= threading.TIMEOUT_MAX):
+        raise ValueError(f"need an integer size >= 1 and 0 < timeout <= TIMEOUT_MAX, got {size=}, {timeout=}")
+    size = operator.index(size)
     world = _World(size, timeout=timeout)
     results = [None] * size
     failures = {}

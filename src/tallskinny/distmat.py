@@ -33,6 +33,7 @@ No module here reads `local`; it serves callers outside the package, the
 tests and perfbench.
 """
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -129,10 +130,13 @@ def random_rows(seed, row_start, row_count, n, dist, dtype, domain=STREAM_DATA,
     of one. The blocks are drawn on up to `threads` threads (default:
     comm.core_share(1), the whole machine); numpy's generator fills
     release the GIL, so they overlap. A one-block range starts no thread.
-    The result is bitwise the same for every thread count.
+    The result is bitwise the same for every thread count. A seed that is
+    not an integer (numpy integers count) raises ValueError.
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}; expected {DISTRIBUTIONS}")
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     dtype = np.dtype(dtype)
     out = np.empty((row_count, n), dtype=dtype)
     stop = row_start + row_count

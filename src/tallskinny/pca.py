@@ -40,14 +40,14 @@ def pca(a, method="tssvd", ncomp=None, want_scores=False, params=None):
     if a.global_rows < 2:
         raise ParameterError(f"pca needs at least 2 rows, got {a.global_rows}")
     solve = route(method, params)
+    width = a.cols
+    if method == "rsvd":
+        params.validate(a.cols)
+        width = params.k
     if ncomp is None:
-        ncomp = params.k if method == "rsvd" else a.cols
-    if not isinstance(ncomp, numbers.Integral) or not 1 <= ncomp <= a.cols:
-        raise ParameterError(f"ncomp must be an integer in 1..{a.cols}, got {ncomp!r}")
-    if method == "rsvd" and ncomp > params.k:
-        raise ParameterError(
-            f"rsvd computes only k={params.k} components, ncomp={ncomp} requested"
-        )
+        ncomp = width
+    if not isinstance(ncomp, numbers.Integral) or not 1 <= ncomp <= width:
+        raise ParameterError(f"ncomp must be an integer in 1..{width}, got {ncomp!r}")
 
     with np.errstate(all="ignore"):
         centered, means = mean_center_columns(a)

@@ -40,8 +40,13 @@ there Q_Y stays implicit as Q1 R2^-1.
 
 Every route returns sigma and the replicated V, which its n x n
 decomposition computes anyway; U is the one optional factor, an extra
-pass over the rows. The two full-spectrum routes recover a distributed U
-from A V inv(Sigma) when asked; the randomized one uses U = Q_Y U_B.
+pass over the rows. A route has one width, n values for the two
+full-spectrum routes and k for the randomized one, and sigma, V and U
+have that many columns whatever the flag or the data: asking for U
+changes neither sigma nor V. The full-spectrum routes recover a
+distributed U from A V inv(Sigma), with a zero column wherever sigma is
+at or below rank_tolerance; the randomized one uses U = Q_Y U_B, whose
+column is zero where sigma is exactly 0.
 
 The first reduced value of each route (the crossproduct, the W of each
 rsvd power iteration, or the R factor qr_allreduce returns) and the
@@ -106,7 +111,13 @@ class DegenerateProjection(RuntimeError):
 @dataclass
 class SvdResult:
     """sigma descending and nonnegative; v replicated, n x len(sigma); u
-    distributed, present only when asked for."""
+    distributed, m x len(sigma), present only when asked for.
+
+    len(sigma) is the route's width, n for cpsvd and tssvd and k for
+    rsvd, with or without u. A column of u is exactly zero where its
+    sigma is at or below rank_tolerance (cpsvd, tssvd) or exactly 0
+    (rsvd).
+    """
 
     sigma: np.ndarray
     v: np.ndarray
@@ -123,7 +134,7 @@ class RsvdParams:
     seed: int = 0
 
     def validate(self, n):
-        for name, value in (("k", self.k), ("q", self.q)):
+        for name, value in (("k", self.k), ("q", self.q), ("seed", self.seed)):
             if not isinstance(value, numbers.Integral):
                 raise ParameterError(f"rsvd needs an integer {name}, got {name}={value!r}")
         if self.k < 1:
@@ -156,10 +167,10 @@ def rank_tolerance(sigma, m, n):
 
 
 def recover_U(a, v, sigma):
-    """Left factor from U = A V inv(Sigma), dropping columns at zero sigma.
+    """Left factor from U = A V inv(Sigma), one column per sigma.
 
-    Columns whose singular value falls at or below the rank tolerance are
-    removed entirely, so the result always has full column rank.
+    A column whose singular value falls at or below the rank tolerance
+    is exactly zero; the others are A v_j / sigma_j.
     """
     v = as_matrix(v, "v")
     sigma = np.asarray(sigma)
@@ -168,21 +179,9 @@ def recover_U(a, v, sigma):
             f"recover_U: v has {v.shape[1]} columns but sigma has {len(sigma)}"
         )
     keep = sigma > rank_tolerance(sigma, a.global_rows, a.cols)
-    scaled = v[:, keep] / sigma[keep]
+    scaled = np.zeros_like(v)
+    scaled[:, keep] = v[:, keep] / sigma[keep]
     return mult_local(a, scaled)
-
-
-def _full_spectrum_result(a, sigma, v, want_u):
-    """SvdResult(sigma, v), with U = A V inv(Sigma) when want_u is set.
-
-    U drops the columns whose sigma is at or below the rank tolerance;
-    sigma is descending, so U keeps a prefix of them, U.cols long, and
-    sigma and v keep the same prefix.
-    """
-    if not want_u:
-        return SvdResult(sigma, v)
-    u = recover_U(a, v, sigma)
-    return SvdResult(sigma[: u.cols], v[:, : u.cols], u)
 
 
 def svd_normal_equations(a, want_u=False):
@@ -191,7 +190,7 @@ def svd_normal_equations(a, want_u=False):
     with np.errstate(all="ignore"):
         values, vectors = sym_eigen(crossprod(a))
         sigma = require_finite(np.sqrt(np.maximum(values, 0)), "sigma")
-    return _full_spectrum_result(a, sigma, vectors, want_u)
+    return SvdResult(sigma, vectors, recover_U(a, vectors, sigma) if want_u else None)
 
 
 def _stack_and_factor(lower, higher):
@@ -228,7 +227,8 @@ def svd_tsqr(a, want_u=False):
     with np.errstate(all="ignore"):
         r_full = qr_allreduce(a.comm, tall_R(a.block, a.shift))
         sigma, _, vt = small_svd(r_full)
-    return _full_spectrum_result(a, require_finite(sigma, "sigma"), vt.T, want_u)
+    sigma, v = require_finite(sigma, "sigma"), vt.T
+    return SvdResult(sigma, v, recover_U(a, v, sigma) if want_u else None)
 
 
 # Largest error growth g = ||D R^-1||_2 (D: R's column norms) at which

@@ -179,6 +179,17 @@ class TestErrorPropagation:
             run_ranks(2, lambda comm: None, timeout=timeout)
         assert started == []
 
+    @pytest.mark.parametrize("size", [2.5, "2", 0])
+    def test_size_not_a_positive_integer_starts_no_rank(self, monkeypatch, size):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t))
+        with pytest.raises(ValueError, match="size"):
+            run_ranks(size, lambda comm: None)
+        assert started == []
+
+    def test_numpy_integer_size_runs(self):
+        assert run_ranks(np.int64(2), lambda comm: (comm.rank, comm.size)) == [(0, 2), (1, 2)]
+
     def test_failing_reduce_operator_poisons_peers(self):
         def bad_combine(lo, hi):
             raise ValueError("deliberate")

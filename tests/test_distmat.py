@@ -92,6 +92,19 @@ class TestGeneration:
         b = generate_random(comm, 10, 2, seed=2).local
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.9, 2.0, None, "2"])
+    def test_non_integer_seed_rejected(self, seed):
+        # int() used to truncate 2.5 and 2.9 to the stream of seed 2.
+        with pytest.raises(ValueError, match="seed"):
+            random_rows(seed, 0, 4, 3, "standard-normal", np.float64)
+        with pytest.raises(ValueError, match="seed"):
+            generate_random(solo_communicator(), 10, 2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        comm = solo_communicator()
+        got = generate_random(comm, 10, 2, seed=np.int64(2)).local
+        assert np.array_equal(got, generate_random(comm, 10, 2, seed=2).local)
+
     def test_wide_rejected(self):
         with pytest.raises(UnsupportedShape):
             generate_random(solo_communicator(), 3, 5)

@@ -135,6 +135,19 @@ class TestPca:
         for exc in info.value.failures.values():
             assert isinstance(exc, ParameterError) and "ncomp" in str(exc)
 
+    def test_non_integer_k_named_on_every_rank(self):
+        # ncomp defaults to k, but the error names k, the caller's value.
+        def worker(comm):
+            a = generate_random(comm, 40, 6, seed=39)
+            return pca(a, method="rsvd", params=RsvdParams(k=2.5))
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(2, worker)
+        assert sorted(info.value.failures) == [0, 1]
+        for exc in info.value.failures.values():
+            assert isinstance(exc, ParameterError)
+            assert "k=2.5" in str(exc) and "ncomp" not in str(exc)
+
     def test_means_replicated_across_ranks(self):
         def worker(comm):
             a = generate_random(comm, 40, 3, seed=40)

@@ -18,7 +18,13 @@ from tallskinny.dense import (
     qr_R,
     small_svd,
 )
-from tallskinny.distmat import STREAM_PROJECTION, distribute, generate_random, random_rows
+from tallskinny.distmat import (
+    STREAM_PROJECTION,
+    distribute,
+    generate_random,
+    mult_local,
+    random_rows,
+)
 from tallskinny.matrices import conditioned_matrix, low_rank_noise_matrix
 from tallskinny.pca import pca
 from tallskinny.svd import (
@@ -26,6 +32,7 @@ from tallskinny.svd import (
     ParameterError,
     RsvdParams,
     qr_allreduce,
+    rank_tolerance,
     recover_U,
     route,
     svd_normal_equations,
@@ -361,6 +368,30 @@ class TestRandomized:
         for exc in info.value.failures.values():
             assert isinstance(exc, ParameterError)
 
+    @pytest.mark.parametrize("seed", [2.5, 2.9, None])
+    def test_non_integer_seed_rejected_before_any_draw(self, monkeypatch, seed):
+        params = RsvdParams(k=2, q=1, seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            params.validate(10)
+        data = generate_random(solo_communicator(), 40, 10, seed=1).local
+        draws = []
+        monkeypatch.setattr(svd, "random_rows", lambda *args, **kw: draws.append(args))
+
+        def worker(comm):
+            return svd_randomized(distribute(comm, data), params)
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(2, worker)
+        assert sorted(info.value.failures) == [0, 1]
+        for exc in info.value.failures.values():
+            assert isinstance(exc, ParameterError) and "seed" in str(exc)
+        assert draws == []
+
+    def test_numpy_integer_seed_accepted(self):
+        a = generate_random(solo_communicator(), 40, 10, seed=1)
+        got = svd_randomized(a, RsvdParams(k=2, seed=np.int64(5)))
+        assert np.array_equal(got.sigma, svd_randomized(a, RsvdParams(k=2, seed=5)).sigma)
+
     def test_numpy_integer_k_and_q_accepted(self):
         params = RsvdParams(k=np.int64(2), q=np.int32(1))
         params.validate(10)
@@ -664,10 +695,11 @@ class TestRecoverU:
         got = np.vstack(run_ranks(2, worker))
         assert np.max(np.abs(got - u0)) <= 1e-13
 
-    def test_all_zero_sigma_drops_everything(self):
+    def test_all_zero_sigma_gives_zero_columns(self):
         a = distribute(solo_communicator(), np.zeros((10, 2)))
         u = recover_U(a, np.eye(2), np.zeros(2))
-        assert u.local.shape == (10, 0)
+        assert u.local.shape == (10, 2)
+        assert np.array_equal(u.local, np.zeros((10, 2)))
 
     def test_orthonormal_on_well_conditioned(self):
         def worker(comm):
@@ -745,8 +777,8 @@ def rank_deficient_full():
 
 
 class TestFactorFlags:
-    """Every route returns sigma and V; want_u adds U and changes nothing
-    else, apart from dropping the columns U drops."""
+    """Every route returns sigma and V; want_u adds U, one column per
+    sigma, and changes nothing else."""
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
@@ -784,7 +816,7 @@ class TestFactorFlags:
             a = distribute(comm, rank_deficient_full())
             return [(len(res.sigma), res.v.shape) for res in (solve(a), solve(a, want_u=True))]
 
-        # rsvd returns its leading k; the others all n, or U's columns.
+        # rsvd returns its leading k; the others all n.
         bare_cols = k if method == "rsvd" else 6
         for (bare_len, bare_shape), (u_len, u_shape) in run_ranks(size, worker):
             assert bare_len == bare_cols and bare_shape == (6, bare_cols)
@@ -804,20 +836,85 @@ class TestFactorFlags:
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd"])
-    def test_rank_deficient_keeps_factors_consistent(self, method, size):
-        # The two values below the rank tolerance leave U, and sigma and V
-        # must drop them too.
+    def test_rank_deficient_zeroes_u_columns(self, method, size):
+        # The two values below the rank tolerance stay in sigma and V; U
+        # keeps their columns as exact zeros, and its other columns are
+        # bitwise A V inv(Sigma) over the kept values.
         full = rank_deficient_full()
         solve = route(method)
 
         def worker(comm):
             a = distribute(comm, full)
-            res = solve(a, want_u=True)
-            return res.sigma, res.u.cols, res.v.shape[1], solve(a).sigma
+            bare, res = solve(a), solve(a, want_u=True)
+            keep = res.sigma > rank_tolerance(res.sigma, a.global_rows, a.cols)
+            kept = mult_local(a, res.v[:, keep] / res.sigma[keep]).local
+            return bare, res, keep, kept
 
-        for sigma, u_cols, v_cols, bare in run_ranks(size, worker):
-            assert len(sigma) == u_cols == v_cols < full.shape[1]
-            assert np.array_equal(sigma, bare[: len(sigma)])
+        for bare, res, keep, kept in run_ranks(size, worker):
+            assert np.array_equal(res.sigma, bare.sigma)
+            assert np.array_equal(res.v, bare.v)
+            assert 0 < keep.sum() < full.shape[1]
+            assert res.u.cols == len(res.sigma) == full.shape[1]
+            assert not np.any(res.u.local[:, ~keep])
+            assert np.array_equal(res.u.local[:, keep], kept)
+
+
+@st.composite
+def deficient_inputs(draw):
+    """(A, method, k, dtype): small A with zeroed or repeated columns.
+
+    For rsvd, 2k stays at or below A's rank, so Y's R is nonsingular.
+    """
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(n + 1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = rng.standard_normal((m, n))
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=n - 1)):
+        source = draw(st.sampled_from([None, *range(n)]))
+        full[:, j] = 0 if source is None else full[:, source]
+    rank = np.linalg.matrix_rank(full)
+    method = draw(st.sampled_from(["cpsvd", "tssvd", "rsvd"] if rank >= 2 else ["cpsvd", "tssvd"]))
+    k = draw(st.integers(1, max(1, rank // 2)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return full.astype(dtype), method, k, dtype
+
+
+@given(deficient_inputs(), st.integers(1, 3))
+@settings(max_examples=150)
+def test_one_width_with_or_without_u(case, size):
+    # sigma, V and U have the route's width, n or k, and want_u leaves
+    # sigma and V bitwise as they are without it.
+    full, method, k, dtype = case
+    solve = route(method, RsvdParams(k=k, seed=47))
+
+    def worker(comm):
+        a = distribute(comm, full)
+        return solve(a), solve(a, want_u=True)
+
+    width = k if method == "rsvd" else full.shape[1]
+    for bare, res in run_ranks(size, worker):
+        assert len(res.sigma) == res.v.shape[1] == res.u.cols == width
+        assert res.sigma.dtype == res.v.dtype == res.u.dtype == dtype
+        assert np.array_equal(res.sigma, bare.sigma)
+        assert np.array_equal(res.v, bare.v)
+
+
+@pytest.mark.parametrize("method", ["cpsvd", "tssvd"])
+def test_u_keeps_sigma_whole_at_paper_height(method):
+    # From m of about 1/eps rows, rank_tolerance = m eps sigma_1 passes
+    # every sigma of a standard-normal f32 input; U's columns go to zero,
+    # but sigma and V come back whole. 8.5e6 x 2 in f32 is 68 MB.
+    solve = route(method)
+
+    def worker(comm):
+        a = generate_random(comm, 8_500_000, 2, seed=48, dtype=np.float32)
+        return solve(a), solve(a, want_u=True)
+
+    for bare, res in run_ranks(2, worker):
+        assert len(bare.sigma) == 2 and np.all(bare.sigma > 0)
+        assert np.array_equal(res.sigma, bare.sigma)
+        assert np.array_equal(res.v, bare.v) and res.v.shape == (2, 2)
+        assert res.u.cols == 2
 
 
 class TestComplexInput:
