@@ -108,6 +108,8 @@ def block_rows(m, size):
 
 def block_range(m, size, rank):
     """(row_offset, row_count) of `rank` under the balanced partition."""
+    if not 0 <= rank < size:
+        raise ValueError(f"rank must be in 0..{size - 1}, got {rank!r}")
     counts = block_rows(m, size)
     return sum(counts[:rank]), counts[rank]
 
@@ -131,12 +133,16 @@ def random_rows(seed, row_start, row_count, n, dist, dtype, domain=STREAM_DATA,
     comm.core_share(1), the whole machine); numpy's generator fills
     release the GIL, so they overlap. A one-block range starts no thread.
     The result is bitwise the same for every thread count. A seed that is
-    not an integer (numpy integers count) raises ValueError.
+    not an integer, or a row_start, row_count or n that is not a
+    nonnegative integer, raises ValueError (numpy integers count).
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}; expected {DISTRIBUTIONS}")
     if not isinstance(seed, numbers.Integral):
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    for name, value in (("row_start", row_start), ("row_count", row_count), ("n", n)):
+        if not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     dtype = np.dtype(dtype)
     out = np.empty((row_count, n), dtype=dtype)
     stop = row_start + row_count
@@ -165,8 +171,9 @@ def generate_random(comm, m, n, dist="standard-normal", seed=0, dtype=np.float64
 
     Each rank draws its rows on its share of the cores, comm.core_share.
     """
-    if m < n or n < 1:
-        raise UnsupportedShape(f"generate_random needs m >= n >= 1, got {m}x{n}")
+    if not (isinstance(m, numbers.Integral) and isinstance(n, numbers.Integral)
+            and m >= n >= 1):
+        raise UnsupportedShape(f"generate_random needs integers m >= n >= 1, got {m}x{n}")
     offset, count = block_range(m, comm.size, comm.rank)
     local = random_rows(seed, offset, count, n, dist, dtype,
                         threads=core_share(comm.size))

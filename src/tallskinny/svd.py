@@ -4,17 +4,18 @@ svd_normal_equations: eigendecompose the replicated crossproduct A^T A;
 singular values are square roots of the eigenvalues. One allreduce, very
 fast, but forming A^T A squares the condition number.
 
-svd_tsqr: communication-avoiding QR. Each rank reduces its block to an R
-factor; a custom allreduce stacks R factors two at a time and
-re-factors, yielding R of the full matrix, whose local SVD gives sigma
-and V. The local factor comes from dense.tall_R, a Cholesky QR built
-from GEMMs and n x n LAPACK calls that release the GIL, so rank threads
-overlap. It takes one of three bands by the block's condition number.
-Up to sqrt(2) one pass already meets the error bound of two, and the
-block is read once; standard-normal blocks, as the benchmarks draw them,
-are here. Above it Cholesky QR2 adds a second pass, which streams the
-block in cache-sized row chunks, so beyond its block a rank holds one
-chunk and a few n x n arrays, never an m x n intermediate. Last, it
+svd_tsqr: communication-avoiding QR. qr_allreduce(a), the one entry for
+a distributed R, reduces each rank's block to an R factor, and a custom
+allreduce stacks R factors two at a time and re-factors, yielding R of
+the full matrix, whose local SVD gives sigma and V. The local factor
+comes from dense.tall_R, a Cholesky QR built from GEMMs and n x n LAPACK
+calls that release the GIL, so rank threads overlap. It takes one of
+three bands by the block's condition number. Up to sqrt(2) one pass
+already meets the error bound of two, and the block is read once;
+standard-normal blocks, as the benchmarks draw them, are here. Above it
+Cholesky QR2 adds a second pass, which streams the block in cache-sized
+row chunks, so beyond its block a rank holds one chunk and a few n x n
+arrays, never an m x n intermediate. Last, it
 falls back to Householder qr_R when a Cholesky fails, an intermediate is
 not finite, the first factor's condition estimate exceeds 1e4 (beyond
 which the GEMM against its inverse loses accuracy; at n = 50 from a
@@ -49,10 +50,10 @@ at or below rank_tolerance; the randomized one uses U = Q_Y U_B, whose
 column is zero where sigma is exactly 0.
 
 The first reduced value of each route (the crossproduct, the W of each
-rsvd power iteration, or the R factor qr_allreduce returns) and the
-returned sigma are checked for NaN and Inf. A reduced value is bitwise
-the same on every rank, so every rank raises NonFiniteInput together,
-with no extra message.
+rsvd power iteration, or the R factor qr_allreduce returns, of A in
+tssvd and of Y in rsvd) and the returned sigma are checked for NaN and
+Inf. A reduced value is bitwise the same on every rank, so every rank
+raises NonFiniteInput together, with no extra message.
 
 Each route computes sigma and V inside one np.errstate(all="ignore")
 block, and pca.pca takes its centering into one too. Non-finite input or
@@ -152,9 +153,9 @@ class RsvdParams:
 
 
 def _require_tall(a, who):
-    if a.global_rows <= a.cols:
+    if not a.global_rows > a.cols >= 1:
         raise UnsupportedShape(
-            f"{who} needs global_rows > cols, got {a.global_rows}x{a.cols}"
+            f"{who} needs global_rows > cols >= 1, got {a.global_rows}x{a.cols}"
         )
 
 
@@ -202,30 +203,24 @@ def _stack_and_factor(lower, higher):
 QR_REDUCE = ReduceOperator("qr_reduce", _stack_and_factor)
 
 
-def qr_allreduce(comm, r_local):
-    """R factor of the implicitly stacked blocks: R^T R = sum R_i^T R_i.
+def qr_allreduce(a):
+    """R factor of the distributed A, replicated: R^T R = A^T A.
 
-    Every rank contributes an n x n upper triangle with nonnegative
-    diagonal and receives the reduced triangle with the same normalization,
-    or NonFiniteInput on every rank if it holds NaN or Inf.
+    Each rank factors its rows, its block less a's shift when set, with
+    dense.tall_R; the QR_REDUCE allreduce then stacks the n x n factors
+    two at a time up the tree and re-factors each pair. R is upper
+    triangular with a nonnegative diagonal and bitwise the same on every
+    rank, so if it holds NaN or Inf every rank raises NonFiniteInput.
     """
-    r_local = as_matrix(r_local, "r_local")
-    n = r_local.shape[1]
-    if r_local.shape[0] != n:
-        raise ShapeError(f"qr_allreduce expects square n x n input, got {r_local.shape}")
-    if np.any(np.tril(r_local, -1) != 0):
-        raise ShapeError("qr_allreduce input has nonzeros below the diagonal")
-    if np.any(np.diag(r_local) < 0):
-        raise ShapeError("qr_allreduce input has a negative diagonal entry")
-    r_full = comm.allreduce_custom(r_local, QR_REDUCE)
-    return require_finite(r_full, "reduced R factor")
+    r_local = tall_R(a.block, a.shift)
+    return require_finite(a.comm.allreduce_custom(r_local, QR_REDUCE), "reduced R factor")
 
 
 def svd_tsqr(a, want_u=False):
     """Sigma and V (and U) via the distributed QR reduction."""
     _require_tall(a, "svd_tsqr")
     with np.errstate(all="ignore"):
-        r_full = qr_allreduce(a.comm, tall_R(a.block, a.shift))
+        r_full = qr_allreduce(a)
         sigma, _, vt = small_svd(r_full)
     sigma, v = require_finite(sigma, "sigma"), vt.T
     return SvdResult(sigma, v, recover_U(a, v, sigma) if want_u else None)
@@ -239,7 +234,7 @@ RSVD_IMPLICIT_MAX_GROWTH = 4.0
 
 def _reduced_r(y):
     """R factor of a distributed Y; DegenerateProjection on a zero diagonal."""
-    r = qr_allreduce(y.comm, tall_R(y.block, y.shift))
+    r = qr_allreduce(y)
     if np.any(np.diag(r) == 0):
         raise DegenerateProjection(
             "projection produced an exactly singular R; retry with a new seed"

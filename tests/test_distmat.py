@@ -57,6 +57,11 @@ class TestPartition:
         offsets = [block_range(10, 4, r) for r in range(4)]
         assert offsets == [(0, 3), (3, 3), (6, 2), (8, 2)]
 
+    @pytest.mark.parametrize("rank", [-1, 2, 5])
+    def test_rank_outside_the_group_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            block_range(10, 2, rank)
+
 
 class TestGeneration:
     def test_local_shapes(self):
@@ -104,6 +109,30 @@ class TestGeneration:
         comm = solo_communicator()
         got = generate_random(comm, 10, 2, seed=np.int64(2)).local
         assert np.array_equal(got, generate_random(comm, 10, 2, seed=2).local)
+
+    @pytest.mark.parametrize("row_start, row_count, n, name", [
+        (-5, 3, 3, "row_start"),  # would draw block -1's stream, masked to 2**64 - 1
+        (2.0, 3, 3, "row_start"),
+        (0, -1, 3, "row_count"),
+        (0, 3.0, 3, "row_count"),
+        (0, 3, -1, "n"),
+        (0, 3, 3.0, "n"),
+    ])
+    def test_bad_row_range_rejected(self, row_start, row_count, n, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            random_rows(0, row_start, row_count, n, "uniform01", np.float64)
+
+    def test_numpy_integer_row_range_accepted(self):
+        got = random_rows(0, np.int64(2), np.int32(3), np.int64(3), "uniform01", np.float64)
+        assert np.array_equal(got, random_rows(0, 2, 3, 3, "uniform01", np.float64))
+
+    @pytest.mark.parametrize("m, n", [(1e5, 50), (10, 2.0)])
+    def test_non_integer_shape_rejected_on_every_rank(self, m, n):
+        with pytest.raises(RankFailures) as info:
+            run_ranks(2, lambda comm: generate_random(comm, m, n))
+        assert sorted(info.value.failures) == [0, 1]
+        for exc in info.value.failures.values():
+            assert isinstance(exc, UnsupportedShape)
 
     def test_wide_rejected(self):
         with pytest.raises(UnsupportedShape):

@@ -17,11 +17,13 @@ from tallskinny.dense import (
     qr_Q,
     qr_R,
     small_svd,
+    tall_R,
 )
 from tallskinny.distmat import (
     STREAM_PROJECTION,
     distribute,
     generate_random,
+    mean_center_columns,
     mult_local,
     random_rows,
 )
@@ -111,59 +113,66 @@ class TestNormalEquations:
 
 class TestQrAllreduce:
     def test_single_rank_unchanged(self):
-        r = qr_R(np.arange(12.0).reshape(4, 3))
-        got = qr_allreduce(solo_communicator(), r)
-        assert np.array_equal(got, r)
+        full = random_full(30, 4, 8)
+        got = qr_allreduce(distribute(solo_communicator(), full))
+        assert np.array_equal(got, tall_R(full))
 
     def test_stacked_identities(self):
         def worker(comm):
-            return qr_allreduce(comm, np.eye(3))
+            return qr_allreduce(distribute(comm, np.vstack((np.eye(3), np.eye(3)))))
 
         for got in run_ranks(2, worker):
             assert np.allclose(got, np.sqrt(2) * np.eye(3), rtol=1e-15)
 
     @pytest.mark.parametrize("size", [2, 3, 4, 7])
     def test_matches_gathered_qr(self, size):
+        m = 64 if size != 7 else 63
+
         def worker(comm):
-            a = generate_random(comm, 64 if comm.size != 7 else 63, 6, seed=9)
-            return qr_allreduce(comm, qr_R(a.local))
+            return qr_allreduce(generate_random(comm, m, 6, seed=9))
 
         got = run_ranks(size, worker)[0]
-        want = qr_R(random_full(64 if size != 7 else 63, 6, 9))
+        want = qr_R(random_full(m, 6, 9))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_gram_identity(self):
-        def worker(comm):
-            a = generate_random(comm, 40, 5, seed=10)
-            return qr_allreduce(comm, qr_R(a.local))
-
-        r = run_ranks(4, worker)[0]
+        r = run_ranks(4, lambda comm: qr_allreduce(generate_random(comm, 40, 5, seed=10)))[0]
         full = random_full(40, 5, 10)
         gram = full.T @ full
         assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
 
     def test_result_normalized(self):
-        def worker(comm):
-            a = generate_random(comm, 48, 6, seed=11)
-            return qr_allreduce(comm, qr_R(a.local))
-
-        r = run_ranks(3, worker)[0]
+        r = run_ranks(3, lambda comm: qr_allreduce(generate_random(comm, 48, 6, seed=11)))[0]
         assert np.all(np.diag(r) >= 0)
         assert np.count_nonzero(np.tril(r, -1)) == 0
 
-    def test_rejects_non_triangular(self):
-        with pytest.raises(ShapeError, match="diagonal"):
-            qr_allreduce(solo_communicator(), np.ones((3, 3)))
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_centered_matches_explicitly_centered(self, size):
+        # The shift reaches tall_R: R is that of the centered rows, not of
+        # the block, whose column means are 3.
+        full = random_full(60, 5, 12) + 3.0
 
-    def test_rejects_negative_diagonal(self):
-        r = np.triu(np.ones((3, 3)))
-        r[1, 1] = -2.0
-        with pytest.raises(ShapeError, match="negative"):
-            qr_allreduce(solo_communicator(), r)
+        def worker(comm):
+            return qr_allreduce(mean_center_columns(distribute(comm, full))[0])
 
-    def test_rejects_rectangular(self):
-        with pytest.raises(ShapeError, match="square"):
-            qr_allreduce(solo_communicator(), np.triu(np.ones((2, 3))))
+        got = run_ranks(size, worker)[0]
+        want = qr_R(full - full.mean(axis=0))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_ranks_without_rows(self):
+        # 5 rows over 8 ranks: ranks 5, 6 and 7 hold none.
+        full = random_full(5, 3, 13)
+
+        def worker(comm):
+            a = distribute(comm, full)
+            return a.block.shape[0], qr_allreduce(a)
+
+        out = run_ranks(8, worker)
+        assert [rows for rows, _ in out] == [1, 1, 1, 1, 1, 0, 0, 0]
+        want = qr_R(full)
+        for _, got in out:
+            assert np.array_equal(got, out[0][1])
+        assert np.max(np.abs(out[0][1] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTsqr:
@@ -935,6 +944,22 @@ class TestComplexInput:
         assert sorted(info.value.failures) == list(range(size))
         for exc in info.value.failures.values():
             assert isinstance(exc, UnsupportedDtype)
+
+
+class TestZeroColumns:
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
+    def test_raises_on_every_rank(self, method, size):
+        solve = route(method, RsvdParams(k=1))
+
+        def worker(comm):
+            return solve(distribute(comm, np.zeros((5, 0))))
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(size, worker)
+        assert sorted(info.value.failures) == list(range(size))
+        for exc in info.value.failures.values():
+            assert isinstance(exc, UnsupportedShape)
 
 
 class TestNonFiniteInput:
