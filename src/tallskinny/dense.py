@@ -22,14 +22,15 @@ test decides the one-pass band: the exact kappa_2 of the first factor,
 from one eigvalsh of the n x n Gram.
 
 Passes that read a block against a small replicated factor walk its rows
-in chunks of chunk_rows(block, factor columns) through row_chunks: tall_R's
-second pass here, and every multiply in distmat. A chunk is reused while it
-is still in cache, and nothing the height of the block is allocated beyond
-the pass's output. A block with a shift (an n-vector, the column means of a
-centered matrix) stands for block - shift: row_chunks subtracts the shift
-from each chunk into one reused buffer, so gram and tall_R factor the
-centered block without a centered copy of it. Shifted or not, a pass runs
-the same loop; gram alone keeps a one-shot product for an unshifted block.
+in chunks of chunk_rows(block, factor columns) through row_chunks: gram
+(the block against itself) and tall_R's second pass here, and every
+multiply in distmat. A chunk is reused while it is still in cache, and
+nothing the height of the block is allocated beyond the pass's output. A
+block with a shift (an n-vector, the column means of a centered matrix)
+stands for block - shift: row_chunks subtracts the shift from each chunk
+into one reused buffer, so gram and tall_R factor the centered block
+without a centered copy of it. Shifted or not, every pass runs the same
+loop.
 """
 
 import numpy as np
@@ -152,17 +153,11 @@ def row_chunks(a, chunk, shift=None):
 
 
 def gram(a, shift=None):
-    """a^T a, or (a - shift)^T (a - shift) summed over row chunks.
+    """(a - shift)^T (a - shift), or a^T a, summed over row chunks.
 
-    The unshifted Gram is one product, which numpy computes as a symmetric
-    rank-k update: the one fork from the chunk loop that the timings keep.
-    In 512 KiB chunks, one BLAS thread, it took 4-6% longer alone at
-    1e5 x 50 and 1e4 x 250, and cpsvd 0-7% longer per op. The shifted one
-    adds up the chunks' products, each a symmetric rank-k update too, so
-    either result is exactly symmetric.
+    Each chunk's product is a symmetric rank-k update, so the sum is
+    exactly symmetric.
     """
-    if shift is None:
-        return a.T @ a
     g = np.zeros((a.shape[1], a.shape[1]), dtype=a.dtype)
     for _, a_c in row_chunks(a, chunk_rows(a, a.shape[1]), shift):
         g += a_c.T @ a_c

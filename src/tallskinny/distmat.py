@@ -24,8 +24,8 @@ block - shift, and no m x n centered copy exists. The kernels here
 mult_and_transpose) and dense.tall_R read a block, shifted or not, in row
 chunks through dense.row_chunks, each centered into one reused buffer.
 The only other reads of a whole block are:
-- the unshifted one-shot dense.gram, which allocates n x n;
-- mean_center_columns' column sums, which allocate n;
+- mean_center_columns' column sums, taken in float64, which allocate n
+  plus numpy's fixed casting buffer (np.getbufsize() values);
 - tall_R's Householder fallback: np.linalg.qr factors a float64 copy of
   the block (centered first when shifted), so m x n;
 - tall_R on a block shorter than n, which copies its fewer than n rows.
@@ -275,14 +275,16 @@ def mult_and_transpose(a, b):
 def mean_center_columns(a):
     """Subtract global column means; returns (centered, means).
 
-    The means take one column-sum allreduce. The centered matrix shares a's
-    block and carries the block's column means as its shift, so nothing
-    m x n is allocated. For a shifted a, a - mean(a) = block - mean(block),
-    and the means are mean(block) - shift.
+    The means take one allreduce of the block's column sums, which are
+    summed in float64 at any precision and cast to the block's dtype once
+    divided by the row count. The centered matrix shares a's block and
+    carries the block's column means as its shift, so nothing m x n is
+    allocated. For a shifted a, a - mean(a) = block - mean(block), and the
+    means are mean(block) - shift.
     """
     if a.global_rows < 1:
         raise UnsupportedShape("mean_center_columns needs at least one row")
-    block_sums = a.block.sum(axis=0, keepdims=True)
-    block_means = a.comm.allreduce_sum(block_sums)[0] / a.dtype.type(a.global_rows)
+    block_sums = a.block.sum(axis=0, keepdims=True, dtype=np.float64)
+    block_means = (a.comm.allreduce_sum(block_sums)[0] / a.global_rows).astype(a.dtype)
     means = block_means if a.shift is None else block_means - a.shift
     return DistMatrix(a.block, a.global_rows, a.row_offset, a.comm, block_means), means

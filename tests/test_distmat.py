@@ -486,10 +486,9 @@ class TestMultTranspose:
 class TestOnePath:
     """A zero shift runs the unshifted matrix's own loop, bitwise.
 
-    mult_local, mult_transpose and mult_and_transpose each walk the rows
-    in one row_chunks loop, shifted or not. The one intended fork is
-    dense.gram, crossprod's kernel, which keeps a one-shot product for an
-    unshifted block because it is faster there; it is not tested here.
+    crossprod (through dense.gram), mult_local, mult_transpose and
+    mult_and_transpose each walk the rows in one row_chunks loop, shifted
+    or not.
     """
 
     N, Y_COLS = 40, 4
@@ -521,6 +520,7 @@ class TestOnePath:
             pairs = [(mult_local(zero, b).local, mult_local(a, b).local)
                      for b in factors]
             pairs += [
+                (crossprod(zero), crossprod(a)),
                 (mult_transpose(zero, y), mult_transpose(a, y)),
                 (mult_transpose(y, zero), mult_transpose(y, a)),
                 (mult_transpose(a, y_zero), mult_transpose(a, y)),
@@ -581,17 +581,23 @@ class TestMeanCenter:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_centering_a_centered_matrix_allocates_no_copy(self, dtype):
-        full = random_rows(32, 0, 20_000, 50, "standard-normal", dtype)
-        a = distribute(solo_communicator(), full)
-        centered, _ = mean_center_columns(a)
-        tracemalloc.start()
-        try:
-            mean_center_columns(centered)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The column sums, the means and the new shift: a few n-vectors.
-        assert peak <= 64 * 50 * 8 < a.block.nbytes
+        # The second block is 10x taller under the same bound: the peak
+        # does not grow with the row count.
+        for rows in (20_000, 200_000):
+            full = random_rows(32, 0, rows, 50, "standard-normal", dtype)
+            a = distribute(solo_communicator(), full)
+            centered, _ = mean_center_columns(a)
+            tracemalloc.start()
+            try:
+                mean_center_columns(centered)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # The column sums, the means and the new shift (a few
+            # n-vectors), plus the buffer numpy casts float32 rows into
+            # for the float64 sum: np.getbufsize() values, whatever m and n.
+            bound = np.getbufsize() * 8 + 64 * 50 * 8
+            assert peak <= bound < a.block.nbytes, (rows, peak)
 
 
 class TestGatherDistribute:
