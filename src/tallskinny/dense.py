@@ -13,23 +13,23 @@ Two properties of numpy.linalg shape the QR kernels. Every routine factors
 float32 input in float64 (on a float64 copy, cast back at the end), so a
 float32 Householder QR costs what a float64 one does. And np.linalg.qr
 holds the GIL while it factors, unlike matmul, cholesky, inv and svd, so
-two rank threads calling it run one after the other. tall_R, the local R
-factor of a rank's block, is therefore a Cholesky QR of GEMMs and n x n
-factorizations, in three bands of the first factor's condition number:
-one pass where it already meets the error bound of two, Cholesky QR2
-above that, and qr_R (Householder), the reference, as the fallback. One
-test decides the one-pass band: the exact kappa_2 of the first factor,
-from one eigvalsh of the n x n Gram.
+two rank threads calling it run one after the other. svd.qr_allreduce,
+the distributed R, is therefore a Cholesky QR of GEMMs and n x n
+factorizations of the Gram summed over the ranks, in three bands of the
+first factor's condition number: one pass where it already meets the
+error bound of two, Cholesky QR2 above that, and qr_R (Householder), the
+reference, as the fallback. The CHOLQR_* bounds below set the bands;
+gram and _gram_of_product are the two passes over a block.
 
 Passes that read a block against a small replicated factor walk its rows
 in chunks of chunk_rows(block, factor columns) through row_chunks: gram
-(the block against itself) and tall_R's second pass here, and every
-multiply in distmat. A chunk is reused while it is still in cache, and
+(the block against itself) and _gram_of_product (against R1^-1, the
+second pass) here, and every multiply in distmat. A chunk is reused while it is still in cache, and
 nothing the height of the block is allocated beyond the pass's output. A
 block with a shift (an n-vector, the column means of a centered matrix)
 stands for block - shift: row_chunks subtracts the shift from each chunk
-into one reused buffer, so gram and tall_R factor the centered block
-without a centered copy of it. Shifted or not, every pass runs the same
+into one reused buffer, so both passes read the centered block without
+a centered copy of it. Shifted or not, every pass runs the same
 loop.
 """
 
@@ -99,8 +99,8 @@ def _tall(a):
 
 # Bytes of a block's rows per chunk of a row-blocked pass. A chunk is read
 # twice, or written and read back, and the second access hits the cache only
-# while the chunk fits in L2 (tall_R at 1e5 x 50 float64 took 56-62 ms in
-# 256 KiB chunks against 72-78 ms with a whole Q1). Against rsvd's n x 2k
+# while the chunk fits in L2 (Cholesky QR2 of a 1e5 x 50 float64 block took
+# 56-62 ms in 256 KiB chunks against 72-78 ms with a whole Q1). Against rsvd's n x 2k
 # factors a chunk costs two GEMMs of some 10 us each, so per-call overhead
 # counts too. On a 2-core Xeon (2 MiB of L2 per core), one BLAS thread per
 # rank, interleaved at 1e5 x 50 and 2e4 x 250, 512 KiB chunks made half the
@@ -175,102 +175,41 @@ def qr_R(a):
     return np.triu(r)
 
 
-# Largest orthogonality defect ||G2 - I||_F that tall_R accepts from the
-# first CholQR pass, where G2 = Q1^T Q1. The Frobenius norm bounds the
-# 2-norm, so below the bound every eigenvalue of G2 (the square of a
-# singular value of Q1) lies in [1/2, 3/2], and kappa(Q1)^2 <= 3. The
+# Largest orthogonality defect ||G2 - I||_F that svd.qr_allreduce accepts
+# from the first CholQR pass, where G2 = Q1^T Q1. The Frobenius norm
+# bounds the 2-norm, so below the bound every eigenvalue of G2 (the square
+# of a singular value of Q1) lies in [1/2, 3/2], and kappa(Q1)^2 <= 3. The
 # second pass is a Cholesky QR of Q1, whose errors grow like kappa(Q1)^2 u
 # (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015); at most 3 times
 # their value for an orthonormal Q1, which keeps CholQR2 within a small
 # constant of Householder QR's backward error.
 CHOLQR_MAX_DEFECT = 0.5
-# Largest condition estimate ||R1||_F ||R1^-1||_F that tall_R accepts.
-# Q1 = A R1^-1 is a GEMM against a computed inverse, not a backward-stable
-# triangular solve: the GEMM's error |E| <= gamma_n |A| |R1^-1| and the
-# inverse's residual R1^-1 R1 - I let the backward error of R = R2 R1 grow
-# with kappa(R1) (Higham, ASNA, sec. 14.1). Rounding errors of random sign
-# leave far less than that worst case. Over 26,000 draws (m <= 40n, n <= 8,
-# kappa from 1e2 to 1e7), CholQR2 kept max|d sigma| <= 3.2 n (u + u64)
-# sigma_1 wherever this estimate stayed below 1e4, inside svdbench
-# verify's 6 n (u + u64) sigma_1. Above it the error grew with kappa, to
+# Largest condition estimate ||R1||_F ||R1^-1||_F that svd.qr_allreduce
+# accepts. Q1 = A R1^-1 is a GEMM against a computed inverse, not a
+# backward-stable triangular solve: the GEMM's error
+# |E| <= gamma_n |A| |R1^-1| and the inverse's residual R1^-1 R1 - I let
+# the backward error of R = R2 R1 grow with kappa(R1) (Higham, ASNA,
+# sec. 14.1). Rounding errors of random sign leave far less than that
+# worst case. Over 26,000 draws (m <= 40n, n <= 8, kappa from 1e2 to
+# 1e7), CholQR2 kept max|d sigma| <= 3.2 n (u + u64) sigma_1 wherever
+# this estimate stayed below 1e4, inside svdbench verify's
+# 6 n (u + u64) sigma_1. Above it the error grew with kappa, to
 # 28 n (u + u64) sigma_1 at kappa = 1e7 in float64.
 CHOLQR_MAX_COND = 1e4
-# Largest 2-norm condition number of R1 = chol(A^T A)^T at which tall_R
-# returns R1 after one Cholesky QR pass. In the rounding model of svdbench
-# verify's gate (bench.verify_tolerance), forming the Gram and factoring
-# it are n steps that each add at most lambda u ||A||^2, so
-# R1^T R1 = A^T A + E with ||E|| <= lambda n u ||A||^2. By Weyl,
-# sigma_i(R1)^2 moves by at most ||E||, so sigma_i by at most
-# ||E|| / (2 sigma_min(A)) <= lambda n u sigma_1 kappa / 2. Across ranks
-# A^T A = sum_r A_r^T A_r, and lambda_min is concave, so
-# sigma_min(A)^2 >= sum_r sigma_min(A_r)^2: when every rank's kappa_r is
-# at most tau, sum_r ||A_r||^2 <= tau^2 sigma_min(A)^2, and the summed
-# errors move sigma_i by at most lambda n u (tau^2 / 2) sigma_1. tau =
-# sqrt(2) holds that to lambda n u sigma_1, the first stage's share of the
-# gate 2 lambda n u sigma_1, as CholQR2's two passes are credited with.
-# Its loss of orthogonality, of order kappa^2 u, is then what the second
-# pass would repair (Yamamoto et al., ETNA 2015), and the pass is skipped.
+# Largest 2-norm condition number of R1 = chol(A^T A)^T at which
+# svd.qr_allreduce returns R1 after one Cholesky QR pass; A^T A is the
+# Gram summed over the ranks, a reordering of its sum over A's rows. In
+# the rounding model of svdbench verify's gate (bench.verify_tolerance),
+# forming the Gram and factoring it are n steps that each add at most
+# lambda u ||A||^2, so R1^T R1 = A^T A + E with ||E|| <= lambda n u
+# ||A||^2. By Weyl, sigma_i(R1)^2 moves by at most ||E||, so sigma_i by
+# at most ||E|| / (2 sigma_min(A)) <= lambda n u sigma_1 kappa / 2.
+# kappa = sqrt(2) holds that within lambda n u sigma_1, the first stage's
+# share of the gate 2 lambda n u sigma_1, as CholQR2's two passes are
+# credited with. Its loss of orthogonality, of order kappa^2 u, is then
+# what the second pass would repair (Yamamoto et al., ETNA 2015), and the
+# pass is skipped.
 CHOLQR_ONE_PASS_MAX_COND = np.sqrt(2.0)
-
-
-def tall_R(a, shift=None):
-    """qr_R's factor of a - shift by one or two Cholesky QR passes, or qr_R.
-
-    The first pass is R1 = chol(X^T X)^T on X = a - shift. Three bands of
-    R1's condition number kappa_2 pick the rest. One test decides the
-    first: the eigenvalues of X^T X, from one eigvalsh, are the squares of
-    R1's singular values, and where lambda_max is finite and at most
-    CHOLQR_ONE_PASS_MAX_COND^2 lambda_min, R1 is the factor. Above it,
-    Cholesky QR2 takes a second pass on Q1 = X R1^-1 and returns
-    R = R2 R1. Q1 is never formed whole: the second pass walks a in chunks
-    of chunk_rows(a, n) rows, multiplies each by the n x n inverse into
-    one reused chunk buffer and adds the chunk's Q1_c^T Q1_c into G2 while
-    it is still in cache. Beyond its input the kernel holds one chunk (two
-    with a shift) and a few n x n arrays. Each step is a GEMM or an n x n
-    LAPACK call, and all of them release the GIL. The last band falls back to
-    Householder qr_R: a Cholesky factorization fails, R1's condition
-    estimate exceeds CHOLQR_MAX_COND (then before the GEMM), or
-    G2 = Q1^T Q1 is further from I than CHOLQR_MAX_DEFECT. Every test
-    fails on NaN, and a non-finite entry anywhere in a reaches R1, so every
-    non-finite intermediate falls back. The contracts are qr_R's: exact
-    zeros below the diagonal and a nonnegative diagonal (here one positive
-    Cholesky diagonal or the product of two). With a shift both Grams read
-    a's chunks through row_chunks, and the fallback factors an explicit
-    a - shift. A block of fewer rows than columns (a rank's, once ranks
-    outnumber m / n) has a singular Gram: it gets qr_R of a - shift
-    stacked on zero rows up to n x n, so R^T R = (a - shift)^T (a - shift)
-    at any height.
-    """
-    a = as_matrix(a)
-    if a.shape[0] < a.shape[1]:
-        pad = ((0, a.shape[1] - a.shape[0]), (0, 0))
-        return qr_R(np.pad(a if shift is None else a - shift, pad))
-    r = _cholesky_qr(a, shift)
-    if r is not None:
-        return r
-    return qr_R(a if shift is None else a - shift)
-
-
-def _cholesky_qr(a, shift):
-    """tall_R's one- or two-pass factor of a - shift, or None to fall back."""
-    try:
-        with np.errstate(all="ignore"):
-            g1 = gram(a, shift)
-            r1 = np.linalg.cholesky(g1).T
-            lam = np.linalg.eigvalsh(g1)
-            if lam[-1] <= CHOLQR_ONE_PASS_MAX_COND**2 * lam[0] < np.inf:
-                return np.triu(r1)
-            r1_inv = np.linalg.inv(r1)
-            if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
-                return None
-            g2 = _gram_of_product(a, r1_inv, shift)
-            r2 = np.linalg.cholesky(g2).T
-            defect = np.linalg.norm(g2 - np.eye(a.shape[1], dtype=g2.dtype))
-    except np.linalg.LinAlgError:
-        return None
-    if not defect <= CHOLQR_MAX_DEFECT:
-        return None
-    return np.triu(r2 @ r1)
 
 
 def _gram_of_product(a, x, shift):

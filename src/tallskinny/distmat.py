@@ -21,16 +21,17 @@ A centered matrix is implicit. mean_center_columns returns a DistMatrix
 whose `shift` is the n-vector of its block's column means: the matrix is
 block - shift, and no m x n centered copy exists. The kernels here
 (crossprod, mult_local, mult_transpose on either argument,
-mult_and_transpose) and dense.tall_R read a block, shifted or not, in row
-chunks through dense.row_chunks, each centered into one reused buffer.
-The only other reads of a whole block are:
+mult_and_transpose) and the second Cholesky QR pass of svd.qr_allreduce
+(dense._gram_of_product) read a block, shifted or not, in row chunks
+through dense.row_chunks, each centered into one reused buffer. The only
+other reads of a whole block are:
 - mean_center_columns' column sums, taken in float64, which allocate n
   plus numpy's fixed casting buffer (np.getbufsize() values);
-- tall_R's Householder fallback: np.linalg.qr factors a float64 copy of
-  the block (centered first when shifted), so m x n;
-- tall_R on a block shorter than n, which copies its fewer than n rows.
-No module here reads `local`; it serves callers outside the package, the
-tests and perfbench.
+- qr_allreduce's Householder band: np.linalg.qr factors a float64 copy
+  of `local` (centered when shifted, and zero-padded to n rows when
+  shorter), so m x n.
+That band is the one reader of `local` in the package; it serves callers
+outside the package, the tests and perfbench.
 """
 
 import numbers

@@ -4,28 +4,28 @@ svd_normal_equations: eigendecompose the replicated crossproduct A^T A;
 singular values are square roots of the eigenvalues. One allreduce, very
 fast, but forming A^T A squares the condition number.
 
-svd_tsqr: communication-avoiding QR. qr_allreduce(a), the one entry for
-a distributed R, reduces each rank's block to an R factor, and a custom
-allreduce stacks R factors two at a time and re-factors, yielding R of
-the full matrix, whose local SVD gives sigma and V. The local factor
-comes from dense.tall_R, a Cholesky QR built from GEMMs and n x n LAPACK
-calls that release the GIL, so rank threads overlap. It takes one of
-three bands by the block's condition number. Up to sqrt(2) one pass
-already meets the error bound of two, and the block is read once;
-standard-normal blocks, as the benchmarks draw them, are here. Above it
-Cholesky QR2 adds a second pass, which streams the block in cache-sized
-row chunks, so beyond its block a rank holds one chunk and a few n x n
-arrays, never an m x n intermediate. Last, it
-falls back to Householder qr_R when a Cholesky fails, an intermediate is
-not finite, the first factor's condition estimate exceeds 1e4 (beyond
-which the GEMM against its inverse loses accuracy; at n = 50 from a
-condition number of about 3e3), or the first pass leaves Q1 too far from
-orthonormal. The 2n x n reduce combine and blocks shorter than n rows
-stay on qr_R. cpsvd's Gram is n x n too, so neither full-spectrum route
-allocates anything the height of the block for sigma and V, which is all
-pca asks for without scores: the centered matrix pca passes in is its
-input block plus a shift (the column means), which every pass over the
-rows subtracts chunk by chunk.
+svd_tsqr: the SVD of the R factor of A, whose local SVD gives sigma and
+V. qr_allreduce(a), the one entry for a distributed R, factors the Gram
+summed over the ranks by Cholesky QR, GEMMs and n x n LAPACK calls that
+release the GIL, so rank threads overlap. The summed Gram is bitwise the
+same on every rank, so the group takes one of three bands by A's
+condition number, whatever the rank count. Up to sqrt(2) one pass
+already meets the error bound of two, and A is read once;
+standard-normal matrices, as the benchmarks draw them, are here. Above
+it Cholesky QR2 adds a second pass, which streams each block in
+cache-sized row chunks against R1^-1, and a second Gram allreduce, so
+beyond its block a rank holds one chunk and a few n x n arrays, never an
+m x n intermediate. Last, ill-conditioned input (a Cholesky fails, an
+intermediate is not finite, the first factor's condition estimate
+exceeds 1e4, beyond which the GEMM against its inverse loses accuracy,
+or the first pass leaves Q1 too far from orthonormal) takes the
+communication-avoiding TSQR tree: each rank factors its block by
+Householder qr_R, and a custom allreduce stacks R factors two at a time
+and re-factors. cpsvd's Gram is n x n too, so neither full-spectrum
+route allocates anything the height of the block for sigma and V in
+their Cholesky bands, which is all pca asks for without scores: the
+centered matrix pca passes in is its input block plus a shift (the
+column means), which every pass over the rows subtracts chunk by chunk.
 
 svd_randomized: truncated SVD by random projection with q power
 iterations, in q + 1 passes over A. Each pass reads the local rows once,
@@ -76,6 +76,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import dense
 from .comm import ReduceOperator, core_share
 from .dense import (
     ShapeError,
@@ -87,7 +88,6 @@ from .dense import (
     small_svd,
     solve_triangular_right,  # noqa: F401 - still traced by perfbench
     sym_eigen,
-    tall_R,
 )
 from .distmat import (
     DISTRIBUTIONS,
@@ -206,14 +206,55 @@ QR_REDUCE = ReduceOperator("qr_reduce", _stack_and_factor)
 def qr_allreduce(a):
     """R factor of the distributed A, replicated: R^T R = A^T A.
 
-    Each rank factors its rows, its block less a's shift when set, with
-    dense.tall_R; the QR_REDUCE allreduce then stacks the n x n factors
-    two at a time up the tree and re-factors each pair. R is upper
-    triangular with a nonnegative diagonal and bitwise the same on every
-    rank, so if it holds NaN or Inf every rank raises NonFiniteInput.
+    A is a's block, less its shift when set. The group takes one band,
+    as distributed Cholesky QR2 does (Fukaya, Nakatsukasa, Yanagisawa &
+    Yamamoto, ScalA 2014), decided on the summed Gram G1 = crossprod(a):
+    one pass, R = triu(chol(G1)^T), where one eigvalsh of G1 puts
+    kappa_2(R1) at or below CHOLQR_ONE_PASS_MAX_COND; two passes up to
+    CHOLQR_MAX_COND and CHOLQR_MAX_DEFECT, where each rank streams its
+    rows against R1^-1 and the summed G2 = Q1^T Q1 gives R = triu(R2 R1);
+    and otherwise Householder (a Cholesky failure, a failed guard or a
+    non-finite value, as f32 data near 1e19 overflows G1). Every test
+    reads G1 or G2, bitwise the same on every rank, so every rank takes
+    the same band with no extra message. In the Householder band each
+    rank factors its rows, zero-padded to n when shorter, by qr_R, and
+    the QR_REDUCE allreduce stacks the n x n factors two at a time up
+    the tree and re-factors each pair. R is upper triangular with a
+    nonnegative diagonal, so if it holds NaN or Inf every rank raises
+    NonFiniteInput.
     """
-    r_local = tall_R(a.block, a.shift)
-    return require_finite(a.comm.allreduce_custom(r_local, QR_REDUCE), "reduced R factor")
+    r = _cholesky_bands(a)
+    if r is None:
+        x = a.local
+        if x.shape[0] < a.cols:
+            x = np.pad(x, ((0, a.cols - x.shape[0]), (0, 0)))
+        r = a.comm.allreduce_custom(qr_R(x), QR_REDUCE)
+    return require_finite(r, "reduced R factor")
+
+
+def _cholesky_bands(a):
+    """qr_allreduce's one- or two-pass factor, or None for Householder.
+
+    The guards are read from dense at call time, so tests may patch them.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            g1 = crossprod(a)
+            r1 = np.linalg.cholesky(g1).T
+            lam = np.linalg.eigvalsh(g1)
+            if lam[-1] <= dense.CHOLQR_ONE_PASS_MAX_COND**2 * lam[0] < np.inf:
+                return np.triu(r1)
+            r1_inv = np.linalg.inv(r1)
+            if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= dense.CHOLQR_MAX_COND:
+                return None
+            g2 = a.comm.allreduce_sum(dense._gram_of_product(a.block, r1_inv, a.shift))
+            r2 = np.linalg.cholesky(g2).T
+            defect = np.linalg.norm(g2 - np.eye(a.cols, dtype=g2.dtype))
+    except np.linalg.LinAlgError:
+        return None
+    if not defect <= dense.CHOLQR_MAX_DEFECT:
+        return None
+    return np.triu(r2 @ r1)
 
 
 def svd_tsqr(a, want_u=False):
@@ -318,11 +359,12 @@ def svd_randomized(a, params, want_u=False):
     log-uniform or geometric spectra), that path erred upward by at most
     0.87 of svdbench verify's rounding term 2 lambda n (u + u64) sigma_1
     for g <= 6; it first exceeded the term at g = 6.4 (float32, rank one,
-    q = 1). Y's R may come from one Cholesky QR pass (dense.tall_R), so
-    48,000 more such inputs were swept with the path forced: at g <= 4 it
-    erred upward by at most 0.58 of the term, as with two passes on every
-    Y, and by at most 0.45 on the 4,821 whose Y took one pass on every
-    rank; the term was first exceeded at g = 9.5. Past the guard the last
+    q = 1). Y's R may come from one Cholesky QR pass (qr_allreduce), so
+    48,000 more such inputs were swept with the path forced, when each
+    rank still chose its own band from its own block: at g <= 4 it erred
+    upward by at most 0.58 of the term, as with two passes on every Y,
+    and by at most 0.45 on the 4,821 whose Y took one pass on every rank;
+    the term was first exceeded at g = 9.5. Past the guard the last
     step factors twice, as CholQR2 does (Yamamoto et al., ETNA 2015):
     Q1 = Y R^-1 = Q_Y R2, B = R2^-T Q1^T A by one more pass over A, and
     U = Q1 (R2^-1 U_B). This B errs as an explicit Q_Y^T A would, by

@@ -18,7 +18,7 @@ import pytest
 from tallskinny import dense, svd
 from tallskinny.bench import verify_tolerance
 from tallskinny.dense import qr_R
-from tallskinny.comm import run_ranks
+from tallskinny.comm import run_ranks, solo_communicator
 from tallskinny.distmat import DistMatrix, distribute, mean_center_columns
 from tallskinny.matrices import conditioned_matrix
 from tallskinny.pca import pca
@@ -137,16 +137,21 @@ def test_shifted_matches_explicit_centering(monkeypatch, method, shape, want, si
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("cond", [1e1, 1e8])
 def test_tall_R_of_a_shifted_block(monkeypatch, cond, dtype):
-    # One chunk, so both passes see exactly the explicit block's values.
-    # At cond 1e8 the condition estimate sends both to the qr_R fallback.
+    # qr_allreduce on one rank, of a shifted block and of the explicitly
+    # centered one. One chunk, so both passes see exactly the explicit
+    # block's values. At cond 1e8 the condition estimate sends both to the
+    # Householder band's qr_R.
     fallbacks = []
 
     def counted(x):
         fallbacks.append(x.shape)
         return qr_R(x)
 
-    monkeypatch.setattr(dense, "qr_R", counted)
+    def solo_R(block, shift=None):
+        return svd.qr_allreduce(DistMatrix(block, len(block), 0, solo_communicator(), shift))
+
+    monkeypatch.setattr(svd, "qr_R", counted)
     shift = np.linspace(-1e3, 1e3, 5).astype(dtype)
     block = conditioned_matrix(200, 5, cond, 3, dtype) + shift
-    assert np.array_equal(dense.tall_R(block, shift), dense.tall_R(block - shift))
+    assert np.array_equal(solo_R(block, shift), solo_R(block - shift))
     assert len(fallbacks) == (2 if cond > 1e4 else 0)

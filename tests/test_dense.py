@@ -3,7 +3,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tallskinny import dense
+from tallskinny import dense, svd
+from tallskinny.comm import solo_communicator
 from tallskinny.dense import (
     CHOLQR_MAX_COND,
     CHOLQR_MAX_DEFECT,
@@ -20,10 +21,10 @@ from tallskinny.dense import (
     small_svd,
     solve_triangular_right,
     sym_eigen,
-    tall_R,
 )
-from tallskinny.distmat import random_rows
+from tallskinny.distmat import DistMatrix, random_rows
 from tallskinny.matrices import conditioned_matrix
+from tallskinny.svd import qr_allreduce
 
 
 class TestQr:
@@ -110,42 +111,52 @@ def cholesky_fails(g):
     return False
 
 
+def solo_R(a, shift=None):
+    """qr_allreduce's R of a - shift, with a as one rank's whole matrix."""
+    a = as_matrix(a)
+    return qr_allreduce(DistMatrix(a, a.shape[0], 0, solo_communicator(), shift))
+
+
 def first_factor_cond(a):
-    """||R1||_F ||R1^-1||_F of CholQR's first factor, as tall_R forms it."""
+    """||R1||_F ||R1^-1||_F of CholQR's first factor, as qr_allreduce forms it."""
     r1 = np.linalg.cholesky(a.T @ a).T
     return np.linalg.norm(r1) * np.linalg.norm(np.linalg.inv(r1))
 
 
 def first_pass_gram(a):
-    """G2 = Q1^T Q1 after CholQR's first pass, formed as tall_R forms it."""
+    """G2 = Q1^T Q1 after CholQR's first pass, formed as qr_allreduce forms it."""
     with np.errstate(all="ignore"):
         q1 = a @ np.linalg.inv(np.linalg.cholesky(a.T @ a).T)
         return q1.T @ q1
 
 
 def falls_back(a):
-    """tall_R(a) is qr_R(a), NaN for NaN."""
-    r = tall_R(a)
-    return r.dtype == a.dtype and np.array_equal(r, qr_R(a), equal_nan=True)
+    """solo_R(a) is qr_R(a) by the Householder band, NonFiniteInput for NaN."""
+    with mock.patch.object(svd, "qr_R", wraps=qr_R) as householder:
+        try:
+            r = solo_R(a)
+        except NonFiniteInput:
+            return householder.called and not np.all(np.isfinite(qr_R(a)))
+    return householder.called and r.dtype == a.dtype and np.array_equal(r, qr_R(a))
 
 
 def takes_second_pass(a, shift=None):
-    """tall_R(a, shift) runs Cholesky QR2's second, chunked pass."""
+    """solo_R(a, shift) runs Cholesky QR2's second, chunked pass."""
     with mock.patch.object(
         dense, "_gram_of_product", wraps=dense._gram_of_product
     ) as second:
-        tall_R(a, shift)
+        solo_R(a, shift)
     return second.called
 
 
 def one_pass_factor(a, shift=None):
-    """R1 of the first Cholesky QR pass, as tall_R returns it."""
+    """R1 of the first Cholesky QR pass, as qr_allreduce returns it."""
     return np.triu(np.linalg.cholesky(gram(a, shift)).T)
 
 
 def assert_matches_householder(a, kappa=1.0):
-    """tall_R(a) is Cholesky QR's, and within kappa sqrt(m) n u ||a|| of qr_R(a)."""
-    r = tall_R(a)
+    """solo_R(a) is Cholesky QR's, and within kappa sqrt(m) n u ||a|| of qr_R(a)."""
+    r = solo_R(a)
     assert not falls_back(a)
     assert r.dtype == a.dtype
     assert np.count_nonzero(np.tril(r, -1)) == 0 and np.all(np.diag(r) > 0)
@@ -166,9 +177,12 @@ def chunk_boundary_rows(rows, n, dtype):
 
 
 class TestTallR:
+    """The R factor of a tall matrix: qr_allreduce on one rank, whose
+    bands these tests pin. test_svd's band test repeats them across ranks."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_cholqr2_matches_householder(self, dtype):
-        # Standard-normal input takes tall_R's one pass; the kappa = 10
+        # Standard-normal input takes the one pass; the kappa = 10
         # case below takes both.
         a = np.random.default_rng(11).standard_normal((2000, 12)).astype(dtype)
         assert_matches_householder(a)
@@ -217,7 +231,7 @@ class TestTallR:
             shift = np.random.default_rng(17).standard_normal(a.shape[1]).astype(dtype)
             a = a + shift
         assert takes_second_pass(a, shift) != one_pass
-        r = tall_R(a, shift)
+        r = solo_R(a, shift)
         assert r.dtype == dtype
         assert np.array_equal(r, one_pass_factor(a, shift)) == one_pass
 
@@ -237,7 +251,8 @@ class TestTallR:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_falls_back(self, dtype, bad):
         # The Cholesky factors of a NaN Gram come back NaN without an error,
-        # so only the NaN-safe guards send this input to qr_R.
+        # so only the NaN-safe guards send this input to qr_R, whose
+        # non-finite R then raises NonFiniteInput.
         a = np.random.default_rng(14).standard_normal((50, 5)).astype(dtype)
         a[7, 2] = bad
         assert falls_back(a)
@@ -279,9 +294,9 @@ class TestTallR:
         assert not falls_back(a)
 
     def test_benchmark_shapes_take_one_pass(self):
-        # Standard-normal blocks as the benchmark's ranks hold them: the
-        # halves of 1e5 x 50 (kappa about 1.06), 2e4 x 250 (1.24) and its
-        # halves (1.37) are all within the one-pass bound.
+        # Standard-normal matrices as the benchmark draws them, and their
+        # halves: 1e5 x 50 and its halves (kappa about 1.06), 2e4 x 250
+        # (1.24) and its halves (1.37) are all within the one-pass bound.
         blocks = [
             random_rows(15, start, 50_000, 50, "standard-normal", dtype)
             for start in (0, 50_000)
@@ -291,19 +306,20 @@ class TestTallR:
             for start, rows in ((0, 20_000), (0, 10_000), (10_000, 10_000))
         ]
         for a in blocks:
-            assert np.array_equal(tall_R(a), one_pass_factor(a))
+            assert np.array_equal(solo_R(a), one_pass_factor(a))
             assert not takes_second_pass(a)
 
     @pytest.mark.parametrize("shifted", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [0, 1, 4])
     def test_short_block_is_zero_padded(self, rows, dtype, shifted):
-        # Fewer rows than n = 5: qr_R of the block's rows on zero rows.
+        # Fewer rows than n = 5: the Gram is singular, and the Householder
+        # band factors the rows stacked on zero rows.
         rng = np.random.default_rng(16)
         a = rng.standard_normal((rows, 5)).astype(dtype)
         shift = rng.standard_normal(5).astype(dtype) if shifted else None
         x = a if shift is None else a - shift
-        r = tall_R(a, shift)
+        r = solo_R(a, shift)
         assert r.dtype == dtype
         assert np.array_equal(r, qr_R(np.vstack((x, np.zeros((5 - rows, 5), dtype)))))
         assert np.all(np.tril(r, -1) == 0) and np.all(np.diag(r) >= 0)

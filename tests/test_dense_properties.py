@@ -4,11 +4,11 @@ QR: exact zeros below the diagonal, a nonnegative diagonal, and Q whose
 column signs match R. Eigen and SVD: descending values, the sign rule
 (each vector's largest-magnitude entry is positive) and zero u columns at
 sigma = 0. Inputs cover float32 and float64, m >= n with m == n and n == 1,
-negative leading entries, and zero or repeated columns. The local R kernel
-tall_R (Cholesky QR or its Householder fallback) also gets a sweep over
-the condition number, across its one-pass, two-pass and Householder
-bands, where its singular values must meet the bound svdbench verify
-applies, as qr_R's do.
+negative leading entries, and zero or repeated columns. The distributed R
+(svd.qr_allreduce: Cholesky QR of the summed Gram, or its Householder
+band) also gets a sweep over the condition number, on one rank and on
+three, across its one-pass, two-pass and Householder bands, where its
+singular values must meet the bound svdbench verify applies, as qr_R's do.
 """
 
 import math
@@ -22,7 +22,10 @@ from hypothesis.extra.numpy import arrays
 
 from tallskinny.bench import verify_tolerance
 from tallskinny import dense
-from tallskinny.dense import qr_Q, qr_R, small_svd, sym_eigen, tall_R
+from tallskinny.comm import run_ranks
+from tallskinny.dense import qr_Q, qr_R, small_svd, sym_eigen
+from tallskinny.distmat import distribute
+from tallskinny.svd import qr_allreduce
 
 ENTRIES = st.floats(-100, 100, width=32, allow_subnormal=False)
 
@@ -47,8 +50,8 @@ def tall_matrices(draw):
 
 
 # Condition numbers swept per precision, f64 up to 1e7 and f32 up to 1e6:
-# both cross sqrt(2), where tall_R's one Cholesky QR pass gives way to two,
-# and the few thousand where it hands over to qr_R.
+# both cross sqrt(2), where qr_allreduce's one Cholesky QR pass gives way
+# to two, and the few thousand where it hands over to qr_R.
 NEAR_ONE_PASS_BOUND = (1.2, 1.40, 1.43, 2.0)
 KAPPA_SWEEP = [
     (np.float64, k) for k in (1.0, *NEAR_ONE_PASS_BOUND, 1e1, 1e3, 1e5, 1e7)
@@ -134,7 +137,9 @@ def test_small_svd_contracts(a, wide):
     assert np.linalg.norm(recon - b) <= tol(b, np.linalg.norm(f64(b)))
 
 
-def check_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
+def check_r_backward_stable(dtype, kappa, shape, exponent, seed, size=1):
+    """qr_allreduce's R of a on `size` ranks, bitwise the same on each,
+    meets verify's gate as qr_R's does."""
     a = conditioned(dtype, kappa, *shape, 10.0**exponent, seed)
     want = np.linalg.svd(f64(a), compute_uv=False)
     # verify's gate: |d sigma_i| <= 2 lambda n (u + u64) sigma_1.
@@ -142,8 +147,10 @@ def check_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
     with mock.patch.object(
         dense, "_gram_of_product", wraps=dense._gram_of_product
     ) as second:
-        r_chol = tall_R(a)
-    # One pass up to kappa = sqrt(2), two just past it.
+        rs = run_ranks(size, lambda comm: qr_allreduce(distribute(comm, a)))
+    r_chol = rs[0]
+    assert all(np.array_equal(r, r_chol) for r in rs)
+    # One pass up to kappa = sqrt(2), two just past it, at any rank count.
     if kappa <= 1.40:
         assert not second.called
     elif kappa <= 2 and shape[1] > 1:
@@ -160,7 +167,7 @@ def check_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
 @given(tall_shapes(), st.integers(-3, 3), st.integers(0, 2**32 - 1))
 @settings(max_examples=30)
 def test_tall_R_backward_stable(dtype, kappa, shape, exponent, seed):
-    check_tall_R_backward_stable(dtype, kappa, shape, exponent, seed)
+    check_r_backward_stable(dtype, kappa, shape, exponent, seed)
 
 
 @pytest.mark.parametrize("dtype, kappa", KAPPA_SWEEP)
@@ -170,4 +177,14 @@ def test_tall_R_backward_stable_in_n_row_chunks(dtype, kappa, shape, exponent, s
     # At m <= 40 n the default chunk holds every draw whole; n-row chunks
     # walk up to 40 of them, and most draws end on a short one.
     with mock.patch.multiple(dense, PASS_CHUNK_BYTES=1, PASS_CHUNK_MIN_ROWS_PER_COL=1):
-        check_tall_R_backward_stable(dtype, kappa, shape, exponent, seed)
+        check_r_backward_stable(dtype, kappa, shape, exponent, seed)
+
+
+@pytest.mark.parametrize("dtype, kappa", KAPPA_SWEEP)
+@given(tall_shapes(), st.integers(-3, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_qr_allreduce_backward_stable_on_three_ranks(dtype, kappa, shape, exponent, seed):
+    # The band is decided on the Gram summed over the ranks, so it is the
+    # one-rank band whatever the blocks' own condition numbers. Blocks
+    # shorter than n reach the Householder band's zero padding.
+    check_r_backward_stable(dtype, kappa, shape, exponent, seed, size=3)

@@ -55,9 +55,9 @@ def sigma_only_bound(full, method, size):
 
 
 def pca_bound(full, method, size):
-    # Beyond the sigma-only route: one centering buffer per rank (tall_R's
-    # second pass holds it next to its product chunk), and the means, V and
-    # the rotation, each at most n x n.
+    # Beyond the sigma-only route: one centering buffer per rank (the second
+    # Cholesky QR pass holds it next to its product chunk), and the means, V
+    # and the rotation, each at most n x n.
     return sigma_only_bound(full, method, size) + size * (
         chunk_bytes(full) + SLACK * N * N * 8
     )
@@ -95,9 +95,9 @@ def test_pca_without_scores_allocates_no_centered_copy(method, dtype, size):
 def test_tssvd_second_pass_allocates_no_block_sized_array(
     monkeypatch, centered, dtype, size
 ):
-    # Standard-normal blocks take tall_R's one pass. At kappa = 10 every
-    # rank's block runs Cholesky QR2's chunked second pass, shifted when
-    # pca centers it.
+    # Standard-normal input takes qr_allreduce's one pass. At kappa = 10
+    # every rank runs Cholesky QR2's chunked second pass over its block,
+    # shifted when pca centers it.
     full = conditioned_matrix(M, N, 10.0, 3, dtype)
     second_passes = []
     second_pass = dense._gram_of_product

@@ -2,7 +2,7 @@
 
 A sum of m rows in float32 can err by up to m u of its terms' size. The
 routes' sums that grow with the row count are the Gram (cpsvd's
-crossproduct and tall_R's first pass, so tssvd too) and the column means
+crossproduct and qr_allreduce's first pass, so tssvd too) and the column means
 that pca centers by. Each test here runs at a height where a sum taken in
 one piece over the block's rows fails its gate: 2e7 rows for the Gram,
 1e6 rows of column means 1000 for the centering.

@@ -67,5 +67,8 @@ def _rsvd_rank_deficient(comm):
 
 def test_rsvd_fallback(payload_sizes):
     run_ranks(P, _rsvd_rank_deficient)
-    assert len(payload_sizes) == 4 * P
+    # Per rank: W; Y's Gram, whose Cholesky QR fails on a rank-one Y, so
+    # the Householder tree follows it; Q1's Gram and G2 (Q1 takes two
+    # Cholesky QR passes); and Q1^T A.
+    assert len(payload_sizes) == 6 * P
     assert max(payload_sizes) <= N * N

@@ -8,16 +8,16 @@ from hypothesis import strategies as st
 
 from tallskinny import dense, svd
 from tallskinny.bench import verify_tolerance
-from tallskinny.comm import RankFailures, run_ranks, solo_communicator
+from tallskinny.comm import ReduceOperator, RankFailures, run_ranks, solo_communicator
 from tallskinny.dense import (
     NonFiniteInput,
     ShapeError,
     UnsupportedDtype,
     UnsupportedShape,
+    gram,
     qr_Q,
     qr_R,
     small_svd,
-    tall_R,
 )
 from tallskinny.distmat import (
     STREAM_PROJECTION,
@@ -111,11 +111,50 @@ class TestNormalEquations:
             svd_normal_equations(a)
 
 
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name for the rest of the test."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_combines(monkeypatch):
+    """Count QR_REDUCE's combines, over all ranks, for the rest of the test."""
+    combines = []
+
+    def combine(lower, higher):
+        combines.append(1)
+        return svd._stack_and_factor(lower, higher)
+
+    monkeypatch.setattr(svd, "QR_REDUCE", ReduceOperator(svd.QR_REDUCE.name, combine))
+    return combines
+
+
+def tree_full(m, n, seed):
+    """kappa = 1e6: qr_allreduce's condition guard sends it to the TSQR tree."""
+    return conditioned_matrix(m, n, 1e6, seed)
+
+
 class TestQrAllreduce:
-    def test_single_rank_unchanged(self):
+    def test_single_rank_unchanged(self, monkeypatch):
+        # One rank: R is its band's own factor, with no tree combine. This
+        # 30 x 4 draw (kappa_2 = 2.1) takes both Cholesky QR passes.
+        combines = count_combines(monkeypatch)
         full = random_full(30, 4, 8)
         got = qr_allreduce(distribute(solo_communicator(), full))
-        assert np.array_equal(got, tall_R(full))
+        r1 = np.linalg.cholesky(gram(full)).T
+        q1 = full @ np.linalg.inv(r1)
+        assert np.array_equal(got, np.triu(np.linalg.cholesky(gram(q1)).T @ r1))
+        full = tree_full(30, 4, 8)
+        got = qr_allreduce(distribute(solo_communicator(), full))
+        assert np.array_equal(got, qr_R(full))
+        assert combines == []
 
     def test_stacked_identities(self):
         def worker(comm):
@@ -125,15 +164,17 @@ class TestQrAllreduce:
             assert np.allclose(got, np.sqrt(2) * np.eye(3), rtol=1e-15)
 
     @pytest.mark.parametrize("size", [2, 3, 4, 7])
-    def test_matches_gathered_qr(self, size):
+    def test_matches_gathered_qr(self, monkeypatch, size):
+        # Random input takes a Cholesky QR band and no tree; kappa = 1e6
+        # takes the tree, whose p - 1 combines make a binary tree.
         m = 64 if size != 7 else 63
-
-        def worker(comm):
-            return qr_allreduce(generate_random(comm, m, 6, seed=9))
-
-        got = run_ranks(size, worker)[0]
-        want = qr_R(random_full(m, 6, 9))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        combines = count_combines(monkeypatch)
+        for full, tree in ((random_full(m, 6, 9), False), (tree_full(m, 6, 9), True)):
+            combines.clear()
+            got = run_ranks(size, lambda comm: qr_allreduce(distribute(comm, full)))[0]
+            want = qr_R(full)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert len(combines) == (size - 1 if tree else 0)
 
     def test_gram_identity(self):
         r = run_ranks(4, lambda comm: qr_allreduce(generate_random(comm, 40, 5, seed=10)))[0]
@@ -141,38 +182,81 @@ class TestQrAllreduce:
         gram = full.T @ full
         assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
 
-    def test_result_normalized(self):
-        r = run_ranks(3, lambda comm: qr_allreduce(generate_random(comm, 48, 6, seed=11)))[0]
-        assert np.all(np.diag(r) >= 0)
-        assert np.count_nonzero(np.tril(r, -1)) == 0
+    def test_result_normalized(self, monkeypatch):
+        combines = count_combines(monkeypatch)
+        for full, tree in ((random_full(48, 6, 11), False), (tree_full(48, 6, 11), True)):
+            combines.clear()
+            r = run_ranks(3, lambda comm: qr_allreduce(distribute(comm, full)))[0]
+            assert np.all(np.diag(r) >= 0)
+            assert np.count_nonzero(np.tril(r, -1)) == 0
+            assert len(combines) == (2 if tree else 0)
 
     @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_centered_matches_explicitly_centered(self, size):
-        # The shift reaches tall_R: R is that of the centered rows, not of
-        # the block, whose column means are 3.
-        full = random_full(60, 5, 12) + 3.0
+    def test_centered_matches_explicitly_centered(self, monkeypatch, size):
+        # The shift reaches every band: R is that of the centered rows, not
+        # of the block, whose column means are 3.
+        combines = count_combines(monkeypatch)
 
         def worker(comm):
             return qr_allreduce(mean_center_columns(distribute(comm, full))[0])
 
-        got = run_ranks(size, worker)[0]
-        want = qr_R(full - full.mean(axis=0))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for full, tree in ((random_full(60, 5, 12), False), (tree_full(60, 5, 12), True)):
+            combines.clear()
+            full = full + 3.0
+            got = run_ranks(size, worker)[0]
+            want = qr_R(full - full.mean(axis=0))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert len(combines) == (size - 1 if tree else 0)
 
-    def test_ranks_without_rows(self):
-        # 5 rows over 8 ranks: ranks 5, 6 and 7 hold none.
-        full = random_full(5, 3, 13)
+    def test_ranks_without_rows(self, monkeypatch):
+        # 5 rows over 8 ranks: ranks 5, 6 and 7 hold none. In the tree,
+        # every rank's block is zero-padded to 3 rows.
+        combines = count_combines(monkeypatch)
 
         def worker(comm):
             a = distribute(comm, full)
             return a.block.shape[0], qr_allreduce(a)
 
-        out = run_ranks(8, worker)
-        assert [rows for rows, _ in out] == [1, 1, 1, 1, 1, 0, 0, 0]
-        want = qr_R(full)
-        for _, got in out:
-            assert np.array_equal(got, out[0][1])
-        assert np.max(np.abs(out[0][1] - want)) <= 1e-12 * np.max(np.abs(want))
+        for full, tree in ((random_full(5, 3, 13), False), (tree_full(5, 3, 13), True)):
+            combines.clear()
+            out = run_ranks(8, worker)
+            assert [rows for rows, _ in out] == [1, 1, 1, 1, 1, 0, 0, 0]
+            want = qr_R(full)
+            for _, got in out:
+                assert np.array_equal(got, out[0][1])
+            assert np.max(np.abs(out[0][1] - want)) <= 1e-12 * np.max(np.abs(want))
+            assert len(combines) == (7 if tree else 0)
+
+
+class TestBands:
+    """One band per group, decided on the summed Gram, at any rank count."""
+
+    BAND_INPUTS = {
+        "one-pass": lambda dtype: random_rows(40, 0, 2000, 20, "standard-normal", dtype),
+        "two-pass": lambda dtype: conditioned_matrix(2000, 20, 1e2, 41, dtype),
+        "tree": lambda dtype: conditioned_matrix(2000, 20, 1e6, 42, dtype),
+    }
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("band", list(BAND_INPUTS))
+    def test_each_input_takes_its_band(self, monkeypatch, band, dtype, size):
+        # Standard-normal 2000 x 20 (kappa_2 about 1.2) is read once at
+        # every rank count; its blocks at p = 4 and 7 are above sqrt(2), so
+        # a per-rank decision would read them twice.
+        full = self.BAND_INPUTS[band](dtype)
+        second_passes = count_calls(monkeypatch, dense, "_gram_of_product")
+        householder = count_calls(monkeypatch, svd, "qr_R")
+        combines = count_combines(monkeypatch)
+        rs = run_ranks(size, lambda comm: qr_allreduce(distribute(comm, full)))
+        assert len(second_passes) == (size if band == "two-pass" else 0)
+        assert len(combines) == (size - 1 if band == "tree" else 0)
+        # In the tree each rank factors its block, and each combine its pair.
+        assert len(householder) == (2 * size - 1 if band == "tree" else 0)
+        for r in rs:
+            assert r.dtype == dtype
+            assert np.array_equal(r, rs[0])
+            assert np.count_nonzero(np.tril(r, -1)) == 0 and np.all(np.diag(r) >= 0)
 
 
 class TestTsqr:
@@ -413,19 +497,6 @@ class TestRandomized:
             svd_randomized(a, RsvdParams(k=2, q=0, seed=12))
 
 
-def count_calls(monkeypatch, module, name):
-    """Count calls of module.name for the rest of the test."""
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestImplicitGuard:
     """Which side of svd_randomized's guard an input takes.
 
@@ -564,9 +635,14 @@ class TestStepStructure:
             svd_randomized(a, RsvdParams(k=3, q=q, seed=67))
             return comm.collective_count - before
 
-        # One sum-allreduce of W per step, and Y's QR reduction on the last:
+        # One sum-allreduce of W per step, and Y's R on the last: one Gram
+        # allreduce, and G2's second one where Y takes two Cholesky QR
+        # passes. At q = 0 Y = A Omega keeps Omega's kappa_2 (above sqrt(2)
+        # for a 20 x 6 standard-normal draw), so it takes two; after power
+        # iterations Y's columns are near-orthogonal and take one.
         # _reduced_r runs once on each of the two ranks.
-        assert run_ranks(2, worker) == [q + 2, q + 2]
+        grams = 2 if q == 0 else 1
+        assert run_ranks(2, worker) == [q + 1 + grams] * 2
         assert len(reductions) == 2
 
     @pytest.mark.parametrize("size", [1, 2])
@@ -673,10 +749,11 @@ def one_pass_blocks(draw):
 @given(one_pass_blocks())
 @settings(max_examples=100)
 def test_tssvd_from_one_pass_blocks_within_verify_tolerance(case):
-    # Every rank's R comes from one Cholesky QR pass. The per-rank errors
-    # add up, and the bound behind CHOLQR_ONE_PASS_MAX_COND holds their
-    # sum to the first stage's share of verify's gate, whatever the
-    # blocks' relative scales.
+    # Blocks of kappa_2 <= sqrt(2) sum to a Gram of kappa_2 <= sqrt(2):
+    # lambda_max is convex and lambda_min concave on the ranks' Grams. So
+    # R comes from one Cholesky QR pass of the summed Gram, and the bound
+    # behind CHOLQR_ONE_PASS_MAX_COND holds it to the first stage's share
+    # of verify's gate, whatever the blocks' relative scales.
     blocks, dtype = case
     full = np.vstack(blocks)
     for block in blocks:
