@@ -62,8 +62,6 @@ class BenchConfig:
         return self.rows
 
     def validate(self):
-        if self.algo not in ALGOS:
-            raise ConfigError(f"unknown algorithm {self.algo!r}; expected one of {ALGOS}")
         if self.precision not in PRECISIONS:
             raise ConfigError(f"unknown precision {self.precision!r}; expected f32 or f64")
         if self.ranks < 1:
@@ -88,11 +86,10 @@ class BenchConfig:
                 )
         if not m > n >= 1:
             raise ConfigError(f"need rows > cols >= 1, got {m}x{n}")
-        if self.algo == "rsvd":
-            try:
-                self.rsvd_params().validate(n)
-            except ParameterError as exc:
-                raise ConfigError(str(exc)) from exc
+        try:
+            route(self.algo, n, self.rsvd_params())
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def rsvd_params(self):
         """The rsvd route's parameters.
@@ -112,19 +109,17 @@ def _load_matrix(comm, cfg):
     )
 
 
-def _compute_sigma(a, cfg):
-    return route(cfg.algo, cfg.rsvd_params())(a).sigma
-
-
 def _bench_worker(comm, cfg):
     """(shape, this rank's seconds per rep, sigma sum per rep)."""
-    # One load serves every rep: no route writes to a.local.
+    # One load serves every rep (no route writes to a.local), and the
+    # route is bound once, outside the clock.
     a = _load_matrix(comm, cfg)
+    solve, _ = route(cfg.algo, a.cols, cfg.rsvd_params())
     seconds, sums = [], []
     for _ in range(cfg.reps):
         comm.barrier()
         start = time.perf_counter()
-        sigma = _compute_sigma(a, cfg)
+        sigma = solve(a).sigma
         seconds.append(time.perf_counter() - start)
         sums.append(float(np.sum(sigma)))
     return (a.global_rows, a.cols), seconds, sums
@@ -225,7 +220,8 @@ def run_verify(cfg, matrix_kind, out):
     elif cfg.algo == "rsvd" and matrix_kind == "random":
         matrix_kind = "lowrank"
     full = _verify_input(cfg, matrix_kind)
-    sigma = run_ranks(cfg.ranks, lambda c: _compute_sigma(distribute(c, full), cfg))[0]
+    solve, _ = route(cfg.algo, full.shape[1], cfg.rsvd_params())
+    sigma = run_ranks(cfg.ranks, lambda c: solve(distribute(c, full)).sigma)[0]
     oracle = np.linalg.svd(full.astype(np.float64, copy=False), compute_uv=False)
     count = len(sigma)
     error = np.abs(sigma[:count] - oracle[:count])

@@ -45,7 +45,11 @@ class UnsupportedShape(ShapeError):
 
 
 class UnsupportedDtype(TypeError):
-    """Complex input: the routes factor real matrices only."""
+    """A dtype the routes do not factor.
+
+    Complex input, which the routes factor as real matrices only, and any
+    DistMatrix block that is not float32 or float64.
+    """
 
 
 class ConvergenceError(RuntimeError):

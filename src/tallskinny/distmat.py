@@ -46,6 +46,7 @@ from . import matfile
 from .comm import Communicator, core_share
 from .dense import (
     ShapeError,
+    UnsupportedDtype,
     UnsupportedShape,
     as_matrix,
     chunk_rows,
@@ -70,7 +71,12 @@ class DistMatrix:
     """One rank's row block plus the global layout metadata.
 
     The rank's rows of the matrix are block - shift when shift (an n-vector
-    of the block's dtype) is set, and block otherwise.
+    of the block's dtype) is set, and block otherwise. The block must be a
+    2-d float32 or float64 array: an integer Gram would wrap around, and
+    numpy.linalg factors no float16. Any other block raises
+    UnsupportedDtype (or ShapeError when it is not 2-d) on the rank that
+    builds it. The check
+    reads the block's ndim and dtype only, never its values.
     """
 
     block: np.ndarray
@@ -78,6 +84,14 @@ class DistMatrix:
     row_offset: int
     comm: Communicator
     shift: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        ndim = np.ndim(self.block)
+        if ndim != 2:
+            raise ShapeError(f"a DistMatrix block must be 2-d, got ndim={ndim}")
+        dtype = getattr(self.block, "dtype", None)
+        if dtype not in (np.float32, np.float64):
+            raise UnsupportedDtype(f"a DistMatrix block must be float32 or float64, got {dtype}")
 
     @property
     def local(self):

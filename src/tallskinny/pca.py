@@ -24,9 +24,11 @@ def pca(a, method="tssvd", ncomp=None, want_scores=False, params=None):
     """Principal components of a distributed data matrix.
 
     Columns are mean-centered, the chosen SVD runs on the centered data,
-    and component standard deviations are sigma / sqrt(m - 1). method is
-    one of "cpsvd", "tssvd", "rsvd"; rsvd takes its RsvdParams via
-    `params` and can only deliver ncomp <= k components.
+    and component standard deviations are sigma / sqrt(m - 1). method
+    names a route of svd.ROUTES and params is passed to svd.route, which
+    binds and checks it: rsvd takes its RsvdParams there. ncomp defaults
+    to the route's width and may not exceed it, so rsvd delivers at most
+    k components.
 
     The centered data is never formed: mean_center_columns returns a's
     rows with the means as a shift, and the SVD's passes and the scores
@@ -39,11 +41,7 @@ def pca(a, method="tssvd", ncomp=None, want_scores=False, params=None):
     """
     if a.global_rows < 2:
         raise ParameterError(f"pca needs at least 2 rows, got {a.global_rows}")
-    solve = route(method, params)
-    width = a.cols
-    if method == "rsvd":
-        params.validate(a.cols)
-        width = params.k
+    solve, width = route(method, a.cols, params)
     if ncomp is None:
         ncomp = width
     if not isinstance(ncomp, numbers.Integral) or not 1 <= ncomp <= width:

@@ -65,8 +65,11 @@ block returns nothing unchecked: sigma is checked as it leaves, and V
 comes from the same checked n x n factorization. U and pca's scores are
 products after the block, with the warnings left on.
 
-ROUTES names them cpsvd, tssvd and rsvd; route() is the one dispatch from
-a name to a function, shared by pca and the svdbench harness.
+ROUTES names them cpsvd, tssvd and rsvd. route(method, n, params) is the
+one place that binds a route by name, checks its parameters and knows its
+width; pca and the svdbench harness both go through it. Of the three,
+only rsvd takes parameters, its RsvdParams. So a new route is one ROUTES
+entry, plus one branch in route() if it takes RsvdParams too.
 """
 
 import numbers
@@ -403,18 +406,23 @@ ROUTES = {
 }
 
 
-def route(method, params=None):
-    """The SVD route named `method`, as a function of (a, want_u).
+def route(method, n, params=None):
+    """(solve, width): the SVD route named `method` for n columns.
 
-    method is one of ROUTES; rsvd comes bound to `params`, which must be
-    its RsvdParams. The other routes ignore `params`.
+    solve is the route as a function of (a, want_u=False), and width is
+    how many values, V columns and U columns it returns: n for cpsvd and
+    tssvd, params.k for rsvd. method is one of ROUTES. rsvd is the one
+    route that takes parameters: it comes bound to `params`, which must
+    be its RsvdParams and pass validate(n) here, so a bad k fails before
+    the route runs. The other routes ignore `params`.
     """
     if method not in ROUTES:
         raise ParameterError(
             f"unknown method {method!r}; expected one of {tuple(ROUTES)}"
         )
     if method != "rsvd":
-        return ROUTES[method]
+        return ROUTES[method], n
     if not isinstance(params, RsvdParams):
         raise ParameterError("method 'rsvd' requires RsvdParams via params=")
-    return partial(ROUTES[method], params=params)
+    params.validate(n)
+    return partial(ROUTES[method], params=params), params.k

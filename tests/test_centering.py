@@ -57,7 +57,7 @@ def data(shape, mean, dtype):
 
 def shifted_and_explicit(full, method, params, size, want):
     """Per rank: (sigma, U block, V) on the shifted and the explicit matrix."""
-    fn = route(method, params)
+    fn, _ = route(method, full.shape[1], params)
 
     def worker(comm):
         a = distribute(comm, full)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -269,8 +270,18 @@ class TestVerify:
 
         code, out = verify("tssvd")
         assert code == 0 and "PASS" in out and "nan" not in out
-        compute = bench._compute_sigma
-        monkeypatch.setattr(bench, "_compute_sigma", lambda a, cfg: 2 * compute(a, cfg))
+        route = bench.route
+
+        def doubled(*args):
+            solve, width = route(*args)
+
+            def solve_doubled(a):
+                res = solve(a)
+                return replace(res, sigma=2 * res.sigma)
+
+            return solve_doubled, width
+
+        monkeypatch.setattr(bench, "route", doubled)
         for algo in ("cpsvd", "tssvd"):
             code, out = verify(algo)
             assert code == 1 and "FAIL" in out
@@ -493,15 +504,20 @@ class TestBenchApi:
     def test_seconds_are_the_max_over_ranks(self, monkeypatch):
         # Rank 0 roots every collective and returns first; a rep lasts
         # until its slowest rank is done.
-        compute = bench._compute_sigma
+        route = bench.route
 
-        def slow_rank_one(a, cfg):
-            sigma = compute(a, cfg)
-            if a.comm.rank == 1:
-                time.sleep(0.05)
-            return sigma
+        def slow_rank_one(*args):
+            solve, width = route(*args)
 
-        monkeypatch.setattr(bench, "_compute_sigma", slow_rank_one)
+            def slow(a):
+                res = solve(a)
+                if a.comm.rank == 1:
+                    time.sleep(0.05)
+                return res
+
+            return slow, width
+
+        monkeypatch.setattr(bench, "route", slow_rank_one)
         cfg = BenchConfig(algo="cpsvd", rows=200, cols=8, ranks=2, reps=3)
         csv_out = io.StringIO()
         assert run_bench(cfg, csv_out, io.StringIO()) == 0

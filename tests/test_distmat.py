@@ -647,6 +647,28 @@ class TestGatherDistribute:
         assert all(isinstance(e, UnsupportedDtype) for e in info.value.failures.values())
 
 
+class TestBlockContract:
+    """A DistMatrix block is a 2-d float32 or float64 array, checked when
+    the DistMatrix is built: an int32 Gram would wrap around and return a
+    plausible, wrong sigma."""
+
+    @pytest.mark.parametrize("block, error", [
+        (np.ones((6, 3), dtype=np.int32), UnsupportedDtype),
+        (np.ones((6, 3), dtype=np.int64), UnsupportedDtype),
+        (np.ones((6, 3), dtype=np.float16), UnsupportedDtype),
+        (np.ones(6), ShapeError),
+    ], ids=["int32", "int64", "float16", "1-d"])
+    def test_raises_on_every_rank(self, block, error):
+        def worker(comm):
+            offset, count = block_range(len(block), comm.size, comm.rank)
+            return DistMatrix(block[offset : offset + count], len(block), offset, comm)
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(2, worker)
+        assert sorted(info.value.failures) == [0, 1]
+        assert all(type(e) is error for e in info.value.failures.values())
+
+
 class TestPartitionInvariance:
     @pytest.mark.parametrize("size", [2, 4, 8])
     def test_replicated_results_match_solo(self, size):

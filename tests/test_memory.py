@@ -74,7 +74,7 @@ def check(peak, bound, full, what):
 @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
 def test_sigma_only_routes_allocate_no_block_sized_array(method, dtype, size):
     full = random_rows(3, 0, M, N, "standard-normal", dtype)
-    fn = route(method, PARAMS)
+    fn, _ = route(method, N, PARAMS)
     peak = traced_peak(full, lambda a: fn(a).sigma, size)
     check(peak, sigma_only_bound(full, method, size), full, f"{method} p={size}")
 
@@ -133,10 +133,10 @@ def test_rsvd_fallback_holds_one_product_more_than_the_fast_path(
     monkeypatch.setattr(
         svd, "mult_transpose", lambda q_y, a: fallbacks.append(1) or mult_transpose(q_y, a)
     )
-    fast_fn = route("rsvd", PARAMS)
+    fast_fn, _ = route("rsvd", N, PARAMS)
     fast = traced_peak(full, lambda a: fast_fn(a).sigma, size)
     assert fallbacks == []
-    fn = route("rsvd", replace(PARAMS, q=0))
+    fn, _ = route("rsvd", N, replace(PARAMS, q=0))
     peak = traced_peak(offset, lambda a: fn(a).sigma, size)
     assert len(fallbacks) >= size
     product = M * 2 * K * full.itemsize

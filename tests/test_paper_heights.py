@@ -39,7 +39,8 @@ def tall_f32():
 @pytest.mark.parametrize("algo", ["cpsvd", "tssvd"])
 def test_f32_gram_at_paper_height_passes_verify(tall_f32, algo):
     full, oracle = tall_f32
-    sigma = route(algo)(distribute(solo_communicator(), full)).sigma
+    solve, _ = route(algo, GRAM_COLS)
+    sigma = solve(distribute(solo_communicator(), full)).sigma
     error = np.abs(sigma.astype(np.float64) - oracle)
     assert np.all(error <= verify_tolerance(algo, oracle, np.float32)), error
 

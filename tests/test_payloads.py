@@ -37,7 +37,7 @@ def payload_sizes(monkeypatch):
 def _routes_and_pca(comm, method):
     a = generate_random(comm, M, N, seed=50)
     params = RsvdParams(k=2, seed=51)
-    route(method, params)(a, want_u=True)
+    route(method, N, params)[0](a, want_u=True)
     pca(a, method=method, want_scores=True, params=params)
 
 

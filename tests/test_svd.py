@@ -869,7 +869,7 @@ class TestFactorFlags:
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
     def test_sigma_bitwise_independent_of_flags(self, method, size):
-        solve = route(method, RsvdParams(k=3, seed=41))
+        solve, _ = route(method, 60, RsvdParams(k=3, seed=41))
 
         def worker(comm):
             a = generate_random(comm, 2000, 60, seed=40)
@@ -880,7 +880,7 @@ class TestFactorFlags:
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
     def test_routes_leave_input_untouched(self, method, size):
-        solve = route(method, RsvdParams(k=3, seed=43))
+        solve, _ = route(method, 12, RsvdParams(k=3, seed=43))
 
         def worker(comm):
             a = generate_random(comm, 500, 12, seed=42)
@@ -895,23 +895,21 @@ class TestFactorFlags:
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
     def test_v_comes_back_with_one_column_per_sigma(self, method, size):
         # rank_deficient_full has rank 4, so rsvd's 2k columns of Y fit.
-        k = 2
-        solve = route(method, RsvdParams(k=k, seed=45))
+        solve, width = route(method, 6, RsvdParams(k=2, seed=45))
 
         def worker(comm):
             a = distribute(comm, rank_deficient_full())
             return [(len(res.sigma), res.v.shape) for res in (solve(a), solve(a, want_u=True))]
 
         # rsvd returns its leading k; the others all n.
-        bare_cols = k if method == "rsvd" else 6
         for (bare_len, bare_shape), (u_len, u_shape) in run_ranks(size, worker):
-            assert bare_len == bare_cols and bare_shape == (6, bare_cols)
+            assert bare_len == width and bare_shape == (6, width)
             assert u_shape == (6, u_len)
 
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
     def test_v_with_u_is_a_prefix_of_v_alone(self, method, size):
-        solve = route(method, RsvdParams(k=2, seed=46))
+        solve, _ = route(method, 6, RsvdParams(k=2, seed=46))
 
         def worker(comm):
             a = distribute(comm, rank_deficient_full())
@@ -927,7 +925,7 @@ class TestFactorFlags:
         # keeps their columns as exact zeros, and its other columns are
         # bitwise A V inv(Sigma) over the kept values.
         full = rank_deficient_full()
-        solve = route(method)
+        solve, _ = route(method, full.shape[1])
 
         def worker(comm):
             a = distribute(comm, full)
@@ -971,13 +969,12 @@ def test_one_width_with_or_without_u(case, size):
     # sigma, V and U have the route's width, n or k, and want_u leaves
     # sigma and V bitwise as they are without it.
     full, method, k, dtype = case
-    solve = route(method, RsvdParams(k=k, seed=47))
+    solve, width = route(method, full.shape[1], RsvdParams(k=k, seed=47))
 
     def worker(comm):
         a = distribute(comm, full)
         return solve(a), solve(a, want_u=True)
 
-    width = k if method == "rsvd" else full.shape[1]
     for bare, res in run_ranks(size, worker):
         assert len(res.sigma) == res.v.shape[1] == res.u.cols == width
         assert res.sigma.dtype == res.v.dtype == res.u.dtype == dtype
@@ -990,7 +987,7 @@ def test_u_keeps_sigma_whole_at_paper_height(method):
     # From m of about 1/eps rows, rank_tolerance = m eps sigma_1 passes
     # every sigma of a standard-normal f32 input; U's columns go to zero,
     # but sigma and V come back whole. 8.5e6 x 2 in f32 is 68 MB.
-    solve = route(method)
+    solve, _ = route(method, 2)
 
     def worker(comm):
         a = generate_random(comm, 8_500_000, 2, seed=48, dtype=np.float32)
@@ -1011,7 +1008,7 @@ class TestComplexInput:
         # sigma_1 = 15.50, not its own 22.27.
         rng = np.random.default_rng(30)
         full = rng.standard_normal((200, 5)) + 1j * rng.standard_normal((200, 5))
-        solve = route(method, RsvdParams(k=2, seed=31))
+        solve, _ = route(method, 5, RsvdParams(k=2, seed=31))
 
         def worker(comm):
             return solve(distribute(comm, full)).sigma
@@ -1027,7 +1024,9 @@ class TestZeroColumns:
     @pytest.mark.parametrize("size", [1, 2])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
     def test_raises_on_every_rank(self, method, size):
-        solve = route(method, RsvdParams(k=1))
+        # Bound for n = 2: at n = 0 route() refuses rsvd's k = 1 before any
+        # rank starts. Each route checks the shape it is given itself.
+        solve, _ = route(method, 2, RsvdParams(k=1))
 
         def worker(comm):
             return solve(distribute(comm, np.zeros((5, 0))))
@@ -1062,7 +1061,8 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("size", [1, 2, 3])
     @pytest.mark.parametrize("method", ["cpsvd", "tssvd", "rsvd"])
     def test_raises_on_every_rank(self, method, size, bad):
-        self.assert_every_rank_raises(size, bad, route(method, RsvdParams(k=2, seed=28)))
+        solve, _ = route(method, 20, RsvdParams(k=2, seed=28))
+        self.assert_every_rank_raises(size, bad, solve)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("size", [1, 2, 3])
@@ -1084,7 +1084,7 @@ class TestNonFiniteInput:
         params = RsvdParams(k=2, seed=28)
 
         def worker(comm, method):
-            return route(method, params)(distribute(comm, full)).sigma
+            return route(method, full.shape[1], params)[0](distribute(comm, full)).sigma
 
         for method in ("cpsvd", "rsvd"):
             with pytest.raises(RankFailures) as info:
@@ -1105,7 +1105,7 @@ class TestNonFiniteInput:
         full = np.array([[9e18, 0], [9e18, 0], [9e18, 9e17]], dtype=np.float32)
 
         def worker(comm):
-            return route(method)(distribute(comm, full)).sigma
+            return route(method, full.shape[1])[0](distribute(comm, full)).sigma
 
         want = np.linalg.svd(full.astype(np.float64), compute_uv=False)
         for sigma in run_ranks(size, worker):
