@@ -13,24 +13,22 @@ Two properties of numpy.linalg shape the QR kernels. Every routine factors
 float32 input in float64 (on a float64 copy, cast back at the end), so a
 float32 Householder QR costs what a float64 one does. And np.linalg.qr
 holds the GIL while it factors, unlike matmul, cholesky, inv and svd, so
-two rank threads calling it run one after the other. svd.qr_allreduce,
-the distributed R, is therefore a Cholesky QR of GEMMs and n x n
-factorizations of the Gram summed over the ranks, in three bands of the
-first factor's condition number: one pass where it already meets the
-error bound of two, Cholesky QR2 above that, and qr_R (Householder), the
-reference, as the fallback. The CHOLQR_* bounds below set the bands;
-gram and _gram_of_product are the two passes over a block.
+two rank threads calling it run one after the other. That is why
+svd.qr_allreduce, the distributed R, is built from Grams and n x n
+factorizations wherever the input's condition allows, and qr_R
+(Householder), the reference, is its fallback.
 
 Passes that read a block against a small replicated factor walk its rows
-in chunks of chunk_rows(block, factor columns) through row_chunks: gram
-(the block against itself) and _gram_of_product (against R1^-1, the
-second pass) here, and every multiply in distmat. A chunk is reused while it is still in cache, and
-nothing the height of the block is allocated beyond the pass's output. A
-block with a shift (an n-vector, the column means of a centered matrix)
-stands for block - shift: row_chunks subtracts the shift from each chunk
-into one reused buffer, so both passes read the centered block without
-a centered copy of it. Shifted or not, every pass runs the same
-loop.
+in chunks of chunk_rows(block, factor columns) through row_chunks: gram,
+the one Gram kernel, and every multiply in distmat. gram sums the Gram of
+each chunk, or of the chunk's product with a right factor (R1^-1 in
+Cholesky QR2's second pass). A chunk is reused while it is still in
+cache, and nothing the height of the block is allocated beyond the
+pass's output. A block with a shift (an n-vector, the column means of a
+centered matrix) stands for block - shift: row_chunks subtracts the
+shift from each chunk into one reused buffer, so every pass reads the
+centered block without a centered copy of it. Shifted or not, every pass
+runs the same loop.
 """
 
 import numpy as np
@@ -156,14 +154,22 @@ def row_chunks(a, chunk, shift=None):
         yield start, a_c
 
 
-def gram(a, shift=None):
-    """(a - shift)^T (a - shift), or a^T a, summed over row chunks.
+def gram(a, shift=None, right=None):
+    """(a - shift)^T (a - shift), or ((a - shift) right)^T ((a - shift) right)
+    with a right factor, summed over row chunks of a; a itself without a
+    shift.
 
-    Each chunk's product is a symmetric rank-k update, so the sum is
-    exactly symmetric.
+    With `right`, each chunk's product is written into one reused buffer.
+    Each chunk's term is a symmetric rank-k update, so the sum is exactly
+    symmetric.
     """
-    g = np.zeros((a.shape[1], a.shape[1]), dtype=a.dtype)
-    for _, a_c in row_chunks(a, chunk_rows(a, a.shape[1]), shift):
+    cols = a.shape[1] if right is None else right.shape[1]
+    chunk = chunk_rows(a, cols)
+    buf = None if right is None else np.empty((min(chunk, a.shape[0]), cols), a.dtype)
+    g = np.zeros((cols, cols), dtype=a.dtype)
+    for _, a_c in row_chunks(a, chunk, shift):
+        if buf is not None:
+            a_c = np.matmul(a_c, right, out=buf[: a_c.shape[0]])
         g += a_c.T @ a_c
     return g
 
@@ -177,56 +183,6 @@ def qr_R(a):
     r = _lapack(np.linalg.qr, _tall(a), mode="r")
     r[np.diag(r) < 0] *= -1
     return np.triu(r)
-
-
-# Largest orthogonality defect ||G2 - I||_F that svd.qr_allreduce accepts
-# from the first CholQR pass, where G2 = Q1^T Q1. The Frobenius norm
-# bounds the 2-norm, so below the bound every eigenvalue of G2 (the square
-# of a singular value of Q1) lies in [1/2, 3/2], and kappa(Q1)^2 <= 3. The
-# second pass is a Cholesky QR of Q1, whose errors grow like kappa(Q1)^2 u
-# (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015); at most 3 times
-# their value for an orthonormal Q1, which keeps CholQR2 within a small
-# constant of Householder QR's backward error.
-CHOLQR_MAX_DEFECT = 0.5
-# Largest condition estimate ||R1||_F ||R1^-1||_F that svd.qr_allreduce
-# accepts. Q1 = A R1^-1 is a GEMM against a computed inverse, not a
-# backward-stable triangular solve: the GEMM's error
-# |E| <= gamma_n |A| |R1^-1| and the inverse's residual R1^-1 R1 - I let
-# the backward error of R = R2 R1 grow with kappa(R1) (Higham, ASNA,
-# sec. 14.1). Rounding errors of random sign leave far less than that
-# worst case. Over 26,000 draws (m <= 40n, n <= 8, kappa from 1e2 to
-# 1e7), CholQR2 kept max|d sigma| <= 3.2 n (u + u64) sigma_1 wherever
-# this estimate stayed below 1e4, inside svdbench verify's
-# 6 n (u + u64) sigma_1. Above it the error grew with kappa, to
-# 28 n (u + u64) sigma_1 at kappa = 1e7 in float64.
-CHOLQR_MAX_COND = 1e4
-# Largest 2-norm condition number of R1 = chol(A^T A)^T at which
-# svd.qr_allreduce returns R1 after one Cholesky QR pass; A^T A is the
-# Gram summed over the ranks, a reordering of its sum over A's rows. In
-# the rounding model of svdbench verify's gate (bench.verify_tolerance),
-# forming the Gram and factoring it are n steps that each add at most
-# lambda u ||A||^2, so R1^T R1 = A^T A + E with ||E|| <= lambda n u
-# ||A||^2. By Weyl, sigma_i(R1)^2 moves by at most ||E||, so sigma_i by
-# at most ||E|| / (2 sigma_min(A)) <= lambda n u sigma_1 kappa / 2.
-# kappa = sqrt(2) holds that within lambda n u sigma_1, the first stage's
-# share of the gate 2 lambda n u sigma_1, as CholQR2's two passes are
-# credited with. Its loss of orthogonality, of order kappa^2 u, is then
-# what the second pass would repair (Yamamoto et al., ETNA 2015), and the
-# pass is skipped.
-CHOLQR_ONE_PASS_MAX_COND = np.sqrt(2.0)
-
-
-def _gram_of_product(a, x, shift):
-    """((a - shift) x)^T ((a - shift) x), summed over row chunks of a."""
-    rows, cols = a.shape[0], x.shape[1]
-    chunk = chunk_rows(a, cols)
-    buf = np.empty((min(chunk, rows), cols), dtype=np.result_type(a, x))
-    g = np.zeros((cols, cols), dtype=buf.dtype)
-    for _, a_c in row_chunks(a, chunk, shift):
-        q_c = buf[: a_c.shape[0]]
-        np.matmul(a_c, x, out=q_c)
-        g += q_c.T @ q_c
-    return g
 
 
 def qr_Q(a):

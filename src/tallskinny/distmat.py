@@ -17,14 +17,18 @@ sum-allreduce. mult_and_transpose fuses the two for one replicated b:
 Y = A b and A^T Y from a single cache-blocked read of the local rows.
 Each of the three is one loop over row chunks, shifted or not.
 
+crossprod is the replicated Gram: of A, or of A times a replicated right
+factor, one dense.gram and one sum-allreduce either way. It serves both
+Gram passes of svd.qr_allreduce's Cholesky QR2, A^T A and then
+(A R1^-1)^T (A R1^-1), and cpsvd's crossproduct.
+
 A centered matrix is implicit. mean_center_columns returns a DistMatrix
 whose `shift` is the n-vector of its block's column means: the matrix is
 block - shift, and no m x n centered copy exists. The kernels here
 (crossprod, mult_local, mult_transpose on either argument,
-mult_and_transpose) and the second Cholesky QR pass of svd.qr_allreduce
-(dense._gram_of_product) read a block, shifted or not, in row chunks
-through dense.row_chunks, each centered into one reused buffer. The only
-other reads of a whole block are:
+mult_and_transpose) read a block, shifted or not, in row chunks through
+dense.row_chunks, each centered into one reused buffer. The only other
+reads of a whole block are:
 - mean_center_columns' column sums, taken in float64, which allocate n
   plus numpy's fixed casting buffer (np.getbufsize() values);
 - qr_allreduce's Householder band: np.linalg.qr factors a float64 copy
@@ -75,8 +79,8 @@ class DistMatrix:
     2-d float32 or float64 array: an integer Gram would wrap around, and
     numpy.linalg factors no float16. Any other block raises
     UnsupportedDtype (or ShapeError when it is not 2-d) on the rank that
-    builds it. The check
-    reads the block's ndim and dtype only, never its values.
+    builds it. The check reads the block's ndim and dtype only, never its
+    values.
     """
 
     block: np.ndarray
@@ -213,11 +217,6 @@ def read_distributed(comm, path):
     return DistMatrix(matfile.read_rows(path, offset, count), m, offset, comm)
 
 
-def crossprod(a):
-    """Replicated N = A^T A, exactly symmetric (see dense.gram)."""
-    return a.comm.allreduce_sum(gram(a.block, a.shift))
-
-
 def _factor(who, a, b):
     """b as a matrix, checked to have a's column count and precision."""
     b = as_matrix(b, "b")
@@ -228,6 +227,15 @@ def _factor(who, a, b):
             f"{who} operands must share precision, got {a.dtype} and {b.dtype}"
         )
     return b
+
+
+def crossprod(a, right=None):
+    """Replicated A^T A, or (A right)^T (A right) for a replicated right
+    factor of n rows and a's precision; exactly symmetric (see dense.gram).
+    """
+    if right is not None:
+        right = _factor("crossprod", a, right)
+    return a.comm.allreduce_sum(gram(a.block, a.shift, right))
 
 
 def mult_local(a, b):

@@ -12,16 +12,16 @@ same on every rank, so the group takes one of three bands by A's
 condition number, whatever the rank count. Up to sqrt(2) one pass
 already meets the error bound of two, and A is read once;
 standard-normal matrices, as the benchmarks draw them, are here. Above
-it Cholesky QR2 adds a second pass, which streams each block in
-cache-sized row chunks against R1^-1, and a second Gram allreduce, so
-beyond its block a rank holds one chunk and a few n x n arrays, never an
-m x n intermediate. Last, ill-conditioned input (a Cholesky fails, an
-intermediate is not finite, the first factor's condition estimate
-exceeds 1e4, beyond which the GEMM against its inverse loses accuracy,
-or the first pass leaves Q1 too far from orthonormal) takes the
-communication-avoiding TSQR tree: each rank factors its block by
-Householder qr_R, and a custom allreduce stacks R factors two at a time
-and re-factors. cpsvd's Gram is n x n too, so neither full-spectrum
+it Cholesky QR2 adds a second pass, the Gram crossprod(a, R1^-1), which
+streams each block in cache-sized row chunks against R1^-1 and sums over
+the ranks, so beyond its block a rank holds one chunk and a few n x n
+arrays, never an m x n intermediate. Last, ill-conditioned input (a
+Cholesky fails, an intermediate is not finite, the first factor's
+condition estimate exceeds 1e4, beyond which the GEMM against its
+inverse loses accuracy, or the first pass leaves Q1 too far from
+orthonormal) takes the communication-avoiding TSQR tree: each rank
+factors its block by Householder qr_R, and a custom allreduce stacks R
+factors two at a time and re-factors. cpsvd's Gram is n x n too, so neither full-spectrum
 route allocates anything the height of the block for sigma and V in
 their Cholesky bands, which is all pca asks for without scores: the
 centered matrix pca passes in is its input block plus a shift (the
@@ -79,7 +79,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import dense
 from .comm import ReduceOperator, core_share
 from .dense import (
     ShapeError,
@@ -214,18 +213,22 @@ def qr_allreduce(a):
     Yamamoto, ScalA 2014), decided on the summed Gram G1 = crossprod(a):
     one pass, R = triu(chol(G1)^T), where one eigvalsh of G1 puts
     kappa_2(R1) at or below CHOLQR_ONE_PASS_MAX_COND; two passes up to
-    CHOLQR_MAX_COND and CHOLQR_MAX_DEFECT, where each rank streams its
-    rows against R1^-1 and the summed G2 = Q1^T Q1 gives R = triu(R2 R1);
-    and otherwise Householder (a Cholesky failure, a failed guard or a
-    non-finite value, as f32 data near 1e19 overflows G1). Every test
-    reads G1 or G2, bitwise the same on every rank, so every rank takes
-    the same band with no extra message. In the Householder band each
-    rank factors its rows, zero-padded to n when shorter, by qr_R, and
-    the QR_REDUCE allreduce stacks the n x n factors two at a time up
-    the tree and re-factors each pair. R is upper triangular with a
-    nonnegative diagonal, so if it holds NaN or Inf every rank raises
-    NonFiniteInput.
+    CHOLQR_MAX_COND and CHOLQR_MAX_DEFECT, where the second Gram
+    G2 = crossprod(a, R1^-1) = Q1^T Q1 streams each rank's rows against
+    R1^-1 and gives R = triu(R2 R1); and otherwise Householder (a
+    Cholesky failure, a failed guard or a non-finite value, as f32 data
+    near 1e19 overflows G1). Every test reads G1 or G2, bitwise the same
+    on every rank, so every rank takes the same band with no extra
+    message. In the Householder band each rank factors its rows,
+    zero-padded to n when shorter, by qr_R, and the QR_REDUCE allreduce
+    stacks the n x n factors two at a time up the tree and re-factors
+    each pair. R is upper triangular with a nonnegative diagonal, so if
+    it holds NaN or Inf every rank raises NonFiniteInput. Every rank
+    holds the same column count, so an A with none raises
+    UnsupportedShape on every rank, before any collective.
     """
+    if a.cols < 1:
+        raise UnsupportedShape(f"qr_allreduce needs cols >= 1, got {a.cols}")
     r = _cholesky_bands(a)
     if r is None:
         x = a.local
@@ -235,27 +238,61 @@ def qr_allreduce(a):
     return require_finite(r, "reduced R factor")
 
 
-def _cholesky_bands(a):
-    """qr_allreduce's one- or two-pass factor, or None for Householder.
+# Largest orthogonality defect ||G2 - I||_F that qr_allreduce accepts
+# from the first CholQR pass, where G2 = Q1^T Q1. The Frobenius norm
+# bounds the 2-norm, so below the bound every eigenvalue of G2 (the square
+# of a singular value of Q1) lies in [1/2, 3/2], and kappa(Q1)^2 <= 3. The
+# second pass is a Cholesky QR of Q1, whose errors grow like kappa(Q1)^2 u
+# (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015); at most 3 times
+# their value for an orthonormal Q1, which keeps CholQR2 within a small
+# constant of Householder QR's backward error.
+CHOLQR_MAX_DEFECT = 0.5
+# Largest condition estimate ||R1||_F ||R1^-1||_F that qr_allreduce
+# accepts. Q1 = A R1^-1 is a GEMM against a computed inverse, not a
+# backward-stable triangular solve: the GEMM's error
+# |E| <= gamma_n |A| |R1^-1| and the inverse's residual R1^-1 R1 - I let
+# the backward error of R = R2 R1 grow with kappa(R1) (Higham, ASNA,
+# sec. 14.1). Rounding errors of random sign leave far less than that
+# worst case. Over 26,000 draws (m <= 40n, n <= 8, kappa from 1e2 to
+# 1e7), CholQR2 kept max|d sigma| <= 3.2 n (u + u64) sigma_1 wherever
+# this estimate stayed below 1e4, inside svdbench verify's
+# 6 n (u + u64) sigma_1. Above it the error grew with kappa, to
+# 28 n (u + u64) sigma_1 at kappa = 1e7 in float64.
+CHOLQR_MAX_COND = 1e4
+# Largest 2-norm condition number of R1 = chol(A^T A)^T at which
+# qr_allreduce returns R1 after one Cholesky QR pass; A^T A is the
+# Gram summed over the ranks, a reordering of its sum over A's rows. In
+# the rounding model of svdbench verify's gate (bench.verify_tolerance),
+# forming the Gram and factoring it are n steps that each add at most
+# lambda u ||A||^2, so R1^T R1 = A^T A + E with ||E|| <= lambda n u
+# ||A||^2. By Weyl, sigma_i(R1)^2 moves by at most ||E||, so sigma_i by
+# at most ||E|| / (2 sigma_min(A)) <= lambda n u sigma_1 kappa / 2.
+# kappa = sqrt(2) holds that within lambda n u sigma_1, the first stage's
+# share of the gate 2 lambda n u sigma_1, as CholQR2's two passes are
+# credited with. Its loss of orthogonality, of order kappa^2 u, is then
+# what the second pass would repair (Yamamoto et al., ETNA 2015), and the
+# pass is skipped.
+CHOLQR_ONE_PASS_MAX_COND = np.sqrt(2.0)
 
-    The guards are read from dense at call time, so tests may patch them.
-    """
+
+def _cholesky_bands(a):
+    """qr_allreduce's one- or two-pass factor, or None for Householder."""
     try:
         with np.errstate(all="ignore"):
             g1 = crossprod(a)
             r1 = np.linalg.cholesky(g1).T
             lam = np.linalg.eigvalsh(g1)
-            if lam[-1] <= dense.CHOLQR_ONE_PASS_MAX_COND**2 * lam[0] < np.inf:
+            if lam[-1] <= CHOLQR_ONE_PASS_MAX_COND**2 * lam[0] < np.inf:
                 return np.triu(r1)
             r1_inv = np.linalg.inv(r1)
-            if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= dense.CHOLQR_MAX_COND:
+            if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
                 return None
-            g2 = a.comm.allreduce_sum(dense._gram_of_product(a.block, r1_inv, a.shift))
+            g2 = crossprod(a, r1_inv)
             r2 = np.linalg.cholesky(g2).T
             defect = np.linalg.norm(g2 - np.eye(a.cols, dtype=g2.dtype))
     except np.linalg.LinAlgError:
         return None
-    if not defect <= dense.CHOLQR_MAX_DEFECT:
+    if not defect <= CHOLQR_MAX_DEFECT:
         return None
     return np.triu(r2 @ r1)
 

@@ -3,11 +3,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from tallskinny import dense, svd
+from tallskinny import svd
 from tallskinny.comm import solo_communicator
 from tallskinny.dense import (
-    CHOLQR_MAX_COND,
-    CHOLQR_MAX_DEFECT,
     ConvergenceError,
     NonFiniteInput,
     ShapeError,
@@ -24,7 +22,7 @@ from tallskinny.dense import (
 )
 from tallskinny.distmat import DistMatrix, random_rows
 from tallskinny.matrices import conditioned_matrix
-from tallskinny.svd import qr_allreduce
+from tallskinny.svd import CHOLQR_MAX_COND, CHOLQR_MAX_DEFECT, qr_allreduce
 
 
 class TestQr:
@@ -141,12 +139,11 @@ def falls_back(a):
 
 
 def takes_second_pass(a, shift=None):
-    """solo_R(a, shift) runs Cholesky QR2's second, chunked pass."""
-    with mock.patch.object(
-        dense, "_gram_of_product", wraps=dense._gram_of_product
-    ) as second:
+    """solo_R(a, shift) runs Cholesky QR2's second, chunked pass: a
+    crossprod with a right factor, R1^-1."""
+    with mock.patch.object(svd, "crossprod", wraps=svd.crossprod) as grams:
         solo_R(a, shift)
-    return second.called
+    return any(len(c.args) > 1 or "right" in c.kwargs for c in grams.call_args_list)
 
 
 def one_pass_factor(a, shift=None):
@@ -274,9 +271,9 @@ class TestTallR:
         assert falls_back(a)
         # With the condition test out of the way, the defect test alone
         # sends it there.
-        monkeypatch.setattr(dense, "CHOLQR_MAX_COND", np.inf)
+        monkeypatch.setattr(svd, "CHOLQR_MAX_COND", np.inf)
         assert falls_back(a)
-        monkeypatch.setattr(dense, "CHOLQR_MAX_DEFECT", 2 * defect)
+        monkeypatch.setattr(svd, "CHOLQR_MAX_DEFECT", 2 * defect)
         assert not falls_back(a)
 
     @pytest.mark.parametrize("cond", [1e5, 1e7])
@@ -290,7 +287,7 @@ class TestTallR:
         assert first_factor_cond(a) > CHOLQR_MAX_COND
         assert falls_back(a)
         # The condition test alone sent it there.
-        monkeypatch.setattr(dense, "CHOLQR_MAX_COND", np.inf)
+        monkeypatch.setattr(svd, "CHOLQR_MAX_COND", np.inf)
         assert not falls_back(a)
 
     def test_benchmark_shapes_take_one_pass(self):

@@ -17,6 +17,7 @@ from tallskinny.dense import (
     UnsupportedDtype,
     UnsupportedShape,
     chunk_rows,
+    row_chunks,
     sym_eigen,
 )
 from tallskinny.distmat import (
@@ -326,6 +327,56 @@ class TestCrossprod:
         norm2 = values[0]
         assert np.all(values >= -1e-10 * norm2)
 
+    @staticmethod
+    def gram_of_product(a, x, shift):
+        """Reference for crossprod(a, x): ((a - shift) x)^T ((a - shift) x)
+        over row chunks of a, each chunk's product written into one buffer
+        of the result dtype of a and x, then added in as its Gram."""
+        rows, cols = a.shape[0], x.shape[1]
+        chunk = chunk_rows(a, cols)
+        buf = np.empty((min(chunk, rows), cols), dtype=np.result_type(a, x))
+        g = np.zeros((cols, cols), dtype=buf.dtype)
+        for _, a_c in row_chunks(a, chunk, shift):
+            q_c = buf[: a_c.shape[0]]
+            np.matmul(a_c, x, out=q_c)
+            g += q_c.T @ q_c
+        return g
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_right_factor_is_bitwise_the_gram_of_the_product(self, dtype, size, shifted):
+        # Each block is two chunks and a row, against an n x n right factor
+        # (R1^-1 in Cholesky QR2) and a narrower one.
+        n = 40
+        chunk = chunk_rows(np.empty((0, n), dtype), n)
+        full = random_rows(13, 0, size * (2 * chunk + 1), n, "standard-normal", dtype) + dtype(10)
+        rights = [random_rows(14, 0, n, cols, "standard-normal", dtype) for cols in (n, 3)]
+
+        def worker(comm):
+            a = distribute(comm, full)
+            a = mean_center_columns(a)[0] if shifted else a
+            assert a.block.shape[0] >= 2 * chunk_rows(a.block, n)
+            got = [crossprod(a, right) for right in rights]
+            want = [comm.allreduce_sum(self.gram_of_product(a.block, right, a.shift))
+                    for right in rights]
+            return all(g.dtype == w.dtype == dtype and g.tobytes() == w.tobytes()
+                       for g, w in zip(got, want))
+
+        assert all(run_ranks(size, worker))
+
+    @pytest.mark.parametrize("right", [
+        np.ones((5, 4)), np.ones((4, 4), dtype=np.float32),
+    ], ids=["rows", "dtype"])
+    def test_bad_right_factor_raises_on_every_rank(self, right):
+        def worker(comm):
+            return crossprod(distribute(comm, np.ones((8, 4))), right)
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(2, worker)
+        assert sorted(info.value.failures) == [0, 1]
+        assert all(type(e) is ShapeError for e in info.value.failures.values())
+
 
 class TestMultLocal:
     def test_identity(self):
@@ -486,8 +537,8 @@ class TestMultTranspose:
 class TestOnePath:
     """A zero shift runs the unshifted matrix's own loop, bitwise.
 
-    crossprod (through dense.gram), mult_local, mult_transpose and
-    mult_and_transpose each walk the rows in one row_chunks loop, shifted
+    crossprod (through dense.gram, with or without a right factor),
+    mult_local, mult_transpose and mult_and_transpose each walk the rows in one row_chunks loop, shifted
     or not.
     """
 
@@ -519,6 +570,7 @@ class TestOnePath:
                                 np.zeros(self.Y_COLS, dtype))
             pairs = [(mult_local(zero, b).local, mult_local(a, b).local)
                      for b in factors]
+            pairs += [(crossprod(zero, b), crossprod(a, b)) for b in factors]
             pairs += [
                 (crossprod(zero), crossprod(a)),
                 (mult_transpose(zero, y), mult_transpose(a, y)),

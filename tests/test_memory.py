@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tallskinny import dense, svd
+from tallskinny import svd
 from tallskinny.comm import run_ranks
 from tallskinny.dense import chunk_rows
 from tallskinny.distmat import distribute, random_rows
@@ -100,11 +100,14 @@ def test_tssvd_second_pass_allocates_no_block_sized_array(
     # shifted when pca centers it.
     full = conditioned_matrix(M, N, 10.0, 3, dtype)
     second_passes = []
-    second_pass = dense._gram_of_product
-    monkeypatch.setattr(
-        dense, "_gram_of_product",
-        lambda *args: second_passes.append(1) or second_pass(*args),
-    )
+    grams = svd.crossprod
+
+    def counted(a, right=None):
+        if right is not None:
+            second_passes.append(1)
+        return grams(a, right)
+
+    monkeypatch.setattr(svd, "crossprod", counted)
     if centered:
         full = full + dtype(10)
         peak = traced_peak(full, lambda a: pca(a, method="tssvd").sdev, size)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tallskinny import dense, svd
+from tallskinny import svd
 from tallskinny.bench import verify_tolerance
 from tallskinny.comm import ReduceOperator, RankFailures, run_ranks, solo_communicator
 from tallskinny.dense import (
@@ -121,6 +121,21 @@ def count_calls(monkeypatch, module, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_second_grams(monkeypatch):
+    """Count svd.crossprod calls with a right factor, R1^-1: Cholesky QR2's
+    second Gram, over all ranks, for the rest of the test."""
+    calls = []
+    original = svd.crossprod
+
+    def counted(a, right=None):
+        if right is not None:
+            calls.append(1)
+        return original(a, right)
+
+    monkeypatch.setattr(svd, "crossprod", counted)
     return calls
 
 
@@ -245,7 +260,7 @@ class TestBands:
         # every rank count; its blocks at p = 4 and 7 are above sqrt(2), so
         # a per-rank decision would read them twice.
         full = self.BAND_INPUTS[band](dtype)
-        second_passes = count_calls(monkeypatch, dense, "_gram_of_product")
+        second_passes = count_second_grams(monkeypatch)
         householder = count_calls(monkeypatch, svd, "qr_R")
         combines = count_combines(monkeypatch)
         rs = run_ranks(size, lambda comm: qr_allreduce(distribute(comm, full)))
@@ -760,11 +775,10 @@ def test_tssvd_from_one_pass_blocks_within_verify_tolerance(case):
         local = np.linalg.svd(block.astype(np.float64), compute_uv=False)
         assert local[0] <= np.sqrt(2) * local[-1]
     oracle = np.linalg.svd(full.astype(np.float64), compute_uv=False)
-    with mock.patch.object(
-        dense, "_gram_of_product", wraps=dense._gram_of_product
-    ) as second:
+    with mock.patch.object(svd, "crossprod", wraps=svd.crossprod) as grams:
         sigma = run_ranks(len(blocks), lambda comm: svd_tsqr(distribute(comm, full)).sigma)[0]
-    assert not second.called
+    # No second pass: no crossprod with a right factor, R1^-1.
+    assert not [c for c in grams.call_args_list if len(c.args) > 1 or "right" in c.kwargs]
     assert np.all(np.abs(sigma - oracle) <= verify_tolerance("tssvd", oracle, dtype))
 
 
@@ -1036,6 +1050,15 @@ class TestZeroColumns:
         assert sorted(info.value.failures) == list(range(size))
         for exc in info.value.failures.values():
             assert isinstance(exc, UnsupportedShape)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_qr_allreduce_raises_before_any_collective(self, size):
+        def worker(comm):
+            with pytest.raises(UnsupportedShape):
+                qr_allreduce(distribute(comm, np.zeros((5, 0))))
+            return comm.collective_count
+
+        assert run_ranks(size, worker) == [0] * size
 
 
 class TestNonFiniteInput:
