@@ -4,12 +4,13 @@ A DistMatrix is a contiguous block of global rows per rank, in rank order.
 Row counts are balanced: the first (m mod p) ranks get one extra row, so
 the layout is a pure function of (m, p). Random generation splits the
 global rows into fixed blocks of ROW_BLOCK rows and draws each block from
-its own counter-based stream keyed on (seed, block index), which makes the
-assembled matrix bitwise independent of the rank count. For the same
-reason a range's blocks may be drawn on several threads: each block's
-bits depend only on its key, not on which thread draws it or when, and
-each thread writes only its blocks' rows of the result, so the result is
-bitwise the same for every thread count.
+its own SFC64 stream, seeded through a SeedSequence by one integer that
+packs (seed, block index, domain) into separate fields, so no two triples
+share a stream. That makes the assembled matrix bitwise independent of the
+rank count. For the same reason a range's blocks may be drawn on several
+threads: each block's bits depend only on its key, not on which thread
+draws it or when, and each thread writes only its blocks' rows of the
+result, so the result is bitwise the same for every thread count.
 
 The two multiply patterns: distributed times replicated stays local and
 distributed-transpose times distributed is a local product plus one
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from . import matfile
 from .comm import Communicator, core_share
@@ -134,26 +135,39 @@ def block_range(m, size, rank):
 
 
 def _block_stream(seed, block, domain):
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) << 64 | (int(block) & 0xFFFFFFFFFFFFFFFF)
-    counter = np.array([0, 0, domain, 0], dtype=np.uint64)
-    return Generator(Philox(key=key, counter=counter))
+    """The SFC64 stream of one ROW_BLOCK.
+
+    Its SeedSequence key packs three fields, lowest first: the domain in
+    one bit, the block index in 64, and above them the seed, zigzag-encoded
+    (2s for s >= 0, -2s - 1 for s < 0) so that every integer seed, of any
+    size or sign, has a field value of its own.
+    """
+    seed = int(seed)
+    zigzag = 2 * seed if seed >= 0 else -2 * seed - 1
+    key = zigzag << 65 | int(block) << 1 | int(domain)
+    return Generator(SFC64(SeedSequence(key)))
 
 
 def random_rows(seed, row_start, row_count, n, dist, dtype, domain=STREAM_DATA,
                 threads=None):
     """Rows [row_start, row_start + row_count) of the global random matrix.
 
-    Each ROW_BLOCK the range touches is drawn from its own stream
-    straight into its rows of the result. A stream is sequential, so a
-    block first draws and drops its rows before the range (none when the
-    range starts on the block's first row); numpy carries a half-used
-    32-bit word from one fill to the next, so the two fills give the bits
-    of one. The blocks are drawn on up to `threads` threads (default:
-    comm.core_share(1), the whole machine); numpy's generator fills
-    release the GIL, so they overlap. A one-block range starts no thread.
-    The result is bitwise the same for every thread count. A seed that is
-    not an integer, or a row_start, row_count or n that is not a
-    nonnegative integer, raises ValueError (numpy integers count).
+    Each ROW_BLOCK the range touches is drawn from its own SFC64 stream,
+    keyed on the exact (seed, block index, domain), straight into its rows
+    of the result: seeds that differ by 2**64, or in sign, draw different
+    rows, and the data and projection domains of one seed never share a
+    stream. A stream is sequential, so a block first draws and drops its
+    rows before the range (none when the range starts on the block's first
+    row); numpy carries a half-used 32-bit word from one fill to the next,
+    so the two fills give the bits of one. The blocks are drawn on up to
+    `threads` threads (default: comm.core_share(1), the whole machine);
+    numpy's generator fills release the GIL, so they overlap. A one-block
+    range starts no thread. The result is bitwise the same for every
+    thread count. A seed that is not an integer, or a row_start, row_count
+    or n that is not a nonnegative integer, raises ValueError (numpy
+    integers count), as do a domain other than STREAM_DATA and
+    STREAM_PROJECTION and a range that ends past ROW_BLOCK * 2**64 rows,
+    the reach of the key's block field.
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}; expected {DISTRIBUTIONS}")
@@ -162,9 +176,13 @@ def random_rows(seed, row_start, row_count, n, dist, dtype, domain=STREAM_DATA,
     for name, value in (("row_start", row_start), ("row_count", row_count), ("n", n)):
         if not isinstance(value, numbers.Integral) or value < 0:
             raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    if domain not in (STREAM_DATA, STREAM_PROJECTION):
+        raise ValueError(f"domain must be STREAM_DATA or STREAM_PROJECTION, got {domain!r}")
+    stop = row_start + row_count
+    if stop > ROW_BLOCK << 64:
+        raise ValueError(f"rows past ROW_BLOCK * 2**64 have no stream, got stop={stop}")
     dtype = np.dtype(dtype)
     out = np.empty((row_count, n), dtype=dtype)
-    stop = row_start + row_count
     blocks = range(row_start // ROW_BLOCK, -(-stop // ROW_BLOCK))
 
     def draw(block):

@@ -112,7 +112,7 @@ class TestGeneration:
         assert np.array_equal(got, generate_random(comm, 10, 2, seed=2).local)
 
     @pytest.mark.parametrize("row_start, row_count, n, name", [
-        (-5, 3, 3, "row_start"),  # would draw block -1's stream, masked to 2**64 - 1
+        (-5, 3, 3, "row_start"),  # would key block -1
         (2.0, 3, 3, "row_start"),
         (0, -1, 3, "row_count"),
         (0, 3.0, 3, "row_count"),
@@ -148,28 +148,56 @@ class TestGeneration:
         proj = random_rows(7, 0, 4, 3, "standard-normal", np.float64, domain=1)
         assert not np.array_equal(data, proj)
 
+    @pytest.mark.parametrize("seed, other", [(0, 2**64), (-1, 2**64 - 1), (5, -5),
+                                             (2**32, 2**32 + 1), (2**40, 2**40 + 2**32)])
+    def test_every_integer_seed_has_its_own_stream(self, seed, other):
+        # A seed field masked to 64 bits would give 0 the rows of 2**64,
+        # and -1 those of 2**64 - 1.
+        a = random_rows(seed, 0, 4, 3, "standard-normal", np.float64)
+        b = random_rows(other, 0, 4, 3, "standard-normal", np.float64)
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70, -(2**70)])
+    def test_adjacent_blocks_draw_different_rows(self, seed):
+        a, b = (random_rows(seed, block * ROW_BLOCK, 4, 3, "uniform01", np.float64)
+                for block in (6, 7))
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("domain", [2, -1, 0.5])
+    def test_unknown_domain_rejected(self, domain):
+        with pytest.raises(ValueError, match="^domain must be"):
+            random_rows(0, 0, 4, 3, "uniform01", np.float64, domain=domain)
+
+    def test_rows_past_the_block_field_rejected(self):
+        # The key holds the block index in 64 bits; one block past that
+        # would share the seed field's lowest bit.
+        last = ROW_BLOCK << 64
+        assert random_rows(0, last - 2, 2, 0, "uniform01", np.float64).shape == (2, 0)
+        with pytest.raises(ValueError, match="no stream"):
+            random_rows(0, last - 2, 3, 0, "uniform01", np.float64)
+
     # sha256 of the assembled generate_random(m, n, dist, seed=2024) bytes,
     # pinned from the sequential generator. Rank boundaries at p = 3 fall
-    # inside a ROW_BLOCK for both shapes. The bits are numpy's Philox and
-    # its fills, so a numpy release that changed its streams would show
-    # here first.
+    # inside a ROW_BLOCK for both shapes. The bits are numpy's SeedSequence,
+    # SFC64 and its fills, so a numpy release that changed any of them
+    # would show here first.
     GOLDEN = {
         (2 * ROW_BLOCK + 5, 3, "standard-normal", np.float32):
-            "48c59f9ce9acb66b7d370599d7de79bf191f7da2b85e9532c07bddbd629c137b",
+            "6f5ec388fab0653637839157f356ceb5de6a470e5e95fd27198e05c0df068081",
         (2 * ROW_BLOCK + 5, 3, "standard-normal", np.float64):
-            "de68b05cbb38cdb8766e73892e6bafc3cf95a60a45a16c84b2ba480eba1bc802",
+            "b33d5a759286a60b41aa28ea752997a94001826560c0e8de767324436d0c8fcd",
         (2 * ROW_BLOCK + 5, 3, "uniform01", np.float32):
-            "c12df9a9b5f6fbdcf0ad31b345a3caac3e046d61505148d4ab9cfee2fba14a3a",
+            "6ea498c3b353a5bf06debf0771886ce4d230178027a0c856fe226467fc536dd1",
         (2 * ROW_BLOCK + 5, 3, "uniform01", np.float64):
-            "f1ad670f9165a906f1c7095a6817a0331e6cb02273e146140af5fb3bf63b3d8b",
+            "33cd2453cb7ad7ae693c74855c77d73ae640489d132191d69cdfa8a5471a937f",
         (5 * ROW_BLOCK + 1234, 7, "standard-normal", np.float32):
-            "18f680c777420f2482c404767a8333eff0173133fe12241cbd67e2fb1f9740ab",
+            "b63b1d36b458c27ad4010a497c105a1793e20a03c9c695c86d1107bb14e2b536",
         (5 * ROW_BLOCK + 1234, 7, "standard-normal", np.float64):
-            "66b28cf47f1f9395c8ad24c6c74b5eaf040c70fb8686641abba08648ea5d9e89",
+            "8795312f09e88739b0243c6f2b0e4aa553f87552e823f6238839da4130ace2e8",
         (5 * ROW_BLOCK + 1234, 7, "uniform01", np.float32):
-            "dca4fc7f7e72298f7c21f6b7aff1a7f7e92820f182fb42529e584ee24024f800",
+            "9e38b8fb6237944e4724dbdc6d0ba19db00e7877b97689ddd8b13bbda86d61ac",
         (5 * ROW_BLOCK + 1234, 7, "uniform01", np.float64):
-            "9a2513374bab6c7b380393bc1cd71740a3785a4ae973757883301450fb94dc36",
+            "09b03fe2c870b8699f2e76c70f67e12204ebfe134f13a119ba241476a7e454bb",
     }
 
     @pytest.mark.parametrize("size", [1, 3])
@@ -178,6 +206,60 @@ class TestGeneration:
         blocks = run_ranks(size, lambda c: generate_random(c, m, n, dist, 2024, dtype).local)
         digest = hashlib.sha256(np.vstack(blocks).tobytes()).hexdigest()
         assert digest == self.GOLDEN[(m, n, dist, dtype)]
+
+
+class TestStreamStatistics:
+    """Moments and correlations of 1e6 values from a range over many blocks.
+
+    Each bound is 6 standard errors, which a sound stream exceeds with
+    probability about 2e-9; the seed is fixed, so the tests never flake.
+    """
+
+    N_ROWS, N_COLS = 100_000, 10  # 1e6 values over 25 blocks
+    START = ROW_BLOCK // 2  # the range starts and ends inside a block
+
+    def rows(self, dist, dtype, domain=distmat.STREAM_DATA):
+        return random_rows(41, self.START, self.N_ROWS, self.N_COLS, dist, dtype,
+                           domain=domain).astype(np.float64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_standard_normal_moments(self, dtype):
+        x = self.rows("standard-normal", dtype).ravel()
+        se = 1 / np.sqrt(x.size)
+        assert abs(x.mean()) < 6 * se
+        assert abs(x.var() - 1) < 6 * np.sqrt(2) * se
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lag_one_correlation(self, dtype):
+        # In row order, consecutive values straddle every block boundary
+        # the range crosses.
+        x = self.rows("standard-normal", dtype).ravel()
+        assert abs(np.corrcoef(x[:-1], x[1:])[0, 1]) < 6 / np.sqrt(x.size - 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adjacent_blocks_uncorrelated(self, dtype):
+        # The same position in consecutive blocks: streams keyed on
+        # neighbouring block indices must not move together.
+        x = self.rows("standard-normal", dtype)
+        first = ROW_BLOCK - self.START  # the range's first block boundary
+        whole = (self.N_ROWS - first) // ROW_BLOCK
+        blocks = x[first : first + whole * ROW_BLOCK].reshape(whole, -1)
+        pairs = blocks[:-1].size
+        assert abs(np.corrcoef(blocks[:-1].ravel(), blocks[1:].ravel())[0, 1]) < 6 / np.sqrt(pairs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uniform01_mean(self, dtype):
+        x = self.rows("uniform01", dtype).ravel()
+        assert abs(x.mean() - 0.5) < 6 * np.sqrt(1 / 12) / np.sqrt(x.size)
+
+    def test_data_and_projection_domains_differ_in_every_block(self):
+        data = self.rows("standard-normal", np.float64)
+        proj = self.rows("standard-normal", np.float64, distmat.STREAM_PROJECTION)
+        boundaries = range(ROW_BLOCK - self.START, self.N_ROWS, ROW_BLOCK)
+        assert all(not np.array_equal(d, p) for d, p in
+                   zip(np.split(data, boundaries), np.split(proj, boundaries)))
+        # Nor are the two domains correlated.
+        assert abs(np.corrcoef(data.ravel(), proj.ravel())[0, 1]) < 6 / np.sqrt(data.size)
 
 
 class TestThreadedGeneration:
