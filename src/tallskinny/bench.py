@@ -35,6 +35,9 @@ RSVD_VERIFY_TOLERANCE = 1e-2
 # probability at least 1 - 2 exp(-lambda^2 / 2), about 0.98 at lambda = 3
 # (Higham & Mary, SISC 2019, Thm 2.4).
 ROUNDING_LAMBDA = 3
+# Most ranks a run or verify starts, each a thread. Fixed, not read from
+# the core count, so that a command valid on one host is valid on all.
+MAX_RANKS = 256
 
 
 class ConfigError(ValueError):
@@ -64,8 +67,8 @@ class BenchConfig:
     def validate(self):
         if self.precision not in PRECISIONS:
             raise ConfigError(f"unknown precision {self.precision!r}; expected f32 or f64")
-        if self.ranks < 1:
-            raise ConfigError(f"ranks must be >= 1, got {self.ranks}")
+        if not 1 <= self.ranks <= MAX_RANKS:
+            raise ConfigError(f"ranks must be in 1..{MAX_RANKS}, got {self.ranks}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.input_path is None:
@@ -111,7 +114,7 @@ def _load_matrix(comm, cfg):
 
 def _bench_worker(comm, cfg):
     """(shape, this rank's seconds per rep, sigma sum per rep)."""
-    # One load serves every rep (no route writes to a.local), and the
+    # One load serves every rep (no route writes to a.block), and the
     # route is bound once, outside the clock.
     a = _load_matrix(comm, cfg)
     solve, _ = route(cfg.algo, a.cols, cfg.rsvd_params())

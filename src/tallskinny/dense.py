@@ -20,11 +20,13 @@ factorizations wherever the input's condition allows, and qr_R
 
 Passes that read a block against a small replicated factor walk its rows
 in chunks of chunk_rows(block, factor columns) through row_chunks: gram,
-the one Gram kernel, and every multiply in distmat. gram sums the Gram of
-each chunk, or of the chunk's product with a right factor (R1^-1 in
-Cholesky QR2's second pass). A chunk is reused while it is still in
-cache, and nothing the height of the block is allocated beyond the
-pass's output. A block with a shift (an n-vector, the column means of a
+the one Gram kernel, every multiply in distmat, and svd.qr_allreduce's
+Householder band. gram sums the Gram of each chunk, or of the chunk's
+product with a right factor (R1^-1 in Cholesky QR2's second pass). The
+band folds each chunk into a running n x n R, in float64, by qr_R of R
+stacked over the chunk: the combine its reduction tree applies to two
+ranks' R factors. A chunk is reused while it is still in cache, and
+nothing the height of the block is allocated beyond the pass's output. A block with a shift (an n-vector, the column means of a
 centered matrix) stands for block - shift: row_chunks subtracts the
 shift from each chunk into one reused buffer, so every pass reads the
 centered block without a centered copy of it. Shifted or not, every pass

@@ -28,15 +28,12 @@ whose `shift` is the n-vector of its block's column means: the matrix is
 block - shift, and no m x n centered copy exists. The kernels here
 (crossprod, mult_local, mult_transpose on either argument,
 mult_and_transpose) read a block, shifted or not, in row chunks through
-dense.row_chunks, each centered into one reused buffer. The only other
-reads of a whole block are:
-- mean_center_columns' column sums, taken in float64, which allocate n
-  plus numpy's fixed casting buffer (np.getbufsize() values);
-- qr_allreduce's Householder band: np.linalg.qr factors a float64 copy
-  of `local` (centered when shifted, and zero-padded to n rows when
-  shorter), so m x n.
-That band is the one reader of `local` in the package; it serves callers
-outside the package, the tests and perfbench.
+dense.row_chunks, each centered into one reused buffer, and so does
+qr_allreduce's Householder band. The only other read of a whole block
+is mean_center_columns' column sums, taken in float64, which allocate n
+plus numpy's fixed casting buffer (np.getbufsize() values). No code in
+the package reads `local`; it serves callers outside the package, the
+tests and perfbench.
 """
 
 import numbers

@@ -19,13 +19,17 @@ arrays, never an m x n intermediate. Last, ill-conditioned input (a
 Cholesky fails, an intermediate is not finite, the first factor's
 condition estimate exceeds 1e4, beyond which the GEMM against its
 inverse loses accuracy, or the first pass leaves Q1 too far from
-orthonormal) takes the communication-avoiding TSQR tree: each rank
-factors its block by Householder qr_R, and a custom allreduce stacks R
-factors two at a time and re-factors. cpsvd's Gram is n x n too, so neither full-spectrum
-route allocates anything the height of the block for sigma and V in
-their Cholesky bands, which is all pca asks for without scores: the
-centered matrix pca passes in is its input block plus a shift (the
-column means), which every pass over the rows subtracts chunk by chunk.
+orthonormal) takes the communication-avoiding TSQR tree (Demmel,
+Grigori, Hoemmen & Langou, SISC 2012), whose one combine, the
+Householder R of two stacked row sets, serves both of its levels: each
+rank folds its row chunks one by one into a running n x n R, and a
+custom allreduce stacks the ranks' R factors two at a time and
+re-factors.
+cpsvd's Gram is n x n too, so neither full-spectrum route allocates
+anything the height of the block for sigma and V in any band, which is
+all pca asks for without scores: the centered matrix pca passes in is
+its input block plus a shift (the column means), which every pass over
+the rows subtracts chunk by chunk.
 
 svd_randomized: truncated SVD by random projection with q power
 iterations, in q + 1 passes over A. Each pass reads the local rows once,
@@ -84,9 +88,11 @@ from .dense import (
     ShapeError,
     UnsupportedShape,
     as_matrix,
+    chunk_rows,
     qr_Q,
     qr_R,
     require_finite,
+    row_chunks,
     small_svd,
     solve_triangular_right,  # noqa: F401 - still traced by perfbench
     sym_eigen,
@@ -197,8 +203,10 @@ def svd_normal_equations(a, want_u=False):
 
 
 def _stack_and_factor(lower, higher):
-    """R factor of two stacked n x n R factors. qr_R is looked up at call
-    time, so a tracer that patches svd.qr_R sees the combine."""
+    """R factor of two row sets of n columns stacked, lower on top: two
+    ranks' R factors up the tree, or a rank's running R and its next row
+    chunk. qr_R is looked up at call time, so a tracer that patches
+    svd.qr_R sees the combine."""
     return qr_R(np.vstack((lower, higher)))
 
 
@@ -219,22 +227,28 @@ def qr_allreduce(a):
     Cholesky failure, a failed guard or a non-finite value, as f32 data
     near 1e19 overflows G1). Every test reads G1 or G2, bitwise the same
     on every rank, so every rank takes the same band with no extra
-    message. In the Householder band each rank factors its rows,
-    zero-padded to n when shorter, by qr_R, and the QR_REDUCE allreduce
-    stacks the n x n factors two at a time up the tree and re-factors
-    each pair. R is upper triangular with a nonnegative diagonal, so if
-    it holds NaN or Inf every rank raises NonFiniteInput. Every rank
-    holds the same column count, so an A with none raises
-    UnsupportedShape on every rank, before any collective.
+    message. In the Householder band each rank folds its rows, in
+    row_chunks of chunk_rows(block, n), into a running R that starts as
+    n x n zeros: _stack_and_factor stacks each chunk under R and
+    re-factors, in float64 whatever the block's dtype. Every stack thus
+    has at least n rows, and beyond its block a rank holds one chunk and
+    its stack. R is cast to the block's dtype once, and the QR_REDUCE
+    allreduce stacks the ranks' n x n factors two at a time up the tree
+    and re-factors each pair. R is upper triangular with a nonnegative
+    diagonal, so if it holds NaN or Inf every rank raises
+    NonFiniteInput. Every rank holds the same column count, so an A with
+    none raises UnsupportedShape on every rank, before any collective.
     """
     if a.cols < 1:
         raise UnsupportedShape(f"qr_allreduce needs cols >= 1, got {a.cols}")
     r = _cholesky_bands(a)
     if r is None:
-        x = a.local
-        if x.shape[0] < a.cols:
-            x = np.pad(x, ((0, a.cols - x.shape[0]), (0, 0)))
-        r = a.comm.allreduce_custom(qr_R(x), QR_REDUCE)
+        # R runs in float64 and is cast once: rounded to float32 after each
+        # of 77 chunks (2e5 x 50, kappa = 1e6) it erred twice as much.
+        r = np.zeros((a.cols, a.cols))
+        for _, rows in row_chunks(a.block, chunk_rows(a.block, a.cols), a.shift):
+            r = _stack_and_factor(r, rows)
+        r = a.comm.allreduce_custom(r.astype(a.dtype), QR_REDUCE)
     return require_finite(r, "reduced R factor")
 
 

@@ -200,6 +200,19 @@ class TestUsageErrors:
         assert err.startswith(f"usage: svdbench {command} ")
         assert f"unrecognized arguments: {flag} {value}" in err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_ranks_above_the_ceiling_exit_2_before_any_rank_starts(
+        self, monkeypatch, capsys, command
+    ):
+        def no_ranks(*args, **kwargs):
+            raise AssertionError("run_ranks called")
+
+        monkeypatch.setattr(bench, "run_ranks", no_ranks)
+        args = [command, "--algo", "tssvd", "--rows", "300", "--cols", "10"]
+        assert main([*args, "--ranks", str(10**9)]) == 2
+        assert f"1..{bench.MAX_RANKS}" in capsys.readouterr().err
+        BenchConfig("tssvd", 300, 10, ranks=bench.MAX_RANKS).validate()
+
     def test_no_arguments_prints_help(self, capsys):
         assert main([]) == 2
         assert "svdbench" in capsys.readouterr().out

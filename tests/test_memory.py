@@ -119,6 +119,49 @@ def test_tssvd_second_pass_allocates_no_block_sized_array(
     check(peak, bound, full, f"tssvd second pass, centered={centered} p={size}")
 
 
+# verify's cond1e6 instance takes qr_allreduce's Householder band. At this
+# height one m x n array does not fit under the band's bound, and a rank
+# folds 8 to 31 chunks into its R.
+TREE_M = 40_000
+
+
+@pytest.fixture(scope="module")
+def cond1e6():
+    """dtype -> the TREE_M x N cond1e6 matrix, built once per dtype."""
+    built = {}
+
+    def get(dtype):
+        if dtype not in built:
+            built[dtype] = conditioned_matrix(TREE_M, N, 1e6, 3, dtype)
+        return built[dtype]
+
+    return get
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("centered", [False, True])
+def test_tree_band_holds_one_stack_per_rank(monkeypatch, cond1e6, centered, dtype, size):
+    # Each rank folds its chunks into a float64 R, one stack of R over a
+    # chunk, (n + chunk) x n, at a time; np.linalg.qr factors a float64
+    # copy of it. Beside the two stacks a rank holds a few n x n factors,
+    # and pca one centering buffer.
+    full = cond1e6(dtype)
+    factors = []
+    householder = svd.qr_R
+    monkeypatch.setattr(svd, "qr_R", lambda x: factors.append(1) or householder(x))
+    stack = (N + chunk_rows(full, N)) * N * 8
+    bound = size * (2 * stack + SLACK * 4 * N * N * 8)
+    if centered:
+        full = full + dtype(10)
+        peak = traced_peak(full, lambda a: pca(a, method="tssvd").sdev, size)
+        bound += size * (chunk_bytes(full) + SLACK * N * N * 8)
+    else:
+        peak = traced_peak(full, lambda a: svd.svd_tsqr(a).sigma, size)
+    check(peak, bound, full, f"tssvd tree band, centered={centered} p={size}")
+    assert len(factors) >= size * 3
+
+
 @pytest.mark.parametrize("size", [1, 2])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_rsvd_fallback_holds_one_product_more_than_the_fast_path(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tallskinny import svd
+from tallskinny import dense, svd
 from tallskinny.bench import verify_tolerance
 from tallskinny.comm import ReduceOperator, RankFailures, run_ranks, solo_communicator
 from tallskinny.dense import (
@@ -14,6 +14,7 @@ from tallskinny.dense import (
     ShapeError,
     UnsupportedDtype,
     UnsupportedShape,
+    chunk_rows,
     gram,
     qr_Q,
     qr_R,
@@ -21,6 +22,7 @@ from tallskinny.dense import (
 )
 from tallskinny.distmat import (
     STREAM_PROJECTION,
+    block_rows,
     distribute,
     generate_random,
     mean_center_columns,
@@ -166,9 +168,11 @@ class TestQrAllreduce:
         r1 = np.linalg.cholesky(gram(full)).T
         q1 = full @ np.linalg.inv(r1)
         assert np.array_equal(got, np.triu(np.linalg.cholesky(gram(q1)).T @ r1))
+        # kappa = 1e6 takes the Householder band: the block, one chunk, is
+        # folded onto the n x n zero seed in float64.
         full = tree_full(30, 4, 8)
         got = qr_allreduce(distribute(solo_communicator(), full))
-        assert np.array_equal(got, qr_R(full))
+        assert np.array_equal(got, qr_R(np.vstack((np.zeros((4, 4)), full))).astype(full.dtype))
         assert combines == []
 
     def test_stacked_identities(self):
@@ -225,7 +229,7 @@ class TestQrAllreduce:
 
     def test_ranks_without_rows(self, monkeypatch):
         # 5 rows over 8 ranks: ranks 5, 6 and 7 hold none. In the tree,
-        # every rank's block is zero-padded to 3 rows.
+        # a rank's R starts as 3 x 3 zeros, and a rank without rows keeps it.
         combines = count_combines(monkeypatch)
 
         def worker(comm):
@@ -266,12 +270,64 @@ class TestBands:
         rs = run_ranks(size, lambda comm: qr_allreduce(distribute(comm, full)))
         assert len(second_passes) == (size if band == "two-pass" else 0)
         assert len(combines) == (size - 1 if band == "tree" else 0)
-        # In the tree each rank factors its block, and each combine its pair.
+        # In the tree each rank folds its block, one chunk here, and each
+        # combine factors its pair.
         assert len(householder) == (2 * size - 1 if band == "tree" else 0)
         for r in rs:
             assert r.dtype == dtype
             assert np.array_equal(r, rs[0])
             assert np.count_nonzero(np.tril(r, -1)) == 0 and np.all(np.diag(r) >= 0)
+
+
+def folded_R(x):
+    """The Householder band's R of one rank's rows x, written out: each
+    chunk stacked under the running float64 R and factored, from n x n
+    zeros, then cast to x's dtype once."""
+    n = x.shape[1]
+    chunk = chunk_rows(x, n)
+    r = np.zeros((n, n))
+    for start in range(0, x.shape[0], chunk):
+        r = qr_R(np.vstack((r, x[start : start + chunk])))
+    return r.astype(x.dtype)
+
+
+class TestTreeBandFold:
+    """kappa = 1e6 takes the Householder band, where each rank folds its
+    rows into R chunk by chunk. With 1 KiB chunks a chunk is the floor of
+    4n rows, so every rank's block spans at least 3 of them."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_multi_chunk_blocks(self, monkeypatch, dtype, shifted, size):
+        monkeypatch.setattr(dense, "PASS_CHUNK_BYTES", 1024)
+        m, n = 500, 10
+        full = conditioned_matrix(m, n, 1e6, 43, dtype)
+        chunk = chunk_rows(full, n)
+        assert min(block_rows(m, size)) >= 3 * chunk
+        householder = count_calls(monkeypatch, svd, "qr_R")
+
+        def worker(comm):
+            a = distribute(comm, full)
+            if shifted:
+                a = mean_center_columns(a)[0]
+            return qr_allreduce(a), a.shift
+
+        out = run_ranks(size, worker)
+        # One factor per chunk on each rank, and one per combine.
+        chunks = sum(-(-rows // chunk) for rows in block_rows(m, size))
+        assert len(householder) == chunks + size - 1
+        r, shift = out[0]
+        for got, _ in out:
+            assert np.array_equal(got, r)
+        assert r.dtype == dtype
+        assert np.count_nonzero(np.tril(r, -1)) == 0 and np.all(np.diag(r) >= 0)
+        x = full if shift is None else full - shift
+        oracle = np.linalg.svd(x.astype(np.float64), compute_uv=False)
+        error = np.abs(small_svd(r)[0] - oracle)
+        assert np.all(error <= verify_tolerance("tssvd", oracle, dtype))
+        if size == 1:
+            assert np.array_equal(r, folded_R(x))
 
 
 class TestTsqr:
