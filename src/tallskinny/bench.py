@@ -207,11 +207,12 @@ def run_verify(cfg, matrix_kind, out):
     """Compare the chosen algorithm against an f64 SVD of the full matrix.
 
     The oracle is LAPACK's values-only SVD in float64, a different driver
-    from the gesdd-with-vectors call the routes make; verify_tolerance gives
-    the bound on each value. Truncated SVD is only meaningful on a spectrum
-    with decay, so rsvd verification swaps flat random data for a decaying
-    low-rank instance. An input file is checked as it is, for every route;
-    the built-in cond1e6 instance cannot be asked for with one.
+    from the gesdd or eigh call with vectors the routes make;
+    verify_tolerance gives the bound on each value. Truncated SVD is only
+    meaningful on a spectrum with decay, so rsvd verification swaps flat
+    random data for a decaying low-rank instance. An input file is checked
+    as it is, for every route; the built-in cond1e6 instance cannot be
+    asked for with one.
     """
     if cfg.input_path is not None and matrix_kind != "random":
         raise ConfigError(

@@ -21,7 +21,8 @@ Each of the three is one loop over row chunks, shifted or not.
 crossprod is the replicated Gram: of A, or of A times a replicated right
 factor, one dense.gram and one sum-allreduce either way. It serves both
 Gram passes of svd.qr_allreduce's Cholesky QR2, A^T A and then
-(A R1^-1)^T (A R1^-1), and cpsvd's crossproduct.
+(A R1^-1)^T (A R1^-1), and the A^T A that cpsvd, and tssvd in its
+one-pass band, eigendecompose.
 
 A centered matrix is implicit. mean_center_columns returns a DistMatrix
 whose `shift` is the n-vector of its block's column means: the matrix is

@@ -5,26 +5,29 @@ singular values are square roots of the eigenvalues. One allreduce, very
 fast, but forming A^T A squares the condition number.
 
 svd_tsqr: the SVD of the R factor of A, whose local SVD gives sigma and
-V. qr_allreduce(a), the one entry for a distributed R, factors the Gram
-summed over the ranks by Cholesky QR, GEMMs and n x n LAPACK calls that
-release the GIL, so rank threads overlap. The summed Gram is bitwise the
-same on every rank, so the group takes one of three bands by A's
-condition number, whatever the rank count. Up to sqrt(2) one pass
-already meets the error bound of two, and A is read once;
-standard-normal matrices, as the benchmarks draw them, are here. Above
-it Cholesky QR2 adds a second pass, the Gram crossprod(a, R1^-1), which
-streams each block in cache-sized row chunks against R1^-1 and sums over
-the ranks, so beyond its block a rank holds one chunk and a few n x n
-arrays, never an m x n intermediate. Last, ill-conditioned input (a
-Cholesky fails, an intermediate is not finite, the first factor's
-condition estimate exceeds 1e4, beyond which the GEMM against its
-inverse loses accuracy, or the first pass leaves Q1 too far from
-orthonormal) takes the communication-avoiding TSQR tree (Demmel,
-Grigori, Hoemmen & Langou, SISC 2012), whose one combine, the
-Householder R of two stacked row sets, serves both of its levels: each
-rank folds its row chunks one by one into a running n x n R, and a
-custom allreduce stacks the ranks' R factors two at a time and
-re-factors.
+V, or, where one Cholesky QR pass would give R, the eigendecomposition
+of the Gram that R comes from. svd_tsqr forms the Gram summed over the
+ranks and its eigendecomposition once, by GEMMs and an n x n LAPACK call
+that release the GIL, so rank threads overlap. The summed Gram is
+bitwise the same on every rank, so the group takes one of three bands by
+A's condition number, whatever the rank count. Up to sqrt(2) the
+eigendecomposition already meets the error bound of two Cholesky QR
+passes, as one pass's R would, and A is read once: sigma and V are
+cpsvd's, bitwise, and no R is formed. Standard-normal matrices, as the
+benchmarks draw them, are here. Above it the same Gram and eigenvalues
+go to qr_allreduce, the one entry for a distributed R, where Cholesky
+QR2 adds a second pass, the Gram crossprod(a, R1^-1), which streams each
+block in cache-sized row chunks against R1^-1 and sums over the ranks,
+so beyond its block a rank holds one chunk and a few n x n arrays, never
+an m x n intermediate. Last, ill-conditioned input (a Cholesky fails, an
+intermediate is not finite, the first factor's condition estimate
+exceeds 1e4, beyond which the GEMM against its inverse loses accuracy,
+or the first pass leaves Q1 too far from orthonormal) takes the
+communication-avoiding TSQR tree (Demmel, Grigori, Hoemmen & Langou,
+SISC 2012), _tree_R, whose one combine, the Householder R of two stacked
+row sets, serves both of its levels: each rank folds its row chunks one
+by one into a running n x n R, and a custom allreduce stacks the ranks'
+R factors two at a time and re-factors.
 cpsvd's Gram is n x n too, so neither full-spectrum route allocates
 anything the height of the block for sigma and V in any band, which is
 all pca asks for without scores: the centered matrix pca passes in is
@@ -56,8 +59,10 @@ column is zero where sigma is exactly 0.
 The first reduced value of each route (the crossproduct, the W of each
 rsvd power iteration, or the R factor qr_allreduce returns, of A in
 tssvd and of Y in rsvd) and the returned sigma are checked for NaN and
-Inf. A reduced value is bitwise the same on every rank, so every rank
-raises NonFiniteInput together, with no extra message.
+Inf. tssvd and qr_allreduce check their Gram first, and a non-finite one
+goes to the TSQR tree, whose R is then checked. A reduced value is
+bitwise the same on every rank, so every rank raises NonFiniteInput
+together, with no extra message.
 
 Each route computes sigma and V inside one np.errstate(all="ignore")
 block, and pca.pca takes its centering into one too. Non-finite input or
@@ -193,13 +198,18 @@ def recover_U(a, v, sigma):
     return mult_local(a, scaled)
 
 
+def _gram_svd(values, vectors):
+    """(sigma, V) of A from sym_eigen(A^T A): sigma_i = sqrt(lambda_i), and
+    V is the eigenvectors, already descending and sign-fixed."""
+    return require_finite(np.sqrt(np.maximum(values, 0)), "sigma"), vectors
+
+
 def svd_normal_equations(a, want_u=False):
     """Sigma and V (and U) from the eigendecomposition of A^T A."""
     _require_tall(a, "svd_normal_equations")
     with np.errstate(all="ignore"):
-        values, vectors = sym_eigen(crossprod(a))
-        sigma = require_finite(np.sqrt(np.maximum(values, 0)), "sigma")
-    return SvdResult(sigma, vectors, recover_U(a, vectors, sigma) if want_u else None)
+        sigma, v = _gram_svd(*sym_eigen(crossprod(a)))
+    return SvdResult(sigma, v, recover_U(a, v, sigma) if want_u else None)
 
 
 def _stack_and_factor(lower, higher):
@@ -218,38 +228,66 @@ def qr_allreduce(a):
 
     A is a's block, less its shift when set. The group takes one band,
     as distributed Cholesky QR2 does (Fukaya, Nakatsukasa, Yanagisawa &
-    Yamamoto, ScalA 2014), decided on the summed Gram G1 = crossprod(a):
-    one pass, R = triu(chol(G1)^T), where one eigvalsh of G1 puts
-    kappa_2(R1) at or below CHOLQR_ONE_PASS_MAX_COND; two passes up to
-    CHOLQR_MAX_COND and CHOLQR_MAX_DEFECT, where the second Gram
-    G2 = crossprod(a, R1^-1) = Q1^T Q1 streams each rank's rows against
-    R1^-1 and gives R = triu(R2 R1); and otherwise Householder (a
+    Yamamoto, ScalA 2014), decided on the summed Gram G1 = crossprod(a)
+    and its eigenvalues from one sym_eigen: one pass, R = triu(chol(G1)^T),
+    where the eigenvalues put kappa_2(R1) at or below
+    CHOLQR_ONE_PASS_MAX_COND; two passes up to CHOLQR_MAX_COND and
+    CHOLQR_MAX_DEFECT, where the second Gram G2 = crossprod(a, R1^-1) =
+    Q1^T Q1 streams each rank's rows against R1^-1 and gives
+    R = triu(R2 R1); and otherwise the Householder tree of _tree_R (a
     Cholesky failure, a failed guard or a non-finite value, as f32 data
-    near 1e19 overflows G1). Every test reads G1 or G2, bitwise the same
-    on every rank, so every rank takes the same band with no extra
-    message. In the Householder band each rank folds its rows, in
-    row_chunks of chunk_rows(block, n), into a running R that starts as
-    n x n zeros: _stack_and_factor stacks each chunk under R and
-    re-factors, in float64 whatever the block's dtype. Every stack thus
-    has at least n rows, and beyond its block a rank holds one chunk and
-    its stack. R is cast to the block's dtype once, and the QR_REDUCE
-    allreduce stacks the ranks' n x n factors two at a time up the tree
-    and re-factors each pair. R is upper triangular with a nonnegative
-    diagonal, so if it holds NaN or Inf every rank raises
-    NonFiniteInput. Every rank holds the same column count, so an A with
-    none raises UnsupportedShape on every rank, before any collective.
+    near 1e19 overflows G1; a non-finite G1 skips the eigen solve). Every
+    test reads G1, its eigenvalues or G2, bitwise the same on every rank,
+    so every rank takes the same band with no extra message. svd_tsqr
+    forms G1 and its eigendecomposition itself, answers the one-pass band
+    from them, and hands both to the same band code for the others. R is
+    upper triangular with a nonnegative diagonal, so if it holds NaN or
+    Inf every rank raises NonFiniteInput. Every rank holds the same
+    column count, so an A with none raises UnsupportedShape on every rank,
+    before any collective.
     """
     if a.cols < 1:
         raise UnsupportedShape(f"qr_allreduce needs cols >= 1, got {a.cols}")
-    r = _cholesky_bands(a)
+    with np.errstate(all="ignore"):
+        g1, values, _ = _gram_eigen(a)
+    return _banded_R(a, g1, values)
+
+
+def _gram_eigen(a):
+    """(G1, values, vectors): G1 = crossprod(a), summed over the ranks, and
+    sym_eigen(G1), or None and None where G1 holds NaN or Inf."""
+    g1 = crossprod(a)
+    if not np.all(np.isfinite(g1)):
+        return g1, None, None
+    return (g1, *sym_eigen(g1))
+
+
+def _banded_R(a, g1, values):
+    """qr_allreduce's R from the summed Gram G1 and its eigenvalues
+    (descending, None where G1 is not finite)."""
+    r = _cholesky_bands(a, g1, values)
     if r is None:
-        # R runs in float64 and is cast once: rounded to float32 after each
-        # of 77 chunks (2e5 x 50, kappa = 1e6) it erred twice as much.
-        r = np.zeros((a.cols, a.cols))
-        for _, rows in row_chunks(a.block, chunk_rows(a.block, a.cols), a.shift):
-            r = _stack_and_factor(r, rows)
-        r = a.comm.allreduce_custom(r.astype(a.dtype), QR_REDUCE)
+        r = _tree_R(a)
     return require_finite(r, "reduced R factor")
+
+
+def _tree_R(a):
+    """R of the distributed A by the TSQR tree of Householder factors.
+
+    Each rank folds its rows, in row_chunks of chunk_rows(block, n), into
+    a running R that starts as n x n zeros: _stack_and_factor stacks each
+    chunk under R and re-factors, in float64 whatever the block's dtype.
+    Every stack thus has at least n rows, and beyond its block a rank
+    holds one chunk and its stack. R is cast to the block's dtype once,
+    and the QR_REDUCE allreduce stacks the ranks' n x n factors two at a
+    time up the tree and re-factors each pair.
+    """
+    # R runs in float64 and is cast once: rounded to float32 after each
+    # of 77 chunks (2e5 x 50, kappa = 1e6) it erred twice as much.
+    r = np.zeros((a.cols, a.cols))
+    for _, rows in row_chunks(a.block, chunk_rows(a.block, a.cols), a.shift):
+        r = _stack_and_factor(r, rows)
+    return a.comm.allreduce_custom(r.astype(a.dtype), QR_REDUCE)
 
 
 # Largest orthogonality defect ||G2 - I||_F that qr_allreduce accepts
@@ -274,9 +312,10 @@ CHOLQR_MAX_DEFECT = 0.5
 # 28 n (u + u64) sigma_1 at kappa = 1e7 in float64.
 CHOLQR_MAX_COND = 1e4
 # Largest 2-norm condition number of R1 = chol(A^T A)^T at which
-# qr_allreduce returns R1 after one Cholesky QR pass; A^T A is the
-# Gram summed over the ranks, a reordering of its sum over A's rows. In
-# the rounding model of svdbench verify's gate (bench.verify_tolerance),
+# qr_allreduce returns R1 after one Cholesky QR pass, and svd_tsqr takes
+# sigma and V from the eigendecomposition of A^T A; A^T A is the Gram
+# summed over the ranks, a reordering of its sum over A's rows. In the
+# rounding model of svdbench verify's gate (bench.verify_tolerance),
 # forming the Gram and factoring it are n steps that each add at most
 # lambda u ||A||^2, so R1^T R1 = A^T A + E with ||E|| <= lambda n u
 # ||A||^2. By Weyl, sigma_i(R1)^2 moves by at most ||E||, so sigma_i by
@@ -285,18 +324,35 @@ CHOLQR_MAX_COND = 1e4
 # share of the gate 2 lambda n u sigma_1, as CholQR2's two passes are
 # credited with. Its loss of orthogonality, of order kappa^2 u, is then
 # what the second pass would repair (Yamamoto et al., ETNA 2015), and the
-# pass is skipped.
+# pass is skipped. The eigen solve in place of the Cholesky factor meets
+# the same bound: it is backward stable, so its eigenvalues are exact for
+# A^T A + E with E of the same form, n steps that each add at most
+# lambda u ||A||^2. Weyl moves lambda_i by at most ||E||, and
+# sigma_i = sqrt(lambda_i) by at most ||E|| / (2 sigma_min(A)), the term
+# above. The square root then adds u sigma_i, where gesdd of R1 would add
+# the gate's whole second stage, lambda n u sigma_1, and V is the
+# eigenvectors, with no orthogonality for a second pass to repair. So in
+# this band svd_tsqr forms neither R1 nor its SVD, and the band test
+# reads the eigenvalues that answer it.
 CHOLQR_ONE_PASS_MAX_COND = np.sqrt(2.0)
 
 
-def _cholesky_bands(a):
+def _one_pass(values):
+    """True when G1's eigenvalues (descending) put kappa_2 at or below
+    CHOLQR_ONE_PASS_MAX_COND: the one-pass band. A Gram whose smallest
+    eigenvalue is not positive, of a rank-deficient or zero A, is outside
+    it."""
+    return 0 < values[-1] and values[0] <= CHOLQR_ONE_PASS_MAX_COND**2 * values[-1]
+
+
+def _cholesky_bands(a, g1, values):
     """qr_allreduce's one- or two-pass factor, or None for Householder."""
+    if values is None:
+        return None
     try:
         with np.errstate(all="ignore"):
-            g1 = crossprod(a)
             r1 = np.linalg.cholesky(g1).T
-            lam = np.linalg.eigvalsh(g1)
-            if lam[-1] <= CHOLQR_ONE_PASS_MAX_COND**2 * lam[0] < np.inf:
+            if _one_pass(values):
                 return np.triu(r1)
             r1_inv = np.linalg.inv(r1)
             if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
@@ -312,12 +368,21 @@ def _cholesky_bands(a):
 
 
 def svd_tsqr(a, want_u=False):
-    """Sigma and V (and U) via the distributed QR reduction."""
+    """Sigma and V (and U) via the distributed QR reduction.
+
+    In the one-pass band sigma and V come from the eigendecomposition of
+    the summed Gram, as in svd_normal_equations, bitwise; every other band
+    takes small_svd of qr_allreduce's R, from the same Gram and
+    eigenvalues.
+    """
     _require_tall(a, "svd_tsqr")
     with np.errstate(all="ignore"):
-        r_full = qr_allreduce(a)
-        sigma, _, vt = small_svd(r_full)
-    sigma, v = require_finite(sigma, "sigma"), vt.T
+        g1, values, vectors = _gram_eigen(a)
+        if values is not None and _one_pass(values):
+            sigma, v = _gram_svd(values, vectors)
+        else:
+            sigma, _, vt = small_svd(_banded_R(a, g1, values))
+            sigma, v = require_finite(sigma, "sigma"), vt.T
     return SvdResult(sigma, v, recover_U(a, v, sigma) if want_u else None)
 
 

@@ -126,15 +126,15 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def count_second_grams(monkeypatch):
-    """Count svd.crossprod calls with a right factor, R1^-1: Cholesky QR2's
-    second Gram, over all ranks, for the rest of the test."""
+def count_grams(monkeypatch):
+    """Record each svd.crossprod call, over all ranks, for the rest of the
+    test: "first" for the Gram A^T A, "second" for one with a right factor,
+    R1^-1, which is Cholesky QR2's second Gram."""
     calls = []
     original = svd.crossprod
 
     def counted(a, right=None):
-        if right is not None:
-            calls.append(1)
+        calls.append("first" if right is None else "second")
         return original(a, right)
 
     monkeypatch.setattr(svd, "crossprod", counted)
@@ -264,11 +264,11 @@ class TestBands:
         # every rank count; its blocks at p = 4 and 7 are above sqrt(2), so
         # a per-rank decision would read them twice.
         full = self.BAND_INPUTS[band](dtype)
-        second_passes = count_second_grams(monkeypatch)
+        grams = count_grams(monkeypatch)
         householder = count_calls(monkeypatch, svd, "qr_R")
         combines = count_combines(monkeypatch)
         rs = run_ranks(size, lambda comm: qr_allreduce(distribute(comm, full)))
-        assert len(second_passes) == (size if band == "two-pass" else 0)
+        assert grams.count("second") == (size if band == "two-pass" else 0)
         assert len(combines) == (size - 1 if band == "tree" else 0)
         # In the tree each rank folds its block, one chunk here, and each
         # combine factors its pair.
@@ -277,6 +277,57 @@ class TestBands:
             assert r.dtype == dtype
             assert np.array_equal(r, rs[0])
             assert np.count_nonzero(np.tril(r, -1)) == 0 and np.all(np.diag(r) >= 0)
+
+
+class TestTsqrBands:
+    """svd_tsqr forms the summed Gram and its sym_eigen once per rank. The
+    one-pass band answers from them as svd_normal_equations does; every
+    other band hands them to qr_allreduce's band code."""
+
+    @staticmethod
+    def run(size, full, centered, route):
+        def worker(comm):
+            a = distribute(comm, full)
+            if centered:
+                a = mean_center_columns(a)[0]
+            return route(a)
+
+        return run_ranks(size, worker)[0]
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_pass_band_is_cpsvd_bitwise(self, monkeypatch, dtype, centered, size):
+        full = TestBands.BAND_INPUTS["one-pass"](dtype)
+        want = self.run(size, full, centered, svd_normal_equations)
+        grams = count_grams(monkeypatch)
+        factors = count_calls(monkeypatch, svd, "small_svd")
+        got = self.run(size, full, centered, svd_tsqr)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert np.array_equal(got.v, want.v)
+        assert got.sigma.dtype == got.v.dtype == dtype
+        assert grams == ["first"] * size
+        assert factors == []
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("band", ["two-pass", "tree"])
+    def test_other_bands_reuse_the_gram(self, monkeypatch, band, dtype, size):
+        full = TestBands.BAND_INPUTS[band](dtype)
+        want = self.run(size, full, False, svd_normal_equations)
+        grams = count_grams(monkeypatch)
+        eigens = count_calls(monkeypatch, svd, "sym_eigen")
+        factors = count_calls(monkeypatch, svd, "small_svd")
+        got = self.run(size, full, False, svd_tsqr)
+        assert not np.array_equal(got.sigma, want.sigma)
+        # No Gram and no eigen solve twice: one of each per rank, plus
+        # Cholesky QR2's second Gram, and R's SVD.
+        assert grams.count("first") == size
+        assert grams.count("second") == (size if band == "two-pass" else 0)
+        assert len(eigens) == size
+        assert len(factors) == size
+        oracle = np.linalg.svd(full.astype(np.float64), compute_uv=False)
+        assert np.all(np.abs(got.sigma - oracle) <= verify_tolerance("tssvd", oracle, dtype))
 
 
 def folded_R(x):
@@ -372,6 +423,21 @@ class TestTsqr:
         sigma = run_ranks(8, worker)[0]
         oracle, _, _ = small_svd(random_full(5, 3, 15))
         assert max_rel_err(sigma, oracle) <= 1e-12
+
+    # kappa = 1e6 twins of the two tests above, which the tree does reach:
+    # each rank with rows folds its block onto the n x n zero seed, and the
+    # p - 1 combines stack the ranks' factors.
+    @pytest.mark.parametrize(
+        "m, n, size, seed", [(10, 6, 4, 14), (5, 3, 8, 15)], ids=["short", "empty"]
+    )
+    def test_short_and_empty_blocks_in_the_tree(self, monkeypatch, m, n, size, seed):
+        full = tree_full(m, n, seed)
+        householder = count_calls(monkeypatch, svd, "qr_R")
+        sigma = run_ranks(size, lambda comm: svd_tsqr(distribute(comm, full)).sigma)[0]
+        with_rows = sum(rows > 0 for rows in block_rows(m, size))
+        assert len(householder) == with_rows + size - 1
+        oracle = np.linalg.svd(full, compute_uv=False)
+        assert np.all(np.abs(sigma - oracle) <= verify_tolerance("tssvd", oracle, np.float64))
 
     def test_reconstruction_full_rank(self):
         def worker(comm):
