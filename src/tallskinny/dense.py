@@ -26,11 +26,12 @@ product with a right factor (R1^-1 in Cholesky QR2's second pass). The
 band folds each chunk into a running n x n R, in float64, by qr_R of R
 stacked over the chunk: the combine its reduction tree applies to two
 ranks' R factors. A chunk is reused while it is still in cache, and
-nothing the height of the block is allocated beyond the pass's output. A block with a shift (an n-vector, the column means of a
-centered matrix) stands for block - shift: row_chunks subtracts the
-shift from each chunk into one reused buffer, so every pass reads the
-centered block without a centered copy of it. Shifted or not, every pass
-runs the same loop.
+nothing the height of the block is allocated beyond the pass's output.
+A block with a shift (an n-vector, the column means of a centered
+matrix) stands for block - shift: row_chunks subtracts the shift from
+each chunk into one reused buffer, so every pass reads the centered
+block without a centered copy of it. Shifted or not, every pass runs the
+same loop.
 """
 
 import numpy as np
@@ -204,14 +205,9 @@ def solve_triangular_right(y, r):
             f"triangular solve needs y (k x n) and square r, got {y.shape} "
             f"and {r.shape}"
         )
-    x = np.array(y, copy=True)
-    for j in range(n):
-        if r[j, j] == 0:
-            raise ShapeError("triangular factor is exactly singular")
-        if j > 0:
-            x[:, j] -= x[:, :j] @ r[:j, j]
-        x[:, j] /= r[j, j]
-    return x
+    if np.any(np.diag(r) == 0):
+        raise ShapeError("triangular factor is exactly singular")
+    return _lapack(np.linalg.solve, np.triu(r).T, y.T).T.astype(y.dtype)
 
 
 def _fix_column_signs(v, *, follow=None):

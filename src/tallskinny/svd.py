@@ -10,24 +10,26 @@ of the Gram that R comes from. svd_tsqr forms the Gram summed over the
 ranks and its eigendecomposition once, by GEMMs and an n x n LAPACK call
 that release the GIL, so rank threads overlap. The summed Gram is
 bitwise the same on every rank, so the group takes one of three bands by
-A's condition number, whatever the rank count. Up to sqrt(2) the
-eigendecomposition already meets the error bound of two Cholesky QR
-passes, as one pass's R would, and A is read once: sigma and V are
-cpsvd's, bitwise, and no R is formed. Standard-normal matrices, as the
-benchmarks draw them, are here. Above it the same Gram and eigenvalues
-go to qr_allreduce, the one entry for a distributed R, where Cholesky
-QR2 adds a second pass, the Gram crossprod(a, R1^-1), which streams each
-block in cache-sized row chunks against R1^-1 and sums over the ranks,
-so beyond its block a rank holds one chunk and a few n x n arrays, never
-an m x n intermediate. Last, ill-conditioned input (a Cholesky fails, an
-intermediate is not finite, the first factor's condition estimate
-exceeds 1e4, beyond which the GEMM against its inverse loses accuracy,
-or the first pass leaves Q1 too far from orthonormal) takes the
-communication-avoiding TSQR tree (Demmel, Grigori, Hoemmen & Langou,
-SISC 2012), _tree_R, whose one combine, the Householder R of two stacked
-row sets, serves both of its levels: each rank folds its row chunks one
-by one into a running n x n R, and a custom allreduce stacks the ranks'
-R factors two at a time and re-factors.
+A's condition number, whatever the rank count. The eigenvalues decide
+the first band once, and qr_allreduce, the one entry for a distributed
+R, decides it the same way. Up to sqrt(2) the eigendecomposition already
+meets the error bound of two Cholesky QR passes, as one pass's R would,
+and A is read once: sigma and V are cpsvd's, bitwise, and no R is
+formed. Standard-normal matrices, as the benchmarks draw them, are here.
+Past it both entries hand the same Gram, and no eigenvalues, to one
+function, _cholqr2_or_tree_R. Its Cholesky QR2 adds a second pass, the
+Gram crossprod(a, R1^-1), which streams each block in cache-sized row
+chunks against R1^-1 and sums over the ranks, so beyond its block a rank
+holds one chunk and a few n x n arrays, never an m x n intermediate.
+Ill-conditioned input (a Cholesky fails, an intermediate is not finite,
+the first factor's condition estimate exceeds 1e4, beyond which the GEMM
+against its inverse loses accuracy, or the first pass leaves Q1 too far
+from orthonormal) falls back to the communication-avoiding TSQR tree
+(Demmel, Grigori, Hoemmen & Langou, SISC 2012), _tree_R, whose one
+combine, the Householder R of two stacked row sets, serves both of its
+levels: each rank folds its row chunks one by one into a running n x n
+R, and a custom allreduce stacks the ranks' R factors two at a time and
+re-factors.
 cpsvd's Gram is n x n too, so neither full-spectrum route allocates
 anything the height of the block for sigma and V in any band, which is
 all pca asks for without scores: the centered matrix pca passes in is
@@ -65,13 +67,15 @@ bitwise the same on every rank, so every rank raises NonFiniteInput
 together, with no extra message.
 
 Each route computes sigma and V inside one np.errstate(all="ignore")
-block, and pca.pca takes its centering into one too. Non-finite input or
-an overflow would otherwise warn on its way to a check (Inf - Inf in a
-centered chunk, Inf times 0 in a product), and with warnings as errors
-one rank would fail with a RuntimeWarning and its peers with a
-CollectiveError, not NonFiniteInput. Quieting them is safe because the
-block returns nothing unchecked: sigma is checked as it leaves, and V
-comes from the same checked n x n factorization. U and pca's scores are
+block, qr_allreduce computes R inside one, and pca.pca takes its
+centering into one too; each quiets warnings up to its own check, and
+the band code and the tree open none. Non-finite input or an overflow
+would otherwise warn on its way to a check (Inf - Inf in a centered
+chunk, Inf times 0 in a product), and with warnings as errors one rank
+would fail with a RuntimeWarning and its peers with a CollectiveError,
+not NonFiniteInput. Quieting them is safe because the block returns
+nothing unchecked: R and sigma are checked as they leave, and V comes
+from the same checked n x n factorization. U and pca's scores are
 products after the block, with the warnings left on.
 
 ROUTES names them cpsvd, tssvd and rsvd. route(method, n, params) is the
@@ -228,47 +232,37 @@ def qr_allreduce(a):
 
     A is a's block, less its shift when set. The group takes one band,
     as distributed Cholesky QR2 does (Fukaya, Nakatsukasa, Yanagisawa &
-    Yamamoto, ScalA 2014), decided on the summed Gram G1 = crossprod(a)
-    and its eigenvalues from one sym_eigen: one pass, R = triu(chol(G1)^T),
-    where the eigenvalues put kappa_2(R1) at or below
-    CHOLQR_ONE_PASS_MAX_COND; two passes up to CHOLQR_MAX_COND and
-    CHOLQR_MAX_DEFECT, where the second Gram G2 = crossprod(a, R1^-1) =
-    Q1^T Q1 streams each rank's rows against R1^-1 and gives
-    R = triu(R2 R1); and otherwise the Householder tree of _tree_R (a
-    Cholesky failure, a failed guard or a non-finite value, as f32 data
-    near 1e19 overflows G1; a non-finite G1 skips the eigen solve). Every
-    test reads G1, its eigenvalues or G2, bitwise the same on every rank,
-    so every rank takes the same band with no extra message. svd_tsqr
-    forms G1 and its eigendecomposition itself, answers the one-pass band
-    from them, and hands both to the same band code for the others. R is
-    upper triangular with a nonnegative diagonal, so if it holds NaN or
-    Inf every rank raises NonFiniteInput. Every rank holds the same
-    column count, so an A with none raises UnsupportedShape on every rank,
-    before any collective.
+    Yamamoto, ScalA 2014), decided on the summed Gram G1 = crossprod(a).
+    Its eigenvalues, from one sym_eigen, decide the one-pass band: where
+    they put kappa_2(R1) at or below CHOLQR_ONE_PASS_MAX_COND, R =
+    triu(chol(G1)^T). Past it _cholqr2_or_tree_R takes G1 alone: Cholesky
+    QR2 where its guards pass, else the Householder tree of _tree_R. A
+    non-finite G1 (f32 data near 1e19 overflows it) skips the eigen solve
+    and goes to the tree. Every test reads G1, its eigenvalues or the
+    second Gram, bitwise the same on every rank, so every rank takes the
+    same band with no extra message. svd_tsqr forms G1 and its
+    eigendecomposition the same way and answers the one-pass band itself.
+    All of it runs with floating-point warnings quieted, up to R's check:
+    R is upper triangular with a nonnegative diagonal, and if it holds
+    NaN or Inf every rank raises NonFiniteInput. Every rank holds the
+    same column count, so an A with none raises UnsupportedShape on every
+    rank, before any collective.
     """
     if a.cols < 1:
         raise UnsupportedShape(f"qr_allreduce needs cols >= 1, got {a.cols}")
     with np.errstate(all="ignore"):
-        g1, values, _ = _gram_eigen(a)
-    return _banded_R(a, g1, values)
+        g1 = crossprod(a)
+        if _one_pass(_finite_eigen(g1)[0]):
+            r1 = np.linalg.cholesky(g1).T
+            return require_finite(np.triu(r1), "reduced R factor")
+        return _cholqr2_or_tree_R(a, g1)
 
 
-def _gram_eigen(a):
-    """(G1, values, vectors): G1 = crossprod(a), summed over the ranks, and
-    sym_eigen(G1), or None and None where G1 holds NaN or Inf."""
-    g1 = crossprod(a)
+def _finite_eigen(g1):
+    """sym_eigen(G1), or (None, None) where G1 holds NaN or Inf."""
     if not np.all(np.isfinite(g1)):
-        return g1, None, None
-    return (g1, *sym_eigen(g1))
-
-
-def _banded_R(a, g1, values):
-    """qr_allreduce's R from the summed Gram G1 and its eigenvalues
-    (descending, None where G1 is not finite)."""
-    r = _cholesky_bands(a, g1, values)
-    if r is None:
-        r = _tree_R(a)
-    return require_finite(r, "reduced R factor")
+        return None, None
+    return sym_eigen(g1)
 
 
 def _tree_R(a):
@@ -341,47 +335,53 @@ def _one_pass(values):
     """True when G1's eigenvalues (descending) put kappa_2 at or below
     CHOLQR_ONE_PASS_MAX_COND: the one-pass band. A Gram whose smallest
     eigenvalue is not positive, of a rank-deficient or zero A, is outside
-    it."""
-    return 0 < values[-1] and values[0] <= CHOLQR_ONE_PASS_MAX_COND**2 * values[-1]
+    it, and so is a non-finite one, whose values are None."""
+    return (values is not None and 0 < values[-1]
+            and values[0] <= CHOLQR_ONE_PASS_MAX_COND**2 * values[-1])
 
 
-def _cholesky_bands(a, g1, values):
-    """qr_allreduce's one- or two-pass factor, or None for Householder."""
-    if values is None:
-        return None
-    try:
-        with np.errstate(all="ignore"):
+def _cholqr2_or_tree_R(a, g1):
+    """qr_allreduce's R past the one-pass band, from the summed Gram G1.
+
+    Cholesky QR2 where G1 is finite, chol(G1) exists, R1's condition
+    estimate is at most CHOLQR_MAX_COND, chol(G2) exists and G2's
+    defect is at most CHOLQR_MAX_DEFECT: R = triu(R2 R1), for the second
+    Gram G2 = crossprod(a, R1^-1) = Q1^T Q1. Otherwise _tree_R. The
+    caller quiets floating-point warnings; R is checked for NaN and Inf.
+    """
+    if np.all(np.isfinite(g1)):
+        try:
             r1 = np.linalg.cholesky(g1).T
-            if _one_pass(values):
-                return np.triu(r1)
             r1_inv = np.linalg.inv(r1)
-            if not np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
-                return None
-            g2 = crossprod(a, r1_inv)
-            r2 = np.linalg.cholesky(g2).T
-            defect = np.linalg.norm(g2 - np.eye(a.cols, dtype=g2.dtype))
-    except np.linalg.LinAlgError:
-        return None
-    if not defect <= CHOLQR_MAX_DEFECT:
-        return None
-    return np.triu(r2 @ r1)
+            if np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLQR_MAX_COND:
+                g2 = crossprod(a, r1_inv)
+                r2 = np.linalg.cholesky(g2).T
+                defect = np.linalg.norm(g2 - np.eye(a.cols, dtype=g2.dtype))
+                if defect <= CHOLQR_MAX_DEFECT:
+                    return require_finite(np.triu(r2 @ r1), "reduced R factor")
+        except np.linalg.LinAlgError:
+            pass
+    return require_finite(_tree_R(a), "reduced R factor")
 
 
 def svd_tsqr(a, want_u=False):
     """Sigma and V (and U) via the distributed QR reduction.
 
-    In the one-pass band sigma and V come from the eigendecomposition of
-    the summed Gram, as in svd_normal_equations, bitwise; every other band
-    takes small_svd of qr_allreduce's R, from the same Gram and
-    eigenvalues.
+    As qr_allreduce does, svd_tsqr forms the summed Gram G1 and its
+    eigendecomposition once and decides the one-pass band from its
+    eigenvalues. There sigma and V come from that eigendecomposition, as
+    in svd_normal_equations, bitwise, and no R is formed. Every other
+    band takes small_svd of the R that _cholqr2_or_tree_R makes from the
+    same G1.
     """
     _require_tall(a, "svd_tsqr")
     with np.errstate(all="ignore"):
-        g1, values, vectors = _gram_eigen(a)
-        if values is not None and _one_pass(values):
+        g1 = crossprod(a)
+        values, vectors = _finite_eigen(g1)
+        if _one_pass(values):
             sigma, v = _gram_svd(values, vectors)
         else:
-            sigma, _, vt = small_svd(_banded_R(a, g1, values))
+            sigma, _, vt = small_svd(_cholqr2_or_tree_R(a, g1))
             sigma, v = require_finite(sigma, "sigma"), vt.T
     return SvdResult(sigma, v, recover_U(a, v, sigma) if want_u else None)
 
@@ -479,11 +479,10 @@ def svd_randomized(a, params, want_u=False):
     0.87 of svdbench verify's rounding term 2 lambda n (u + u64) sigma_1
     for g <= 6; it first exceeded the term at g = 6.4 (float32, rank one,
     q = 1). Y's R may come from one Cholesky QR pass (qr_allreduce), so
-    48,000 more such inputs were swept with the path forced, when each
-    rank still chose its own band from its own block: at g <= 4 it erred
-    upward by at most 0.58 of the term, as with two passes on every Y,
-    and by at most 0.45 on the 4,821 whose Y took one pass on every rank;
-    the term was first exceeded at g = 9.5. Past the guard the last
+    48,000 more such inputs were swept with the path forced: at g <= 4 it
+    erred upward by at most 0.58 of the term, as with two passes on every
+    Y, and by at most 0.45 on the 4,821 whose Y took one pass on every
+    rank; the term was first exceeded at g = 9.5. Past the guard the last
     step factors twice, as CholQR2 does (Yamamoto et al., ETNA 2015):
     Q1 = Y R^-1 = Q_Y R2, B = R2^-T Q1^T A by one more pass over A, and
     U = Q1 (R2^-1 U_B). This B errs as an explicit Q_Y^T A would, by

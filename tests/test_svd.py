@@ -282,7 +282,8 @@ class TestBands:
 class TestTsqrBands:
     """svd_tsqr forms the summed Gram and its sym_eigen once per rank. The
     one-pass band answers from them as svd_normal_equations does; every
-    other band hands them to qr_allreduce's band code."""
+    other band hands the Gram to the CholQR2-or-tree code qr_allreduce
+    shares."""
 
     @staticmethod
     def run(size, full, centered, route):
@@ -1216,6 +1217,17 @@ class TestNonFiniteInput:
         # Centering an Inf column computes Inf - Inf before the route's check.
         solve = partial(pca, method=method, want_scores=True,
                         params=RsvdParams(k=2, seed=28))
+        self.assert_every_rank_raises(size, bad, solve)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_qr_allreduce_raises_on_every_rank(self, size, bad, centered):
+        # A centered Inf column holds Inf - Inf in the Householder tree's
+        # chunks, which qr_allreduce's own errstate must quiet.
+        def solve(a):
+            return qr_allreduce(mean_center_columns(a)[0] if centered else a)
+
         self.assert_every_rank_raises(size, bad, solve)
 
     @pytest.mark.parametrize("size", [1, 2])
