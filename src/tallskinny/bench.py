@@ -1,12 +1,15 @@
 """Benchmark and verification harness behind the svdbench CLI.
 
-Each bench run spawns the requested in-process ranks, generates (or reads)
-the matrix once on every rank, and times only the singular-value
-computation, per rep. That is the only portion requiring communication;
-factor recovery and data generation stay outside the clock. Every rank
-times each rep, and a rep's record holds the max over ranks: rank 0 roots
-every collective and returns first. Records are written as CSV rows plus
-a human-readable summary with the median.
+Each command binds its route once, through svd.route in the calling
+thread, before any rank starts. A bench run then spawns the requested
+in-process ranks, generates (or reads) the matrix once on every rank, and
+times only the singular-value computation, per rep. That is the only
+portion requiring communication; factor recovery and data generation stay
+outside the clock. Every rank times each rep, and a rep's record holds the
+max over ranks: rank 0 roots every collective and returns first. Records
+are written as CSV rows plus a human-readable summary with the median. A
+route whose width is below n is truncated: its rows record k and q, and
+verify checks it on a decaying spectrum.
 """
 
 import statistics
@@ -65,6 +68,10 @@ class BenchConfig:
         return self.rows
 
     def validate(self):
+        """(solve, width): the route bound by svd.route once every flag checks.
+
+        Any unusable flag, file or route parameter raises ConfigError.
+        """
         if self.precision not in PRECISIONS:
             raise ConfigError(f"unknown precision {self.precision!r}; expected f32 or f64")
         if not 1 <= self.ranks <= MAX_RANKS:
@@ -90,7 +97,7 @@ class BenchConfig:
         if not m > n >= 1:
             raise ConfigError(f"need rows > cols >= 1, got {m}x{n}")
         try:
-            route(self.algo, n, self.rsvd_params())
+            return route(self.algo, n, self.rsvd_params())
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -112,12 +119,11 @@ def _load_matrix(comm, cfg):
     )
 
 
-def _bench_worker(comm, cfg):
+def _bench_worker(comm, cfg, solve):
     """(shape, this rank's seconds per rep, sigma sum per rep)."""
-    # One load serves every rep (no route writes to a.block), and the
-    # route is bound once, outside the clock.
+    # One load serves every rep (no route writes to a.block); solve comes
+    # bound from the calling thread, outside the clock.
     a = _load_matrix(comm, cfg)
-    solve, _ = route(cfg.algo, a.cols, cfg.rsvd_params())
     seconds, sums = [], []
     for _ in range(cfg.reps):
         comm.barrier()
@@ -128,30 +134,23 @@ def _bench_worker(comm, cfg):
     return (a.global_rows, a.cols), seconds, sums
 
 
-def _csv_row(cfg, shape, rep, seconds, sigma_sum):
-    k = cfg.k if cfg.algo == "rsvd" else ""
-    q = cfg.q if cfg.algo == "rsvd" else ""
-    return (
-        f"{cfg.algo},{cfg.precision},{shape[0]},{shape[1]},{cfg.ranks},"
-        f"{k},{q},{rep},{seconds:.6f},{sigma_sum!r}"
-    )
-
-
 def run_bench(cfg, csv_out, human_out):
     """Run the configured benchmark; write CSV rows and a summary table."""
-    cfg.validate()
-    results = run_ranks(cfg.ranks, _bench_worker, cfg)
-    shape, _, sums = results[0]
+    solve, width = cfg.validate()
+    results = run_ranks(cfg.ranks, _bench_worker, cfg, solve)
+    (m, n), _, sums = results[0]
     slowest = [max(rep) for rep in zip(*(seconds for _, seconds, _ in results))]
     records = list(zip(range(cfg.reps), slowest, sums))
+    k, q = (cfg.k, cfg.q) if width < n else ("", "")
     print(CSV_HEADER, file=csv_out)
     for rep, seconds, sigma_sum in records:
-        print(_csv_row(cfg, shape, rep, seconds, sigma_sum), file=csv_out)
+        print(f"{cfg.algo},{cfg.precision},{m},{n},{cfg.ranks},{k},{q},{rep},"
+              f"{seconds:.6f},{sigma_sum!r}", file=csv_out)
 
     med = statistics.median(seconds for _, seconds, _ in records)
-    kq = f" k={cfg.k} q={cfg.q}" if cfg.algo == "rsvd" else ""
+    kq = f" k={k} q={q}" if width < n else ""
     print(
-        f"{cfg.algo} {cfg.precision} m={shape[0]} n={shape[1]} "
+        f"{cfg.algo} {cfg.precision} m={m} n={n} "
         f"p={cfg.ranks}{kq} reps={cfg.reps}",
         file=human_out,
     )
@@ -209,22 +208,21 @@ def run_verify(cfg, matrix_kind, out):
     The oracle is LAPACK's values-only SVD in float64, a different driver
     from the gesdd or eigh call with vectors the routes make;
     verify_tolerance gives the bound on each value. Truncated SVD is only
-    meaningful on a spectrum with decay, so rsvd verification swaps flat
-    random data for a decaying low-rank instance. An input file is checked
-    as it is, for every route; the built-in cond1e6 instance cannot be
-    asked for with one.
+    meaningful on a spectrum with decay, so a route narrower than n swaps
+    flat random data for a decaying low-rank instance. An input file is
+    checked as it is, for every route; the built-in cond1e6 instance
+    cannot be asked for with one.
     """
     if cfg.input_path is not None and matrix_kind != "random":
         raise ConfigError(
             f"--matrix {matrix_kind} builds its own matrix; it cannot take --input"
         )
-    cfg.validate()
+    solve, width = cfg.validate()
     if cfg.input_path is not None:
         matrix_kind = "input"
-    elif cfg.algo == "rsvd" and matrix_kind == "random":
+    elif width < cfg.cols and matrix_kind == "random":
         matrix_kind = "lowrank"
     full = _verify_input(cfg, matrix_kind)
-    solve, _ = route(cfg.algo, full.shape[1], cfg.rsvd_params())
     sigma = run_ranks(cfg.ranks, lambda c: solve(distribute(c, full)).sigma)[0]
     oracle = np.linalg.svd(full.astype(np.float64, copy=False), compute_uv=False)
     count = len(sigma)

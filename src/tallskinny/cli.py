@@ -7,7 +7,9 @@ Two subcommands share one flag set; run adds --reps and --out, verify --matrix:
 
 Bare flags (no subcommand) run a benchmark. Exit codes: 0 success,
 1 algorithm failure or verification tolerance breach, 2 bad usage. A
-missing, unreadable, malformed or short --input file is bad usage.
+missing, unreadable, malformed or short --input file is bad usage, and so
+is an --out path that is a directory or whose directory does not exist:
+both exit before any rank starts.
 
 verify bounds each |sigma_i - oracle_i| absolutely: by 2 lambda n u
 sigma_1 for cpsvd and tssvd, by 0.01 sigma_i for rsvd's leading k. It
@@ -140,17 +142,20 @@ def main(argv=None):
             return run_verify(cfg, args.matrix, sys.stdout)
         # Without --out, CSV owns stdout and the table moves to stderr. With
         # it, the file is written after the run, so that a rejected config
-        # leaves it alone.
-        csv_out = sys.stdout if args.out is None else io.StringIO()
-        human_out = sys.stderr if args.out is None else sys.stdout
+        # leaves it alone; a path the run could not write is refused first.
+        out = None if args.out is None else Path(args.out)
+        if out is not None and (out.is_dir() or not out.parent.is_dir()):
+            raise ConfigError(f"--out {out}: not a file in an existing directory")
+        csv_out = sys.stdout if out is None else io.StringIO()
+        human_out = sys.stderr if out is None else sys.stdout
         code = run_bench(cfg, csv_out, human_out)
         print(f"  BLAS threads per rank: {threads}", file=human_out)
         if cfg.input_path is None:
             print(f"  generation threads per rank: {core_share(cfg.ranks)}",
                   file=human_out)
         print(f"  row-pass chunk: {dense.PASS_CHUNK_BYTES / 1024:g} KiB", file=human_out)
-        if args.out is not None:
-            Path(args.out).write_text(csv_out.getvalue())
+        if out is not None:
+            out.write_text(csv_out.getvalue())
         return code
     except ConfigError as exc:
         print(f"svdbench: {exc}", file=sys.stderr)

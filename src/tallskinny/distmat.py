@@ -78,8 +78,9 @@ class DistMatrix:
     2-d float32 or float64 array: an integer Gram would wrap around, and
     numpy.linalg factors no float16. Any other block raises
     UnsupportedDtype (or ShapeError when it is not 2-d) on the rank that
-    builds it. The check reads the block's ndim and dtype only, never its
-    values.
+    builds it, and so does a shift that is not an n-vector (ShapeError)
+    or not of the block's dtype (UnsupportedDtype). The checks read shapes
+    and dtypes only, never values.
     """
 
     block: np.ndarray
@@ -95,6 +96,14 @@ class DistMatrix:
         dtype = getattr(self.block, "dtype", None)
         if dtype not in (np.float32, np.float64):
             raise UnsupportedDtype(f"a DistMatrix block must be float32 or float64, got {dtype}")
+        if self.shift is None:
+            return
+        shape = np.shape(self.shift)
+        if shape != (self.cols,):
+            raise ShapeError(f"a DistMatrix shift must have shape ({self.cols},), got {shape}")
+        shift_dtype = getattr(self.shift, "dtype", None)
+        if shift_dtype != dtype:
+            raise UnsupportedDtype(f"a DistMatrix shift must be {dtype}, got {shift_dtype}")
 
     @property
     def local(self):

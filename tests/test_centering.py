@@ -136,7 +136,7 @@ def test_shifted_matches_explicit_centering(monkeypatch, method, shape, want, si
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("cond", [1e1, 1e8])
-def test_tall_R_of_a_shifted_block(monkeypatch, cond, dtype):
+def test_qr_allreduce_of_a_shifted_block(monkeypatch, cond, dtype):
     # qr_allreduce on one rank, of a shifted block and of the explicitly
     # centered one. One chunk, so both passes see exactly the explicit
     # block's values. At cond 1e8 the condition estimate sends both to the

@@ -213,6 +213,21 @@ class TestUsageErrors:
         assert f"1..{bench.MAX_RANKS}" in capsys.readouterr().err
         BenchConfig("tssvd", 300, 10, ranks=bench.MAX_RANKS).validate()
 
+    @pytest.mark.parametrize("out", ["missing/out.csv", "."], ids=["no-parent", "directory"])
+    def test_unwritable_out_exits_2_before_any_rank_starts(
+        self, tmp_path, monkeypatch, capsys, out
+    ):
+        def no_ranks(*args, **kwargs):
+            raise AssertionError("run_ranks called")
+
+        monkeypatch.setattr(bench, "run_ranks", no_ranks)
+        args = ["run", "--algo", "tssvd", *FAST, "--out", str(tmp_path / out)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("svdbench: --out ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_arguments_prints_help(self, capsys):
         assert main([]) == 2
         assert "svdbench" in capsys.readouterr().out
@@ -537,6 +552,42 @@ class TestBenchApi:
         rows = parse_csv(csv_out.getvalue())
         assert len(rows) == 3
         assert all(float(r["seconds"]) >= 0.05 for r in rows)
+
+    @pytest.mark.parametrize("ranks", [1, 2, 3])
+    def test_route_bound_once_per_command(self, monkeypatch, ranks):
+        calls = []
+        route = bench.route
+
+        def counting(*args):
+            calls.append(args[0])
+            return route(*args)
+
+        monkeypatch.setattr(bench, "route", counting)
+        cfg = BenchConfig(algo="rsvd", rows=200, cols=8, ranks=ranks, reps=3, k=2, q=1)
+        assert run_bench(cfg, io.StringIO(), io.StringIO()) == 0
+        assert calls == ["rsvd"]
+        assert run_verify(cfg, "random", io.StringIO()) == 0
+        assert calls == ["rsvd", "rsvd"]
+
+    def test_truncation_is_read_from_the_width(self, monkeypatch):
+        # A route narrower than n records k and q and is verified on the
+        # low-rank instance, whatever its name.
+        route = bench.route
+
+        def narrow(algo, n, params):
+            solve, _ = route(algo, n, params)
+            return solve, n - 1
+
+        monkeypatch.setattr(bench, "route", narrow)
+        cfg = BenchConfig(algo="tssvd", rows=200, cols=8, ranks=2, reps=2, k=3, q=1)
+        csv_out, human_out = io.StringIO(), io.StringIO()
+        assert run_bench(cfg, csv_out, human_out) == 0
+        rows = parse_csv(csv_out.getvalue())
+        assert [(r["k"], r["q"]) for r in rows] == [("3", "1")] * 2
+        assert " k=3 q=1 " in human_out.getvalue()
+        out = io.StringIO()
+        run_verify(cfg, "random", out)
+        assert "matrix=lowrank" in out.getvalue()
 
     def test_run_verify_stream(self):
         cfg = BenchConfig(algo="tssvd", rows=300, cols=10, ranks=2, reps=1)

@@ -319,8 +319,8 @@ class TestTallR:
     @pytest.mark.parametrize("rows", [0, 1, 4])
     def test_short_block_is_zero_padded(self, rows, dtype, shifted):
         # Fewer rows than n = 5: the Gram is singular, and the Householder
-        # band factors the rows stacked under its n x n zero seed, which
-        # pads every stack to at least n rows.
+        # band factors the rows stacked under its n x n zero seed, so every
+        # stack has at least n rows and nothing is padded.
         rng = np.random.default_rng(16)
         a = rng.standard_normal((rows, 5)).astype(dtype)
         shift = rng.standard_normal(5).astype(dtype) if shifted else None

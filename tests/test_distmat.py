@@ -782,20 +782,28 @@ class TestGatherDistribute:
 
 
 class TestBlockContract:
-    """A DistMatrix block is a 2-d float32 or float64 array, checked when
-    the DistMatrix is built: an int32 Gram would wrap around and return a
-    plausible, wrong sigma."""
+    """A DistMatrix block is a 2-d float32 or float64 array, and its shift
+    an n-vector of the block's dtype, checked when the DistMatrix is
+    built: an int32 Gram would wrap around and return a plausible, wrong
+    sigma, and a bad shift would fail to broadcast at the first pass or
+    turn `local` into float64."""
 
-    @pytest.mark.parametrize("block, error", [
-        (np.ones((6, 3), dtype=np.int32), UnsupportedDtype),
-        (np.ones((6, 3), dtype=np.int64), UnsupportedDtype),
-        (np.ones((6, 3), dtype=np.float16), UnsupportedDtype),
-        (np.ones(6), ShapeError),
-    ], ids=["int32", "int64", "float16", "1-d"])
-    def test_raises_on_every_rank(self, block, error):
+    f32 = np.ones((6, 3), dtype=np.float32)
+
+    @pytest.mark.parametrize("block, shift, error", [
+        (np.ones((6, 3), dtype=np.int32), None, UnsupportedDtype),
+        (np.ones((6, 3), dtype=np.int64), None, UnsupportedDtype),
+        (np.ones((6, 3), dtype=np.float16), None, UnsupportedDtype),
+        (np.ones(6), None, ShapeError),
+        (f32, np.ones(4, dtype=np.float32), ShapeError),
+        (f32, np.ones((1, 3), dtype=np.float32), ShapeError),
+        (f32, np.ones(3, dtype=np.float64), UnsupportedDtype),
+    ], ids=["int32", "int64", "float16", "1-d",
+            "shift-wrong-length", "shift-2-d", "shift-float64-on-float32"])
+    def test_raises_on_every_rank(self, block, shift, error):
         def worker(comm):
             offset, count = block_range(len(block), comm.size, comm.rank)
-            return DistMatrix(block[offset : offset + count], len(block), offset, comm)
+            return DistMatrix(block[offset : offset + count], len(block), offset, comm, shift)
 
         with pytest.raises(RankFailures) as info:
             run_ranks(2, worker)

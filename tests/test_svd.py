@@ -407,7 +407,7 @@ class TestTsqr:
         ts, cp = run_ranks(2, worker)[0]
         assert max_rel_err(ts, cp) <= 1e-9
 
-    def test_short_local_blocks_are_padded(self):
+    def test_local_blocks_shorter_than_n(self):
         def worker(comm):
             a = generate_random(comm, 10, 6, seed=14)  # blocks of 3,3,2,2 rows
             return svd_tsqr(a).sigma
