@@ -25,9 +25,11 @@ against both. Each message up the tree carries the sender's header
 (operator name, payload shape, dtype) next to its subtree result. The
 parent compares that header with its own before combining and aborts the
 whole group on any disagreement. Every rank waits for the root's result,
-and a failing rank posts a poison message into every queue of every peer
-before raising, so errors surface on all ranks, at whatever tree level
-or broadcast they block, instead of deadlocking.
+and gets its own copy of it. A failing collective only raises; run_ranks
+posts a poison message into every queue of every peer for any rank whose
+target raises, inside a collective or outside one, so errors surface on
+all ranks, at whatever tree level or broadcast they block, instead of
+deadlocking.
 """
 
 import numbers
@@ -84,7 +86,7 @@ def _layout(x):
 
 
 class _Poison:
-    """Posted to every peer by a failing rank so nobody blocks forever."""
+    """Posted by run_ranks to every peer of a failed rank so nobody blocks forever."""
 
     def __init__(self, src, text):
         self.src = src
@@ -112,7 +114,10 @@ class _World:
 class Communicator:
     """One rank of a group: rank identity plus collectives.
 
-    Owned by exactly one thread; its peers share the same `_World`.
+    Owned by exactly one thread; its peers share the same `_World`. A
+    collective that fails here raises and posts nothing: telling the
+    peers is run_ranks' job. Each rank's result is its own array, so a
+    caller may update it in place.
     """
 
     def __init__(self, world, rank):
@@ -146,26 +151,13 @@ class Communicator:
     def _send(self, dst, box, payload):
         self._world.inboxes[dst][box].put(payload)
 
-    def _poison_peers(self, exc):
-        poison = _Poison(self.rank, str(exc))
-        for dst in range(self.size):
-            if dst != self.rank:
-                for inbox in self._world.inboxes[dst]:
-                    inbox.put(poison)
-
-    def _fail(self, exc):
-        self._poison_peers(exc)
-        raise exc
-
     def _recv(self, box, src, seq):
         try:
             msg = self._world.inboxes[self.rank][box].get(timeout=self._world.timeout)
         except queue.Empty:
-            self._fail(
-                CollectiveError(
-                    f"rank {self.rank} timed out after {self._world.timeout}s waiting "
-                    f"for ({'bc' if box == -1 else 'red'}, seq {seq}) from rank {src}"
-                )
+            raise CollectiveError(
+                f"rank {self.rank} timed out after {self._world.timeout}s waiting "
+                f"for ({'bc' if box == -1 else 'red'}, seq {seq}) from rank {src}"
             )
         if isinstance(msg, _Poison):
             raise CollectiveError(f"collective aborted by rank {msg.src}: {msg.text}")
@@ -191,31 +183,26 @@ class Communicator:
             if self.rank % (2 * stride) == 0 and src < self.size:
                 their_header, other = self._recv(level, src, seq)
                 if their_header != header:
-                    self._fail(
-                        CollectiveContractError(
-                            f"collective sequence mismatch at seq {seq}: rank "
-                            f"{self.rank}: {header!r}; rank {src}: {their_header!r}"
-                        )
+                    raise CollectiveContractError(
+                        f"collective sequence mismatch at seq {seq}: rank "
+                        f"{self.rank}: {header!r}; rank {src}: {their_header!r}"
                     )
                 try:
                     acc = op.combine(acc, other)
                 except Exception as exc:
-                    self._fail(
-                        CollectiveError(
-                            f"reduce operator {op.name!r} failed on rank "
-                            f"{self.rank}: {exc}"
-                        )
-                    )
+                    raise CollectiveError(
+                        f"reduce operator {op.name!r} failed on rank {self.rank}: {exc}"
+                    ) from exc
                 if _layout(acc) != _layout(local):
-                    self._fail(
-                        CollectiveContractError(
-                            f"reduce op {op.name!r} emitted {_layout(acc)}, not {_layout(local)}"
-                        )
+                    raise CollectiveContractError(
+                        f"reduce op {op.name!r} emitted {_layout(acc)}, not {_layout(local)}"
                     )
         if self.rank == 0:
             for dst in range(1, self.size):
                 self._send(dst, -1, acc)
-            return acc
+            # Each peer copies acc only after its get, so the root keeps
+            # its caller's updates out of the array it sent.
+            return acc.copy() if self.size > 1 else acc
         return np.array(self._recv(-1, 0, seq), copy=True)
 
 
@@ -244,12 +231,14 @@ def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
 
     Returns the per-rank return values in rank order. If any rank raises,
     the surviving results are discarded and RankFailures carries every
-    rank's exception. A rank that raises outside a collective poisons its
-    peers as a failing collective does, so none of them waits for it until
-    the timeout. A size that is not an integer >= 1 (numpy integers
-    count), or a timeout (seconds per wait) outside
-    (0, threading.TIMEOUT_MAX], raises ValueError before any rank starts:
-    a larger one, inf included, overflows the queue's wait.
+    rank's exception. This is the one place that tells the peers of a
+    failure: for any rank whose target raises, inside a collective or
+    outside one, it posts a poison message into every queue of every
+    peer, so none of them waits for that rank until the timeout. A size
+    that is not an integer >= 1 (numpy integers count), or a timeout
+    (seconds per wait) outside (0, threading.TIMEOUT_MAX], raises
+    ValueError before any rank starts: a larger one, inf included,
+    overflows the queue's wait.
     """
     if (not isinstance(size, numbers.Integral) or size < 1
             or not 0 < timeout <= threading.TIMEOUT_MAX):
@@ -265,7 +254,11 @@ def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
             results[rank] = target(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported via RankFailures
             failures[rank] = exc
-            comm._poison_peers(exc)
+            poison = _Poison(rank, str(exc))
+            for dst, inboxes in enumerate(world.inboxes):
+                if dst != rank:
+                    for inbox in inboxes:
+                        inbox.put(poison)
 
     threads = [
         threading.Thread(target=body, args=(r,), daemon=True, name=f"rank-{r}")

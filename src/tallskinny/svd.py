@@ -169,6 +169,13 @@ class RsvdParams:
             )
 
 
+def _check_rsvd_params(params, n):
+    """Raise ParameterError unless params is an RsvdParams valid for n columns."""
+    if not isinstance(params, RsvdParams):
+        raise ParameterError("method 'rsvd' requires RsvdParams via params=")
+    params.validate(n)
+
+
 def _require_tall(a, who):
     if not a.global_rows > a.cols >= 1:
         raise UnsupportedShape(
@@ -498,7 +505,7 @@ def svd_randomized(a, params, want_u=False):
     """
     _require_tall(a, "svd_randomized")
     n = a.cols
-    params.validate(n)
+    _check_rsvd_params(params, n)
     basis = random_rows(
         params.seed, 0, n, 2 * params.k, params.projection, a.dtype,
         domain=STREAM_PROJECTION, threads=core_share(a.comm.size),
@@ -537,7 +544,5 @@ def route(method, n, params=None):
         )
     if method != "rsvd":
         return ROUTES[method], n
-    if not isinstance(params, RsvdParams):
-        raise ParameterError("method 'rsvd' requires RsvdParams via params=")
-    params.validate(n)
+    _check_rsvd_params(params, n)
     return partial(ROUTES[method], params=params), params.k

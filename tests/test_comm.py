@@ -84,15 +84,23 @@ class TestAllreduceSum:
         assert "seq 0" in str(detected[0]) and "(3, 2)" in str(detected[0])
 
     def test_received_copy_is_private(self):
-        def worker(comm):
-            got = comm.allreduce_sum(np.zeros((2, 2)))
-            got += comm.rank
-            comm.barrier()
-            return got
+        # Every rank, the root included, updates its result in place at
+        # once, while its peers may still be copying theirs: a peer that
+        # shared the root's array would return the root's update.
+        def worker(comm, op):
+            out = []
+            for _ in range(20):
+                local = np.zeros((50, 50))
+                got = comm.allreduce_sum(local) if op is None else comm.allreduce_custom(local, op)
+                got += comm.rank + 1
+                out.append(got)
+            return out
 
-        out = run_ranks(3, worker)
-        assert np.array_equal(out[0], np.zeros((2, 2)))
-        assert np.array_equal(out[2], 2 * np.ones((2, 2)))
+        for size in (2, 3, 5):
+            for op in (None, MAX):
+                for rank, results in enumerate(run_ranks(size, worker, op)):
+                    for got in results:
+                        assert np.array_equal(got, np.full((50, 50), rank + 1.0))
 
 
 class TestAllreduceCustom:
@@ -237,6 +245,34 @@ class TestErrorPropagation:
         for rank, exc in info.value.failures.items():
             if rank != raising:
                 assert isinstance(exc, CollectiveError)
+
+    @pytest.mark.parametrize("size", [3, 5, 8])
+    @pytest.mark.parametrize("kind", ["mismatch", "combine-raises", "combine-reshapes", "outside"])
+    def test_every_failure_kind_reaches_every_peer_at_once(self, kind, size):
+        # The last rank's shape, a combine on the inner ranks, or the last
+        # rank raising before the collective: the timeout is 60 s, and every
+        # rank must fail long before it.
+        def boom(lo, hi):
+            raise ValueError("deliberate")
+
+        ops = {
+            "combine-raises": ReduceOperator("boom", boom),
+            "combine-reshapes": ReduceOperator("stack", lambda lo, hi: np.vstack((lo, hi))),
+        }
+
+        def worker(comm):
+            last = comm.rank == comm.size - 1
+            if kind == "outside" and last:
+                raise ValueError("deliberate, before the collective")
+            if kind in ops:
+                return comm.allreduce_custom(np.ones((2, 2)), ops[kind])
+            return comm.allreduce_sum(np.ones((3, 2) if kind == "mismatch" and last else (2, 2)))
+
+        start = time.monotonic()
+        with pytest.raises(RankFailures) as info:
+            run_ranks(size, worker, timeout=60)
+        assert time.monotonic() - start < 5.0
+        assert set(info.value.failures) == set(range(size))
 
 
 class TestSequencing:

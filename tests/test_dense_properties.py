@@ -186,5 +186,5 @@ def test_tall_R_backward_stable_in_n_row_chunks(dtype, kappa, shape, exponent, s
 def test_qr_allreduce_backward_stable_on_three_ranks(dtype, kappa, shape, exponent, seed):
     # The band is decided on the Gram summed over the ranks, so it is the
     # one-rank band whatever the blocks' own condition numbers. Blocks
-    # shorter than n reach the Householder band's zero padding.
+    # shorter than n fold under the Householder band's n x n zero seed.
     check_r_backward_stable(dtype, kappa, shape, exponent, seed, size=3)

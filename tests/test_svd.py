@@ -599,6 +599,18 @@ class TestRandomized:
         for exc in info.value.failures.values():
             assert isinstance(exc, ParameterError)
 
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("params", [None, {"k": 2}, 2], ids=["none", "dict", "int"])
+    def test_params_must_be_rsvd_params(self, params, size):
+        def worker(comm):
+            return svd_randomized(generate_random(comm, 40, 10, seed=1), params)
+
+        with pytest.raises(RankFailures) as info:
+            run_ranks(size, worker)
+        assert sorted(info.value.failures) == list(range(size))
+        for exc in info.value.failures.values():
+            assert isinstance(exc, ParameterError) and "RsvdParams" in str(exc)
+
     @pytest.mark.parametrize("seed", [2.5, 2.9, None])
     def test_non_integer_seed_rejected_before_any_draw(self, monkeypatch, seed):
         params = RsvdParams(k=2, q=1, seed=seed)
