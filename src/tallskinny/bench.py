@@ -67,11 +67,17 @@ class BenchConfig:
             return self.rows // 2
         return self.rows
 
-    def validate(self):
+    def validate(self, matrix_kind="random"):
         """(solve, width): the route bound by svd.route once every flag checks.
 
-        Any unusable flag, file or route parameter raises ConfigError.
+        Any unusable flag, file or route parameter raises ConfigError, and
+        so does verify's built-in `matrix_kind` other than "random" with
+        an input file.
         """
+        if self.input_path is not None and matrix_kind != "random":
+            raise ConfigError(
+                f"--matrix {matrix_kind} builds its own matrix; it cannot take --input"
+            )
         if self.precision not in PRECISIONS:
             raise ConfigError(f"unknown precision {self.precision!r}; expected f32 or f64")
         if not 1 <= self.ranks <= MAX_RANKS:
@@ -213,11 +219,7 @@ def run_verify(cfg, matrix_kind, out):
     checked as it is, for every route; the built-in cond1e6 instance
     cannot be asked for with one.
     """
-    if cfg.input_path is not None and matrix_kind != "random":
-        raise ConfigError(
-            f"--matrix {matrix_kind} builds its own matrix; it cannot take --input"
-        )
-    solve, width = cfg.validate()
+    solve, width = cfg.validate(matrix_kind)
     if cfg.input_path is not None:
         matrix_kind = "input"
     elif width < cfg.cols and matrix_kind == "random":

@@ -29,10 +29,20 @@ re-executes itself once with all three set to the share, where that is
 below the core count. Rank threads each call BLAS, and with the library's
 default of one BLAS thread per core the two levels oversubscribe the
 cores. One of the three that the user set is left as it is, and sets the
-BLAS threads alone. run's summary prints both counts.
+BLAS threads alone. run's summary prints both counts. Every flag is
+checked before that re-execution, so bad usage exits 2 from the first
+interpreter.
+
+Run as a program, svdbench first freezes the garbage collector
+(gc.freeze): the objects that importing numpy and the package created
+move to a permanent generation that no collection walks, neither the
+run's nor the ones at interpreter exit, which would otherwise cost a
+short run more than its SVD. A library call, main(argv), leaves the
+collector as it finds it.
 """
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -120,6 +130,8 @@ def _config_from(args):
 
 def main(argv=None):
     as_program = argv is None
+    if as_program:
+        gc.freeze()
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in ("run", "verify", "-h", "--help"):
         argv.insert(0, "run")
@@ -133,19 +145,24 @@ def main(argv=None):
         parser.print_help()
         return 2
     threads, must_set = blas_threads(args.ranks, os.environ)
-    if as_program and must_set:
-        _reexec_with(threads)
 
     try:
         cfg = _config_from(args)
-        if args.command == "verify":
-            return run_verify(cfg, args.matrix, sys.stdout)
+        matrix_kind = getattr(args, "matrix", "random")
         # Without --out, CSV owns stdout and the table moves to stderr. With
         # it, the file is written after the run, so that a rejected config
         # leaves it alone; a path the run could not write is refused first.
-        out = None if args.out is None else Path(args.out)
+        out = None if getattr(args, "out", None) is None else Path(args.out)
         if out is not None and (out.is_dir() or not out.parent.is_dir()):
             raise ConfigError(f"--out {out}: not a file in an existing directory")
+        if as_program and must_set:
+            # Every flag is checked before the second interpreter start, so
+            # bad usage exits 2 at once. The route bound here goes with this
+            # interpreter: each process binds it once.
+            cfg.validate(matrix_kind)
+            _reexec_with(threads)
+        if args.command == "verify":
+            return run_verify(cfg, matrix_kind, sys.stdout)
         csv_out = sys.stdout if out is None else io.StringIO()
         human_out = sys.stderr if out is None else sys.stdout
         code = run_bench(cfg, csv_out, human_out)

@@ -11,6 +11,9 @@ rank count. For the same reason a range's blocks may be drawn on several
 threads: each block's bits depend only on its key, not on which thread
 draws it or when, and each thread writes only its blocks' rows of the
 result, so the result is bitwise the same for every thread count.
+numpy.random itself is imported at the first draw, not with the module:
+`import tallskinny` and a run that reads its matrix from a file never
+load it.
 
 The two multiply patterns: distributed times replicated stays local and
 distributed-transpose times distributed is a local product plus one
@@ -43,7 +46,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.random import SFC64, Generator, SeedSequence
 
 from . import matfile
 from .comm import Communicator, core_share
@@ -149,6 +151,10 @@ def _block_stream(seed, block, domain):
     (2s for s >= 0, -2s - 1 for s < 0) so that every integer seed, of any
     size or sign, has a field value of its own.
     """
+    # Imported at the first draw: a run that reads its matrix and draws
+    # nothing never pays numpy.random's import.
+    from numpy.random import SFC64, Generator, SeedSequence
+
     seed = int(seed)
     zigzag = 2 * seed if seed >= 0 else -2 * seed - 1
     key = zigzag << 65 | int(block) << 1 | int(domain)

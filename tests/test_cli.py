@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -399,6 +401,55 @@ class TestModuleEntryPoint:
         assert proc.stdout.splitlines()[0] == CSV_HEADER
 
 
+class TestImports:
+    """svdbench loads numpy.random only for a command that draws."""
+
+    @staticmethod
+    def python(*args):
+        src = str(Path(tallskinny.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    @pytest.fixture(scope="class")
+    def lazy_numpy(self):
+        # numpy releases before 2.0 import numpy.random with numpy itself,
+        # which leaves the package nothing to defer.
+        code = "import sys, numpy; print('numpy.random' in sys.modules)"
+        if self.python("-c", code).stdout.strip() == "True":
+            pytest.skip("this numpy imports numpy.random with numpy")
+
+    @pytest.fixture(scope="class")
+    def tskm(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("imports") / "a.tskm"
+        write_matrix(path, np.random.default_rng(0).standard_normal((300, 10)))
+        return str(path)
+
+    def imports_numpy_random(self, *flags):
+        proc = self.python("-X", "importtime", "-m", "tallskinny", "run",
+                           "--ranks", "1", "--reps", "1", *flags)
+        return re.search(r"\|\s*numpy\.random$", proc.stderr, re.MULTILINE) is not None
+
+    def test_import_leaves_numpy_random_out(self, lazy_numpy):
+        code = "import sys, tallskinny; print('numpy.random' in sys.modules)"
+        assert self.python("-c", code).stdout.strip() == "False"
+
+    @pytest.mark.parametrize("algo", ["cpsvd", "tssvd"])
+    def test_file_run_never_imports_numpy_random(self, lazy_numpy, tskm, algo):
+        assert not self.imports_numpy_random("--algo", algo, "--input", tskm)
+
+    @pytest.mark.parametrize("algo, source", [("rsvd", "file"), ("cpsvd", "generated")])
+    def test_a_draw_imports_numpy_random(self, tskm, algo, source):
+        # The positive control: the import line shows when it happens. A
+        # file rsvd run draws its basis.
+        data = ["--input", tskm] if source == "file" else ["--rows", "300", "--cols", "10"]
+        assert self.imports_numpy_random("--algo", algo, *data)
+
+
 class TestBlasThreads:
     """As a program, svdbench splits the cores between the ranks' BLAS."""
 
@@ -407,7 +458,11 @@ class TestBlasThreads:
 
     @pytest.fixture
     def program(self, monkeypatch):
-        """Run main() as the program would, on 4 cores, recording any re-exec."""
+        """Run main() as the program would, on 4 cores, recording any re-exec.
+
+        A program run freezes the collector; teardown unfreezes it, so the
+        rest of the session keeps a normal collector.
+        """
         for name in list(os.environ):
             if name.endswith("_NUM_THREADS"):
                 monkeypatch.delenv(name)
@@ -428,7 +483,8 @@ class TestBlasThreads:
                 return "exec"
 
         run.calls = calls
-        return run
+        yield run
+        gc.unfreeze()
 
     def test_reexecs_with_cores_per_rank(self, program):
         assert program("--rows", "60", "--cols", "4", "--ranks", "2", "--reps", "1") == "exec"
@@ -459,6 +515,31 @@ class TestBlasThreads:
         env = program.calls[0]
         assert [env[v] for v in BLAS_THREAD_VARS] == ["2"] * 3
         assert env["NUMEXPR_NUM_THREADS"] == "4"
+
+    @pytest.mark.parametrize("flags", [
+        ("--rows", "10", "--cols", "20", "--ranks", "2"),
+        ("--rows", "60", "--cols", "4", "--ranks", "2", "--reps", "0"),
+        ("--rows", "60", "--cols", "4", "--ranks", "2", "--out", "missing/out.csv"),
+    ], ids=["not-tall", "no-reps", "unwritable-out"])
+    def test_bad_usage_exits_2_before_any_reexec(
+        self, program, capsys, monkeypatch, tmp_path, flags
+    ):
+        # A second interpreter start only to exit 2 would cost as much as
+        # the first. --out names a directory missing from tmp_path.
+        monkeypatch.chdir(tmp_path)
+        assert program(*flags) == 2
+        assert program.calls == []
+        assert capsys.readouterr().err.startswith("svdbench: ")
+
+    def test_program_run_freezes_the_collector(self, program):
+        assert program("--rows", "60", "--cols", "4", "--ranks", "1", "--reps", "1") == 0
+        assert gc.get_freeze_count() > 0
+
+    def test_library_call_leaves_the_collector_alone(self, program):
+        before = gc.get_freeze_count()
+        assert main(["run", "--algo", "cpsvd", "--rows", "60", "--cols", "4",
+                     "--ranks", "1", "--reps", "1"]) == 0
+        assert gc.get_freeze_count() == before
 
     def test_library_call_never_reexecs(self, program, capsys):
         assert main(["run", "--algo", "cpsvd", "--rows", "60", "--cols", "4", "--ranks", "2"]) == 0
