@@ -177,7 +177,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"svdbench: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:  # RankFailures among them
+    # RankFailures among them; a MemoryError from verify's full matrix,
+    # which is built outside the ranks.
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"svdbench: {exc}", file=sys.stderr)
         return 1
 

@@ -25,13 +25,22 @@ against both. Each message up the tree carries the sender's header
 (operator name, payload shape, dtype) next to its subtree result. The
 parent compares that header with its own before combining and aborts the
 whole group on any disagreement. Every rank waits for the root's result,
-and gets its own copy of it. A failing collective only raises; run_ranks
-posts a poison message into every queue of every peer for any rank whose
-target raises, inside a collective or outside one, so errors surface on
-all ranks, at whatever tree level or broadcast they block, instead of
-deadlocking.
+and gets its own copy of it.
+
+A failing collective only raises; run_ranks tells the peers. A failure
+travels the edges its rank's result would have taken: a rank whose
+target raises, inside a collective or outside one, posts a poison
+message on its parent's level queue, or, at the root, on every broadcast
+queue. A rank that fails because it read a poison passes the same poison
+on, so the failure climbs to the root, which broadcasts it, and every
+aborted rank names the rank where the failure began, with that rank's
+message. Queues keep one feeder even then, so a poison never overtakes a
+real message and the reports are deterministic. A rank that returns
+without entering a collective its peers entered posts nothing, and its
+ancestors wait for it until the timeout, even if another rank fails.
 """
 
+import itertools
 import numbers
 import operator
 import os
@@ -56,11 +65,17 @@ class CollectiveContractError(CollectiveError):
 
 
 class RankFailures(RuntimeError):
-    """One or more rank contexts raised; `failures` maps rank -> exception."""
+    """One or more rank contexts raised; `failures` maps rank -> exception.
+
+    The message names the failed ranks as ranges ("0-255", "0, 2-4, 7")
+    and gives the lowest failed rank's exception.
+    """
 
     def __init__(self, failures):
         self.failures = dict(failures)
-        ranks = ", ".join(str(r) for r in sorted(self.failures))
+        groups = itertools.groupby(enumerate(sorted(self.failures)), lambda ir: ir[1] - ir[0])
+        runs = [[r for _, r in group] for _, group in groups]
+        ranks = ", ".join(f"{run[0]}-{run[-1]}" if len(run) > 1 else str(run[0]) for run in runs)
         first = self.failures[min(self.failures)]
         super().__init__(f"rank(s) {ranks} failed; rank {min(self.failures)}: {first!r}")
 
@@ -80,13 +95,30 @@ class ReduceOperator:
 SUM = ReduceOperator("sum", np.add)
 
 
+def _edges(rank, size):
+    """rank's tree edges: ([(child, level)] in level order, [(dst, box)]).
+
+    Rank d receives at level j from d + 2^j while 2^(j+1) divides d, and
+    sends its subtree result to d - 2^j at the level j of its lowest set
+    bit. The root instead sends the result on every peer's broadcast
+    queue (box -1).
+    """
+    top = (rank & -rank).bit_length() - 1 if rank else (size - 1).bit_length()
+    children = [(rank + (1 << j), j) for j in range(top) if rank + (1 << j) < size]
+    return children, [(rank - (1 << top), top)] if rank else [(d, -1) for d in range(1, size)]
+
+
 def _layout(x):
     """'shape dtype' of an array; the type name of anything else."""
     return f"{x.shape} {x.dtype}" if isinstance(x, np.ndarray) else type(x).__name__
 
 
 class _Poison:
-    """Posted by run_ranks to every peer of a failed rank so nobody blocks forever."""
+    """A failure on its way along the tree: where it began (src) and its message.
+
+    run_ranks posts it on a failed rank's own outbound edges, so no rank
+    blocks forever; a rank that read it passes the same object on.
+    """
 
     def __init__(self, src, text):
         self.src = src
@@ -97,11 +129,11 @@ class _World:
     """The queues of one in-process rank group.
 
     inboxes[d][j] is rank d's queue for tree level j, fed only by rank
-    d + 2^j; inboxes[d][-1] is its broadcast queue, fed only by rank 0.
-    Each feeder posts once per collective, in collective order, so a
-    queue's next message is the one its owner waits for and needs no
-    matching. A group of p ranks has ceil(log2 p) levels, so
-    p (ceil(log2 p) + 1) queues.
+    d + 2^j; inboxes[d][-1] is its broadcast queue, fed only by rank 0
+    (see _edges). Each feeder posts once per collective, in collective
+    order, and a failed feeder's poison comes last, so a queue's next
+    message is the one its owner waits for and needs no matching. A group
+    of p ranks has ceil(log2 p) levels, so p (ceil(log2 p) + 1) queues.
     """
 
     def __init__(self, size, timeout=DEFAULT_TIMEOUT):
@@ -160,7 +192,9 @@ class Communicator:
                 f"for ({'bc' if box == -1 else 'red'}, seq {seq}) from rank {src}"
             )
         if isinstance(msg, _Poison):
-            raise CollectiveError(f"collective aborted by rank {msg.src}: {msg.text}")
+            exc = CollectiveError(f"collective aborted by rank {msg.src}: {msg.text}")
+            exc.poison = msg  # run_ranks passes it on unchanged
+            raise exc
         return msg
 
     # -- the one collective -------------------------------------------------
@@ -174,32 +208,27 @@ class Communicator:
         seq = self._seq
         self._seq += 1
         acc = local.copy()
-        for level in range((self.size - 1).bit_length()):
-            stride = 1 << level
-            if self.rank % (2 * stride) == stride:
-                self._send(self.rank - stride, level, (header, acc))
-                break
-            src = self.rank + stride
-            if self.rank % (2 * stride) == 0 and src < self.size:
-                their_header, other = self._recv(level, src, seq)
-                if their_header != header:
-                    raise CollectiveContractError(
-                        f"collective sequence mismatch at seq {seq}: rank "
-                        f"{self.rank}: {header!r}; rank {src}: {their_header!r}"
-                    )
-                try:
-                    acc = op.combine(acc, other)
-                except Exception as exc:
-                    raise CollectiveError(
-                        f"reduce operator {op.name!r} failed on rank {self.rank}: {exc}"
-                    ) from exc
-                if _layout(acc) != _layout(local):
-                    raise CollectiveContractError(
-                        f"reduce op {op.name!r} emitted {_layout(acc)}, not {_layout(local)}"
-                    )
+        children, out = _edges(self.rank, self.size)
+        for src, level in children:
+            their_header, other = self._recv(level, src, seq)
+            if their_header != header:
+                raise CollectiveContractError(
+                    f"collective sequence mismatch at seq {seq}: rank "
+                    f"{self.rank}: {header!r}; rank {src}: {their_header!r}"
+                )
+            try:
+                acc = op.combine(acc, other)
+            except Exception as exc:
+                raise CollectiveError(
+                    f"reduce operator {op.name!r} failed on rank {self.rank}: {exc}"
+                ) from exc
+            if _layout(acc) != _layout(local):
+                raise CollectiveContractError(
+                    f"reduce op {op.name!r} emitted {_layout(acc)}, not {_layout(local)}"
+                )
+        for dst, box in out:
+            self._send(dst, box, (header, acc) if self.rank else acc)
         if self.rank == 0:
-            for dst in range(1, self.size):
-                self._send(dst, -1, acc)
             # Each peer copies acc only after its get, so the root keeps
             # its caller's updates out of the array it sent.
             return acc.copy() if self.size > 1 else acc
@@ -233,8 +262,14 @@ def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
     the surviving results are discarded and RankFailures carries every
     rank's exception. This is the one place that tells the peers of a
     failure: for any rank whose target raises, inside a collective or
-    outside one, it posts a poison message into every queue of every
-    peer, so none of them waits for that rank until the timeout. A size
+    outside one, it posts a poison message on that rank's own outbound
+    edges (its parent's level queue, or from the root every broadcast
+    queue), the poison the rank read if it failed by reading one, or a new
+    one naming the rank and its exception. The poison climbs to the root
+    and comes down the broadcast, so no rank in the collective waits
+    until the timeout; a failing rank posts 1 message, or size - 1 from
+    the root. A rank that never enters a collective its peers entered,
+    and does not raise, still costs its ancestors the timeout. A size
     that is not an integer >= 1 (numpy integers count), or a timeout
     (seconds per wait) outside (0, threading.TIMEOUT_MAX], raises
     ValueError before any rank starts: a larger one, inf included,
@@ -254,11 +289,9 @@ def run_ranks(size, target, *args, timeout=DEFAULT_TIMEOUT, **kwargs):
             results[rank] = target(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported via RankFailures
             failures[rank] = exc
-            poison = _Poison(rank, str(exc))
-            for dst, inboxes in enumerate(world.inboxes):
-                if dst != rank:
-                    for inbox in inboxes:
-                        inbox.put(poison)
+            poison = getattr(exc, "poison", None) or _Poison(rank, str(exc))
+            for dst, box in _edges(rank, size)[1]:
+                world.inboxes[dst][box].put(poison)
 
     threads = [
         threading.Thread(target=body, args=(r,), daemon=True, name=f"rank-{r}")

@@ -325,6 +325,22 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "--input" in captured.err and "PASS" not in captured.out
 
+    def test_unallocatable_height_exits_1_with_one_line(self, monkeypatch, capsys):
+        # verify builds its full matrix outside the ranks; a height it
+        # cannot allocate must read like run's error, not a traceback.
+        message = ("Unable to allocate 18.2 TiB for an array with shape "
+                   "(10000000000, 250) and data type float64")
+
+        def unallocatable(cfg, matrix_kind):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(bench, "_verify_input", unallocatable)
+        args = ["verify", "--algo", "tssvd", "--rows", "10000000000", "--cols", "250"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"svdbench: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("shape, dtype, message", [
         ((6, 6), np.float64, "rows > cols"),
         ((12, 3), np.float32, "precision"),

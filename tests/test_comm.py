@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from tallskinny import comm as comm_module
 from tallskinny.comm import (
     CollectiveContractError,
     CollectiveError,
@@ -18,6 +19,94 @@ from tallskinny.dense import qr_R
 
 
 MAX = ReduceOperator("max", np.maximum)
+
+FAILURE_KINDS = ["mismatch", "combine-raises", "combine-reshapes", "outside"]
+
+
+def _boom(lo, hi):
+    raise ValueError("deliberate")
+
+
+_FAILING_OPS = {
+    "combine-raises": ReduceOperator("boom", _boom),
+    "combine-reshapes": ReduceOperator("stack", lambda lo, hi: np.vstack((lo, hi))),
+}
+
+
+def _failing_worker(kind):
+    """A rank target that fails one collective of (2, 2) payloads.
+
+    The last rank's shape, a combine on the inner ranks, or the last rank
+    raising before the collective.
+    """
+
+    def worker(comm):
+        last = comm.rank == comm.size - 1
+        if kind == "outside" and last:
+            raise ValueError("deliberate, before the collective")
+        if kind in _FAILING_OPS:
+            return comm.allreduce_custom(np.ones((2, 2)), _FAILING_OPS[kind])
+        return comm.allreduce_sum(np.ones((3, 2) if kind == "mismatch" and last else (2, 2)))
+
+    return worker
+
+
+def _expected_reports(kind, size):
+    """rank -> (type, message) that _failing_worker(kind) gives at `size`.
+
+    The ranks that detect the failure report their own error; every other
+    rank names the rank where the failure began, with its message.
+    """
+    last = size - 1
+    if kind == "combine-raises":
+        origin = 0
+        own = {r: (CollectiveError, f"reduce operator 'boom' failed on rank {r}: deliberate")
+               for r in range(0, last, 2)}  # every rank with a level-0 child combines
+    elif kind == "combine-reshapes":
+        origin = 0
+        own = {r: (CollectiveContractError,
+                   "reduce op 'stack' emitted (4, 2) float64, not (2, 2) float64")
+               for r in range(0, last, 2)}
+    elif kind == "mismatch":
+        origin = last & (last - 1)  # the last rank's parent: its lowest set bit cleared
+        own = {origin: (CollectiveContractError,
+                        f"collective sequence mismatch at seq 0: rank {origin}: "
+                        f"('sum', (2, 2), 'float64'); rank {last}: ('sum', (3, 2), 'float64')")}
+    else:
+        origin = last
+        own = {last: (ValueError, "deliberate, before the collective")}
+    aborted = (CollectiveError, f"collective aborted by rank {origin}: {own[origin][1]}")
+    return {r: own.get(r, aborted) for r in range(size)}
+
+
+class _RecordedQueue:
+    """A rank queue that notes which rank thread posted each message."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.posts = []
+
+    def put(self, msg):
+        self.posts.append((threading.current_thread().name, msg))
+        self.inner.put(msg)
+
+    def get(self, timeout=None):
+        return self.inner.get(timeout=timeout)
+
+
+@pytest.fixture
+def recorded_worlds(monkeypatch):
+    """Every _World built in the test, its queues recording their posts."""
+    worlds = []
+    init = comm_module._World.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.inboxes = [[_RecordedQueue(q) for q in boxes] for boxes in self.inboxes]
+        worlds.append(self)
+
+    monkeypatch.setattr(comm_module._World, "__init__", recording_init)
+    return worlds
 
 
 class TestAllreduceSum:
@@ -161,9 +250,12 @@ class TestErrorPropagation:
 
         with pytest.raises(RankFailures) as info:
             run_ranks(2, worker, timeout=10)
-        messages = " ".join(str(e) for e in info.value.failures.values())
-        assert "mismatch" in messages or "aborted" in messages
-        assert set(info.value.failures) == {0, 1}
+        mismatch = ("collective sequence mismatch at seq 0: rank 0: ('sum', (1, 1), "
+                    "'float64'); rank 1: ('max', (1, 1), 'float64')")
+        assert {r: (type(e), str(e)) for r, e in info.value.failures.items()} == {
+            0: (CollectiveContractError, mismatch),
+            1: (CollectiveError, f"collective aborted by rank 0: {mismatch}"),
+        }
 
     def test_absent_rank_times_out(self):
         def worker(comm):
@@ -247,32 +339,70 @@ class TestErrorPropagation:
                 assert isinstance(exc, CollectiveError)
 
     @pytest.mark.parametrize("size", [3, 5, 8])
-    @pytest.mark.parametrize("kind", ["mismatch", "combine-raises", "combine-reshapes", "outside"])
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
     def test_every_failure_kind_reaches_every_peer_at_once(self, kind, size):
-        # The last rank's shape, a combine on the inner ranks, or the last
-        # rank raising before the collective: the timeout is 60 s, and every
-        # rank must fail long before it.
-        def boom(lo, hi):
-            raise ValueError("deliberate")
-
-        ops = {
-            "combine-raises": ReduceOperator("boom", boom),
-            "combine-reshapes": ReduceOperator("stack", lambda lo, hi: np.vstack((lo, hi))),
-        }
-
-        def worker(comm):
-            last = comm.rank == comm.size - 1
-            if kind == "outside" and last:
-                raise ValueError("deliberate, before the collective")
-            if kind in ops:
-                return comm.allreduce_custom(np.ones((2, 2)), ops[kind])
-            return comm.allreduce_sum(np.ones((3, 2) if kind == "mismatch" and last else (2, 2)))
-
+        # The timeout is 60 s, and every rank must fail long before it.
         start = time.monotonic()
         with pytest.raises(RankFailures) as info:
-            run_ranks(size, worker, timeout=60)
+            run_ranks(size, _failing_worker(kind), timeout=60)
         assert time.monotonic() - start < 5.0
         assert set(info.value.failures) == set(range(size))
+
+    @pytest.mark.parametrize("size", [3, 5, 8])
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_every_rank_reports_where_the_failure_began(self, kind, size):
+        # A tiny switch interval shuffles which rank reaches its queue
+        # first; the reports must not depend on it.
+        want = _expected_reports(kind, size)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(30):
+                with pytest.raises(RankFailures) as info:
+                    run_ranks(size, _failing_worker(kind), timeout=60)
+                assert {r: (type(e), str(e)) for r, e in info.value.failures.items()} == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("size", range(2, 10))
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_every_queue_keeps_its_one_feeder_in_a_failing_run(
+        self, recorded_worlds, kind, size
+    ):
+        # A poison posted outside the failed rank's own edges could
+        # overtake the message the queue's owner waits for.
+        with pytest.raises(RankFailures):
+            run_ranks(size, _failing_worker(kind), timeout=60)
+        (world,) = recorded_worlds
+        for d, boxes in enumerate(world.inboxes):
+            for j, box in enumerate(boxes):
+                feeder = 0 if j == len(boxes) - 1 else d + (1 << j)
+                assert {name for name, _ in box.posts} <= {f"rank-{feeder}"}, (d, j)
+
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_a_failure_of_every_rank_posts_two_poisons_per_peer_at_most(
+        self, recorded_worlds, kind
+    ):
+        # At the 256-rank ceiling every rank fails: each posts one poison
+        # to its parent, and the root one to each peer's broadcast queue.
+        size = 256
+        with pytest.raises(RankFailures) as info:
+            run_ranks(size, _failing_worker(kind), timeout=60)
+        assert set(info.value.failures) == set(range(size))
+        (world,) = recorded_worlds
+        posts = [msg for boxes in world.inboxes for box in boxes for _, msg in box.posts]
+        assert sum(isinstance(msg, comm_module._Poison) for msg in posts) <= 2 * (size - 1)
+
+    @pytest.mark.parametrize("ranks, named", [
+        (range(256), "0-255"),
+        ([7, 0, 3, 2, 4], "0, 2-4, 7"),
+        ([5], "5"),
+    ])
+    def test_rank_failures_name_their_ranks_as_ranges(self, ranks, named):
+        failures = RankFailures({r: ValueError("deliberate") for r in ranks})
+        assert str(failures) == (
+            f"rank(s) {named} failed; rank {min(ranks)}: ValueError('deliberate')"
+        )
 
 
 class TestSequencing:
